@@ -13,6 +13,23 @@
 //! symbolic exploration: along one path the constraint set only grows, so
 //! the conjuncts seen so far can stay asserted while each fork probe is a
 //! single assumption on top.
+//!
+//! # Storage
+//!
+//! Every clause lives in one flat arena of `u32` words: a [`HEADER`] of
+//! three words (length and flags, then the `f64` activity as two words)
+//! followed by the literal codes. Watchers and reasons name a clause by
+//! its arena offset. A watcher of a binary clause carries the [`BINARY`]
+//! tag and the clause's other literal as its blocker, so a binary
+//! implication never reads the arena. Literal values are a byte per
+//! literal code. After each learnt-database reduction the deleted clauses'
+//! watchers are dropped and the arena is compacted.
+//!
+//! The layout does not steer the search: the same formula and calls give
+//! the same decisions, propagations, conflicts, learnt clauses and models
+//! as a clause-per-allocation layout would (`tests/sat_trajectory.rs` pins
+//! this). Models are part of the explorer's reports, so this is what keeps
+//! them canonical.
 
 use std::fmt;
 
@@ -73,36 +90,30 @@ impl fmt::Debug for Lit {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Assign {
-    Undef,
-    True,
-    False,
-}
+/// Literal values, indexed by literal code.
+const L_FALSE: u8 = 0;
+const L_TRUE: u8 = 1;
+const L_UNDEF: u8 = 2;
 
-impl Assign {
-    fn from_bool(b: bool) -> Assign {
-        if b {
-            Assign::True
-        } else {
-            Assign::False
-        }
-    }
-}
+/// An arena offset of a clause header.
+type CRef = u32;
 
-const NO_REASON: u32 = u32::MAX;
+const NO_REASON: CRef = u32::MAX;
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-}
+/// Header words before a clause's literals: `len << 2 | flags`, then the
+/// activity's low and high words.
+const HEADER: usize = 3;
+const LEARNT: u32 = 1;
+const DELETED: u32 = 2;
+
+/// Watcher tag: the clause is binary and the blocker is its other literal.
+/// Arena offsets stay below it.
+const BINARY: u32 = 1 << 31;
 
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
-    clause: u32,
+    /// Arena offset, tagged with [`BINARY`] for two-literal clauses.
+    cref: u32,
     blocker: Lit,
 }
 
@@ -140,11 +151,14 @@ pub struct SatStats {
 /// ```
 #[derive(Debug)]
 pub struct SatSolver {
-    clauses: Vec<Clause>,
+    /// The clause arena (see the module docs).
+    arena: Vec<u32>,
+    /// Live learnt clauses, in creation order.
+    learnts: Vec<CRef>,
     watches: Vec<Vec<Watcher>>,
-    assign: Vec<Assign>,
+    vals: Vec<u8>,
     level: Vec<u32>,
-    reason: Vec<u32>,
+    reason: Vec<CRef>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -156,7 +170,6 @@ pub struct SatSolver {
     phase: Vec<bool>,
     seen: Vec<bool>,
     ok: bool,
-    num_learnt: usize,
     reduce_count: u64,
     stats: SatStats,
 }
@@ -174,9 +187,10 @@ impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> SatSolver {
         SatSolver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            learnts: Vec::new(),
             watches: Vec::new(),
-            assign: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -190,7 +204,6 @@ impl SatSolver {
             phase: Vec::new(),
             seen: Vec::new(),
             ok: true,
-            num_learnt: 0,
             reduce_count: 0,
             stats: SatStats::default(),
         }
@@ -204,7 +217,7 @@ impl SatSolver {
     /// Number of learnt clauses currently alive in the database (survivors
     /// of [`reduce_db`](Self::reduce_db), not the cumulative count).
     pub fn num_learnt(&self) -> usize {
-        self.num_learnt
+        self.learnts.len()
     }
 
     /// Whether the clause database is still consistent. Once a root-level
@@ -215,13 +228,13 @@ impl SatSolver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(Assign::Undef);
+        let v = Var(self.level.len() as u32);
+        self.vals.extend([L_UNDEF, L_UNDEF]);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -234,30 +247,14 @@ impl SatSolver {
         v
     }
 
-    fn value_lit(&self, l: Lit) -> Assign {
-        match self.assign[l.var().index()] {
-            Assign::Undef => Assign::Undef,
-            Assign::True => {
-                if l.is_negated() {
-                    Assign::False
-                } else {
-                    Assign::True
-                }
-            }
-            Assign::False => {
-                if l.is_negated() {
-                    Assign::True
-                } else {
-                    Assign::False
-                }
-            }
-        }
+    fn value_lit(&self, l: Lit) -> u8 {
+        self.vals[l.code()]
     }
 
     /// The model value of `v` after a successful [`solve`](Self::solve).
     /// Unassigned (don't-care) variables read as `false`.
     pub fn value(&self, v: Var) -> bool {
-        self.assign[v.index()] == Assign::True
+        self.value_lit(Lit::new(v, false)) == L_TRUE
     }
 
     /// Adds a clause. Returns `false` if the formula became trivially
@@ -281,9 +278,9 @@ impl SatSolver {
                 return true; // tautology: l and !l both present
             }
             match self.value_lit(l) {
-                Assign::True => return true, // satisfied at root level
-                Assign::False => {}          // drop
-                Assign::Undef => filtered.push(l),
+                L_TRUE => return true, // satisfied at root level
+                L_FALSE => {}          // drop
+                _ => filtered.push(l),
             }
         }
         match filtered.len() {
@@ -299,51 +296,80 @@ impl SatSolver {
                 self.ok
             }
             _ => {
-                self.attach_clause(filtered, false);
+                self.attach_clause(&filtered, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> CRef {
         debug_assert!(lits.len() >= 2);
-        let idx = self.clauses.len() as u32;
+        let start = self.arena.len();
+        assert!(
+            start + HEADER + lits.len() < BINARY as usize,
+            "clause arena exceeds 2^31 words"
+        );
+        let cr = start as CRef;
+        // Activity 0.0 is the all-zero bit pattern.
+        self.arena.extend([
+            (lits.len() as u32) << 2 | if learnt { LEARNT } else { 0 },
+            0,
+            0,
+        ]);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        let tag = if lits.len() == 2 { BINARY } else { 0 };
         self.watches[lits[0].code()].push(Watcher {
-            clause: idx,
+            cref: cr | tag,
             blocker: lits[1],
         });
         self.watches[lits[1].code()].push(Watcher {
-            clause: idx,
+            cref: cr | tag,
             blocker: lits[0],
         });
         if learnt {
-            self.num_learnt += 1;
+            self.learnts.push(cr);
             self.stats.learnt_clauses += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-        });
-        idx
+        cr
+    }
+
+    fn clause_len(&self, cr: CRef) -> usize {
+        (self.arena[cr as usize] >> 2) as usize
+    }
+
+    fn clause_lits(&self, cr: CRef) -> &[u32] {
+        let start = cr as usize + HEADER;
+        &self.arena[start..start + self.clause_len(cr)]
+    }
+
+    fn clause_activity(&self, cr: CRef) -> f64 {
+        let i = cr as usize;
+        f64::from_bits(u64::from(self.arena[i + 1]) | u64::from(self.arena[i + 2]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, cr: CRef, activity: f64) {
+        let i = cr as usize;
+        let bits = activity.to_bits();
+        self.arena[i + 1] = bits as u32;
+        self.arena[i + 2] = (bits >> 32) as u32;
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
-    fn unchecked_enqueue(&mut self, l: Lit, reason: u32) {
-        debug_assert_eq!(self.value_lit(l), Assign::Undef);
+    fn unchecked_enqueue(&mut self, l: Lit, reason: CRef) {
+        debug_assert_eq!(self.value_lit(l), L_UNDEF);
         let v = l.var().index();
-        self.assign[v] = Assign::from_bool(!l.is_negated());
+        self.vals[l.code()] = L_TRUE;
+        self.vals[l.code() ^ 1] = L_FALSE;
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
-    /// Unit propagation. Returns the index of a conflicting clause, if any.
-    fn propagate(&mut self) -> Option<u32> {
+    /// Unit propagation. Returns the offset of a conflicting clause, if any.
+    fn propagate(&mut self) -> Option<CRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -357,64 +383,70 @@ impl SatSolver {
                 let w = ws[i];
                 i += 1;
                 // Quick skip via blocker.
-                if self.value_lit(w.blocker) == Assign::True {
+                let blocker_val = self.vals[w.blocker.code()];
+                if blocker_val == L_TRUE {
                     ws[kept] = w;
                     kept += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                if self.clauses[ci].deleted {
-                    continue; // drop watcher of deleted clause
+                if w.cref & BINARY != 0 {
+                    ws[kept] = w;
+                    kept += 1;
+                    let cr = w.cref & !BINARY;
+                    if blocker_val == L_FALSE {
+                        // Store the conflict as [other, false_lit]: analysis
+                        // bumps variables in clause order.
+                        let lits = cr as usize + HEADER;
+                        self.arena[lits] = w.blocker.0;
+                        self.arena[lits + 1] = false_lit.0;
+                        conflict = Some(cr);
+                        break;
+                    }
+                    self.unchecked_enqueue(w.blocker, cr);
+                    continue;
                 }
+                let cr = w.cref as usize;
+                debug_assert_eq!(self.arena[cr] & DELETED, 0);
+                let lits = cr + HEADER;
                 // Ensure the false literal is at position 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.arena[lits] == false_lit.0 {
+                    self.arena.swap(lits, lits + 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
-                if first != w.blocker && self.value_lit(first) == Assign::True {
-                    ws[kept] = Watcher {
-                        clause: w.clause,
-                        blocker: first,
-                    };
+                debug_assert_eq!(self.arena[lits + 1], false_lit.0);
+                let first = Lit(self.arena[lits]);
+                let watcher = Watcher {
+                    cref: w.cref,
+                    blocker: first,
+                };
+                if first != w.blocker && self.vals[first.code()] == L_TRUE {
+                    ws[kept] = watcher;
                     kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    if self.value_lit(self.clauses[ci].lits[k]) != Assign::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        let new_watch = self.clauses[ci].lits[1];
-                        self.watches[new_watch.code()].push(Watcher {
-                            clause: w.clause,
-                            blocker: first,
-                        });
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                let end = lits + (self.arena[cr] >> 2) as usize;
+                if let Some(k) =
+                    (lits + 2..end).find(|&k| self.vals[self.arena[k] as usize] != L_FALSE)
+                {
+                    self.arena.swap(lits + 1, k);
+                    self.watches[self.arena[lits + 1] as usize].push(watcher);
                     continue;
                 }
                 // Clause is unit or conflicting; keep this watcher.
-                ws[kept] = Watcher {
-                    clause: w.clause,
-                    blocker: first,
-                };
+                ws[kept] = watcher;
                 kept += 1;
-                if self.value_lit(first) == Assign::False {
-                    // Conflict: keep the remaining watchers and bail out.
-                    while i < ws.len() {
-                        ws[kept] = ws[i];
-                        kept += 1;
-                        i += 1;
-                    }
-                    self.qhead = self.trail.len();
-                    conflict = Some(w.clause);
-                } else {
-                    self.unchecked_enqueue(first, w.clause);
+                if self.vals[first.code()] == L_FALSE {
+                    conflict = Some(w.cref);
+                    break;
                 }
+                self.unchecked_enqueue(first, w.cref);
+            }
+            if conflict.is_some() {
+                // Keep the remaining watchers and bail out.
+                let rest = ws.len() - i;
+                ws.copy_within(i.., kept);
+                kept += rest;
+                self.qhead = self.trail.len();
             }
             ws.truncate(kept);
             self.watches[false_lit.code()] = ws;
@@ -438,11 +470,16 @@ impl SatSolver {
         }
     }
 
-    fn bump_clause(&mut self, ci: usize) {
-        self.clauses[ci].activity += self.cla_inc;
-        if self.clauses[ci].activity > 1e20 {
-            for c in &mut self.clauses {
-                c.activity *= 1e-20;
+    fn bump_clause(&mut self, cr: CRef) {
+        let activity = self.clause_activity(cr) + self.cla_inc;
+        self.set_clause_activity(cr, activity);
+        if activity > 1e20 {
+            // Every clause, original or learnt, carries an activity.
+            let mut c = 0;
+            while c < self.arena.len() {
+                let rescaled = self.clause_activity(c as CRef) * 1e-20;
+                self.set_clause_activity(c as CRef, rescaled);
+                c += HEADER + self.clause_len(c as CRef);
             }
             self.cla_inc *= 1e-20;
         }
@@ -450,7 +487,7 @@ impl SatSolver {
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first) and the backtrack level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
+    fn analyze(&mut self, mut confl: CRef) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot for the asserting literal
         let mut to_clear: Vec<usize> = Vec::new();
         let mut path_count = 0u32;
@@ -460,12 +497,18 @@ impl SatSolver {
 
         loop {
             debug_assert_ne!(confl, NO_REASON);
-            self.bump_clause(confl as usize);
-            let start = usize::from(p.is_some());
-            let len = self.clauses[confl as usize].lits.len();
-            for j in start..len {
-                let q = self.clauses[confl as usize].lits[j];
+            self.bump_clause(confl);
+            // A reason clause's implied literal is the one resolved on. Long
+            // clauses keep it at position 0; binary clauses are not reordered
+            // on implication, so it is skipped by variable.
+            let implied = p.map(|l| l.var().index());
+            let start = confl as usize + HEADER;
+            for k in start..start + self.clause_len(confl) {
+                let q = Lit(self.arena[k]);
                 let v = q.var().index();
+                if Some(v) == implied {
+                    continue;
+                }
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
                     to_clear.push(v);
@@ -533,8 +576,8 @@ impl SatSolver {
         if r == NO_REASON {
             return false;
         }
-        self.clauses[r as usize].lits.iter().all(|&q| {
-            let qv = q.var().index();
+        self.clause_lits(r).iter().all(|&q| {
+            let qv = Lit(q).var().index();
             qv == v || self.seen[qv] || self.level[qv] == 0
         })
     }
@@ -548,7 +591,8 @@ impl SatSolver {
             let l = self.trail[i];
             let v = l.var().index();
             self.phase[v] = !l.is_negated();
-            self.assign[v] = Assign::Undef;
+            self.vals[l.code()] = L_UNDEF;
+            self.vals[l.code() ^ 1] = L_UNDEF;
             self.reason[v] = NO_REASON;
             if self.heap_pos[v] < 0 {
                 self.heap_insert(v as u32);
@@ -561,50 +605,93 @@ impl SatSolver {
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.heap_pop() {
-            if self.assign[v as usize] == Assign::Undef {
-                let lit = Lit::new(Var(v), !self.phase[v as usize]);
+            let lit = Lit::new(Var(v), !self.phase[v as usize]);
+            if self.value_lit(lit) == L_UNDEF {
                 return Some(lit);
             }
         }
         None
     }
 
+    /// Whether `cr` is the reason of its first literal's current value.
+    fn locked(&self, cr: CRef) -> bool {
+        let lit0 = Lit(self.arena[cr as usize + HEADER]);
+        self.reason[lit0.var().index()] == cr && self.value_lit(lit0) == L_TRUE
+    }
+
     fn reduce_db(&mut self) {
         self.reduce_count += 1;
-        let mut learnt_idx: Vec<usize> = self
-            .clauses
+        // Candidates in creation order; the stable sort keeps that order
+        // among equal activities.
+        let mut candidates: Vec<(f64, CRef)> = self
+            .learnts
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted && c.lits.len() > 2)
-            .map(|(i, _)| i)
+            .filter(|&&cr| self.clause_len(cr) > 2)
+            .map(|&cr| (self.clause_activity(cr), cr))
             .collect();
-        learnt_idx.sort_by(|&a, &b| {
-            self.clauses[a]
-                .activity
-                .partial_cmp(&self.clauses[b].activity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let locked: Vec<bool> = learnt_idx
-            .iter()
-            .map(|&ci| {
-                let lit0 = self.clauses[ci].lits[0];
-                self.reason[lit0.var().index()] == ci as u32 && self.value_lit(lit0) == Assign::True
-            })
-            .collect();
-        let target = learnt_idx.len() / 2;
+        candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let target = candidates.len() / 2;
         let mut removed = 0;
-        for (k, &ci) in learnt_idx.iter().enumerate() {
+        for &(_, cr) in &candidates {
             if removed >= target {
                 break;
             }
-            if locked[k] {
+            if self.locked(cr) {
                 continue;
             }
-            self.clauses[ci].deleted = true;
-            self.num_learnt -= 1;
+            self.arena[cr as usize] |= DELETED;
             removed += 1;
         }
-        // Deleted clauses are skipped lazily during propagation.
+        self.collect_garbage();
+    }
+
+    /// Drops the watchers of deleted clauses, compacts the arena and remaps
+    /// every offset held in watchers, reasons and `learnts`.
+    fn collect_garbage(&mut self) {
+        let mut old = std::mem::take(&mut self.arena);
+        // A stable filter: propagation visits watchers in list order.
+        for ws in &mut self.watches {
+            ws.retain(|w| w.cref & BINARY != 0 || old[w.cref as usize] & DELETED == 0);
+        }
+        let mut live = 0;
+        let mut c = 0;
+        while c < old.len() {
+            let len = HEADER + (old[c] >> 2) as usize;
+            if old[c] & DELETED == 0 {
+                live += len;
+            }
+            c += len;
+        }
+        let mut arena = Vec::with_capacity(live);
+        let mut c = 0;
+        while c < old.len() {
+            let end = c + HEADER + (old[c] >> 2) as usize;
+            if old[c] & DELETED == 0 {
+                let to = arena.len() as CRef;
+                arena.extend_from_slice(&old[c..end]);
+                // The copied activity frees this word for the new offset.
+                old[c + 1] = to;
+            }
+            c = end;
+        }
+        let moved = |cr: CRef| old[cr as usize + 1];
+        for ws in &mut self.watches {
+            for w in ws.iter_mut() {
+                w.cref = moved(w.cref & !BINARY) | (w.cref & BINARY);
+            }
+        }
+        for l in &self.trail {
+            let v = l.var().index();
+            if self.reason[v] != NO_REASON {
+                debug_assert_eq!(old[self.reason[v] as usize] & DELETED, 0);
+                self.reason[v] = moved(self.reason[v]);
+            }
+        }
+        self.learnts.retain(|&cr| old[cr as usize] & DELETED == 0);
+        for cr in &mut self.learnts {
+            *cr = moved(*cr);
+        }
+        self.arena = arena;
     }
 
     /// Solves the formula. Returns `true` if satisfiable; the model is then
@@ -670,10 +757,9 @@ impl SatSolver {
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], NO_REASON);
                 } else {
-                    let asserting = learnt[0];
-                    let ci = self.attach_clause(learnt, true);
-                    self.bump_clause(ci as usize);
-                    self.unchecked_enqueue(asserting, ci);
+                    let cr = self.attach_clause(&learnt, true);
+                    self.bump_clause(cr);
+                    self.unchecked_enqueue(learnt[0], cr);
                 }
                 self.var_inc *= VAR_DECAY;
                 self.cla_inc *= CLA_DECAY;
@@ -681,7 +767,7 @@ impl SatSolver {
                 if conflicts >= conflict_budget {
                     return SearchResult::Restart;
                 }
-                if self.num_learnt > 2000 + 500 * self.reduce_count as usize {
+                if self.learnts.len() > 2000 + 500 * self.reduce_count as usize {
                     self.reduce_db();
                 }
                 // Re-establish assumptions before any free branching: one
@@ -692,13 +778,13 @@ impl SatSolver {
                 while (self.decision_level() as usize) < assumptions.len() {
                     let a = assumptions[self.decision_level() as usize];
                     match self.value_lit(a) {
-                        Assign::True => {
+                        L_TRUE => {
                             // Already implied: dummy level keeps the
                             // level-index == assumption-index mapping.
                             self.trail_lim.push(self.trail.len());
                         }
-                        Assign::False => return SearchResult::AssumpUnsat,
-                        Assign::Undef => {
+                        L_FALSE => return SearchResult::AssumpUnsat,
+                        _ => {
                             self.trail_lim.push(self.trail.len());
                             self.unchecked_enqueue(a, NO_REASON);
                             posted = true;
@@ -1070,5 +1156,159 @@ mod tests {
         assert!(s.solve());
         let parity = x.iter().fold(false, |acc, &v| acc ^ s.value(v));
         assert!(parity, "xor chain parity must be 1");
+    }
+
+    /// Offsets of every clause header in the arena, in order.
+    fn clause_offsets(s: &SatSolver) -> Vec<CRef> {
+        let mut offsets = Vec::new();
+        let mut c = 0;
+        while c < s.arena.len() {
+            offsets.push(c as CRef);
+            c += HEADER + s.clause_len(c as CRef);
+        }
+        offsets
+    }
+
+    /// Every watcher, reason and `learnts` entry names a live clause
+    /// header, and binary tags match clause lengths.
+    fn assert_offsets_live(s: &SatSolver) {
+        let offsets = clause_offsets(s);
+        let live =
+            |cr: CRef| offsets.binary_search(&cr).is_ok() && s.arena[cr as usize] & DELETED == 0;
+        for (code, ws) in s.watches.iter().enumerate() {
+            for w in ws {
+                let cr = w.cref & !BINARY;
+                assert!(live(cr), "watcher of {code} names a dead clause {cr}");
+                assert_eq!(w.cref & BINARY != 0, s.clause_len(cr) == 2);
+                let lits = s.clause_lits(cr);
+                assert!(lits.contains(&(code as u32)) && lits.contains(&w.blocker.0));
+            }
+        }
+        for l in &s.trail {
+            let r = s.reason[l.var().index()];
+            assert!(r == NO_REASON || live(r), "reason of {l:?} is dead");
+        }
+        for &cr in &s.learnts {
+            assert!(live(cr) && s.arena[cr as usize] & LEARNT != 0);
+        }
+    }
+
+    /// Whether assignment `x` (bit i = variable i) makes `l` true.
+    fn holds(x: u32, l: Lit) -> bool {
+        (x >> l.var().0 & 1 == 1) != l.is_negated()
+    }
+
+    #[test]
+    fn garbage_collection_keeps_verdicts_and_reasons() {
+        // Interleave clause additions, plain and assumption solves and
+        // learnt-database reductions (with reasons on the trail after a SAT
+        // answer) on small seeded formulas; every verdict is checked by
+        // enumeration and every offset after each collection.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut shrinks = 0;
+        // Pigeons into at least as many holes: satisfiable, but placing
+        // pigeons by assumption makes conflicts and long learnt clauses.
+        for (pigeons, holes) in [(3usize, 4usize), (3, 5), (4, 4)] {
+            let n = pigeons * holes;
+            let mut s = SatSolver::new();
+            let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for i in 0..pigeons {
+                clauses.push(
+                    (0..holes)
+                        .map(|j| Lit::new(vars[i * holes + j], false))
+                        .collect(),
+                );
+            }
+            for j in 0..holes {
+                for i1 in 0..pigeons {
+                    for i2 in (i1 + 1)..pigeons {
+                        clauses.push(vec![
+                            Lit::new(vars[i1 * holes + j], true),
+                            Lit::new(vars[i2 * holes + j], true),
+                        ]);
+                    }
+                }
+            }
+            for c in &clauses {
+                assert!(s.add_clause(c));
+            }
+            // The formula's models, by enumeration.
+            let mut models: Vec<u32> = (0..1u32 << n)
+                .filter(|&x| clauses.iter().all(|c| c.iter().any(|&l| holds(x, l))))
+                .collect();
+            let mut rounds = 0;
+            for step in 0..400 {
+                match next() % 8 {
+                    0 => {
+                        let len = 3 + (next() % 2) as usize;
+                        let c: Vec<Lit> = (0..len)
+                            .map(|_| Lit::new(vars[next() as usize % n], next() & 1 == 1))
+                            .collect();
+                        // Keep the formula satisfiable so solves keep learning.
+                        let kept: Vec<u32> = models
+                            .iter()
+                            .copied()
+                            .filter(|&x| c.iter().any(|&l| holds(x, l)))
+                            .collect();
+                        if kept.len() >= 2 {
+                            assert!(s.add_clause(&c));
+                            clauses.push(c);
+                            models = kept;
+                        }
+                    }
+                    1 => {
+                        assert!(s.solve());
+                        for c in &clauses {
+                            assert!(c.iter().any(|&l| s.value(l.var()) != l.is_negated()));
+                        }
+                    }
+                    _ => {
+                        let k = 2 + (next() % 3) as usize;
+                        let assumptions: Vec<Lit> = (0..k)
+                            .map(|_| Lit::new(vars[next() as usize % n], next() & 1 == 1))
+                            .collect();
+                        let sat = s.solve_with_assumptions(&assumptions);
+                        let expected = models
+                            .iter()
+                            .any(|&x| assumptions.iter().all(|&l| holds(x, l)));
+                        assert_eq!(sat, expected);
+                        assert!(s.is_ok());
+                        if sat {
+                            for l in &assumptions {
+                                assert_eq!(s.value(l.var()), !l.is_negated());
+                            }
+                        }
+                    }
+                }
+                if step % 100 == 99 {
+                    // Reduce right after a SAT answer, so locked clauses hold
+                    // reasons that must be remapped.
+                    assert!(s.solve());
+                    let before = s.arena.len();
+                    let learnt_before = s.num_learnt();
+                    s.reduce_db();
+                    rounds += 1;
+                    assert_offsets_live(&s);
+                    assert!(s.arena.len() <= before);
+                    if s.num_learnt() < learnt_before {
+                        assert!(
+                            s.arena.len() < before,
+                            "deleting clauses must shrink the arena"
+                        );
+                        shrinks += 1;
+                    }
+                }
+            }
+            assert!(rounds >= 3);
+            assert!(s.solve());
+        }
+        assert!(shrinks >= 3, "only {shrinks} reductions deleted a clause");
     }
 }

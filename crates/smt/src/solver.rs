@@ -685,17 +685,14 @@ impl Solver {
                 model.insert(name.to_string(), value);
             }
         }
-        #[cfg(debug_assertions)]
-        {
-            let env = model.to_env();
-            for &(_, c) in entries {
-                debug_assert_eq!(
-                    crate::eval::evaluate(pool, c, &env),
-                    1,
-                    "stitched model {model} does not satisfy {}",
-                    pool.display(c)
-                );
-            }
+        let env = model.to_env();
+        for &(_, c) in entries {
+            assert_eq!(
+                crate::eval::evaluate(pool, c, &env),
+                1,
+                "stitched model {model} does not satisfy {}",
+                pool.display(c)
+            );
         }
         SatResult::Sat(model)
     }
@@ -876,18 +873,16 @@ impl Solver {
             model.insert(name.clone(), value);
         }
 
-        #[cfg(debug_assertions)]
-        {
-            // Sanity: the model must satisfy every constraint concretely.
-            let env = model.to_env();
-            for &c in constraints {
-                debug_assert_eq!(
-                    crate::eval::evaluate(pool, c, &env),
-                    1,
-                    "model {model} does not satisfy {}",
-                    pool.display(c)
-                );
-            }
+        // Every build checks that the model satisfies each constraint
+        // concretely: a SAT-core slip must not become a report.
+        let env = model.to_env();
+        for &c in constraints {
+            assert_eq!(
+                crate::eval::evaluate(pool, c, &env),
+                1,
+                "model {model} does not satisfy {}",
+                pool.display(c)
+            );
         }
 
         SatResult::Sat(model)

@@ -436,6 +436,7 @@ impl Explorer {
                 decisions: st.decisions,
                 time,
                 solver_time: st.solver_time,
+                busy_time: time,
                 solver: st.solver.stats(),
                 fork_snapshots: st.fork_snapshots,
                 fast_forward_decisions: st.ff_decisions,
@@ -454,6 +455,7 @@ impl Explorer {
                 decisions: st.decisions,
                 time,
                 solver_time: st.solver_time,
+                busy_time: time,
                 solver: st.solver.stats(),
                 fork_snapshots: st.fork_snapshots,
                 fast_forward_decisions: st.ff_decisions,
@@ -545,11 +547,13 @@ impl Explorer {
             completed = false;
         }
         let counters = shared.counters();
+        let time = start.elapsed();
         let stats = ExplorationStats {
             instructions: st.pool.ops_created() + st.decisions,
             decisions: st.decisions,
-            time: start.elapsed(),
+            time,
             solver_time: st.solver_time,
+            busy_time: time,
             solver: st.solver.stats(),
             fork_snapshots: st.fork_snapshots,
             fast_forward_decisions: st.ff_decisions,
@@ -633,8 +637,10 @@ impl Explorer {
         lock_state(&state).merge = merge.clone();
         let mut records = Vec::new();
         let mut executed = 0u64;
+        let mut busy_time = Duration::ZERO;
 
         while let Some(snapshot) = queue.pop() {
+            let busy_since = Instant::now();
             let over_budget =
                 limits.paths_started.fetch_add(1, AtomicOrdering::SeqCst) >= limits.max_paths;
             let past_deadline = limits
@@ -677,6 +683,7 @@ impl Explorer {
                 shared.remove_unit(&unit);
             }
             queue.complete(pending);
+            busy_time += busy_since.elapsed();
         }
 
         let st = lock_state(&state);
@@ -685,6 +692,7 @@ impl Explorer {
             decisions: st.decisions,
             pool_ops: st.pool.ops_created(),
             solver_time: st.solver_time,
+            busy_time,
             solver: st.solver.stats(),
             fork_snapshots: st.fork_snapshots,
             ff_decisions: st.ff_decisions,
@@ -717,6 +725,7 @@ impl Explorer {
             stats.decisions += output.decisions;
             stats.instructions += output.pool_ops;
             stats.solver_time += output.solver_time;
+            stats.busy_time += output.busy_time;
             stats.solver.merge(&output.solver);
             stats.fork_snapshots += output.fork_snapshots;
             stats.fast_forward_decisions += output.ff_decisions;
@@ -884,6 +893,7 @@ impl Explorer {
                 decisions: st.decisions,
                 time,
                 solver_time: st.solver_time,
+                busy_time: time,
                 solver: st.solver.stats(),
                 fork_snapshots: 0,
                 fast_forward_decisions: 0,
@@ -948,6 +958,7 @@ impl Explorer {
                 decisions: st.decisions,
                 time,
                 solver_time: st.solver_time,
+                busy_time: time,
                 solver: st.solver.stats(),
                 fork_snapshots: 0,
                 fast_forward_decisions: 0,
@@ -1004,6 +1015,8 @@ struct WorkerOutput {
     decisions: u64,
     pool_ops: u64,
     solver_time: Duration,
+    /// Time spent executing paths, excluding waits on the queue.
+    busy_time: Duration,
     solver: symsc_smt::SolverStats,
     fork_snapshots: u64,
     ff_decisions: u64,

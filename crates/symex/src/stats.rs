@@ -50,8 +50,12 @@ pub struct ExplorationStats {
     pub decisions: u64,
     /// Total wall-clock exploration time.
     pub time: Duration,
-    /// Wall-clock time spent inside the SMT solver.
+    /// Wall-clock time spent inside the SMT solver, summed over the
+    /// engine's threads.
     pub solver_time: Duration,
+    /// Time the engine's threads spent executing paths, summed over the
+    /// threads: `time` itself for a single-threaded exploration.
+    pub busy_time: Duration,
     /// Raw statistics from the SMT layer.
     pub solver: SolverStats,
     /// Copy-on-write path snapshots captured at fork sites (zero under
@@ -88,13 +92,15 @@ pub struct ExplorationStats {
 }
 
 impl ExplorationStats {
-    /// Fraction of total time spent in the solver, in percent — the
-    /// paper's "Solver" column. Zero when no time was recorded.
+    /// Fraction of the engine's busy time spent in the solver, in percent
+    /// — the paper's "Solver" column. Both times are summed over worker
+    /// threads, so the share stays within 100 % at any worker count. Zero
+    /// when no time was recorded.
     pub fn solver_share(&self) -> f64 {
-        if self.time.is_zero() {
+        if self.busy_time.is_zero() {
             return 0.0;
         }
-        100.0 * self.solver_time.as_secs_f64() / self.time.as_secs_f64()
+        100.0 * self.solver_time.as_secs_f64() / self.busy_time.as_secs_f64()
     }
 
     /// Executed engine operations per second of wall time.
@@ -187,7 +193,8 @@ mod tests {
     #[test]
     fn solver_share_is_a_percentage() {
         let s = ExplorationStats {
-            time: Duration::from_secs(10),
+            time: Duration::from_secs(5),
+            busy_time: Duration::from_secs(10),
             solver_time: Duration::from_secs(4),
             ..ExplorationStats::default()
         };

@@ -15,9 +15,10 @@
 //! columns side by side — the fuzz-vs-symbolic comparison of the paper's
 //! Table 2, mutant by mutant.
 //!
-//! Exits nonzero on any violation. With `--emit FILE`, writes the kill
-//! matrix as JSON (the `BENCH_fuzz_kill.json` / `BENCH_fuzz_smoke.json`
-//! trajectory datapoints). `--smoke` runs the presets-only matrix at a
+//! Exits 1 on any violation and 2 on a malformed command line. With
+//! `--emit FILE`, writes the kill matrix as JSON (the
+//! `BENCH_fuzz_kill.json` / `BENCH_fuzz_smoke.json` trajectory
+//! datapoints). `--smoke` runs the presets-only matrix at a
 //! reduced budget for CI; `--workers N` pins the campaign worker count
 //! (default 1 — the matrix is byte-identical at any count).
 //!
@@ -26,33 +27,23 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use symsc_bench::cli::FuzzKillOptions;
+use symsc_bench::json::escape as json_escape;
 use symsc_fuzz::{run_fuzz_matrix, FuzzMatrixParams};
 use symsc_mutate::{generate, presets, run_kill_matrix, Mutant};
 use symsc_plic::{PlicConfig, PlicVariant};
 use symsc_testbench::TestId;
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
-    let mut smoke = false;
-    let mut floor: f64 = 80.0;
-    let mut workers: usize = 1;
-    let mut emit: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--floor" => floor = args.next().and_then(|v| v.parse().ok()).unwrap_or(floor),
-            "--workers" => workers = args.next().and_then(|v| v.parse().ok()).unwrap_or(workers),
-            "--emit" => emit = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let FuzzKillOptions {
+        smoke,
+        floor,
+        workers,
+        emit,
+    } = FuzzKillOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("fuzz_kill: {e}");
+        std::process::exit(2);
+    });
 
     let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
     let mut mutants: Vec<Mutant> = presets();
@@ -92,7 +83,7 @@ fn main() {
         None
     } else {
         let sym_start = Instant::now();
-        let sym = run_kill_matrix(config, &mutants, TestId::ALL.as_ref(), workers);
+        let sym = run_kill_matrix(config, &mutants, &TestId::ALL, workers);
         println!(
             "symbolic column: {} mutants in {:.1}s",
             sym.mutants.len(),

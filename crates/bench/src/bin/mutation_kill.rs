@@ -1,281 +1,36 @@
-//! The mutation-testing kill-matrix harness.
+//! The symbolic kill-matrix harness: one suite's tests against the
+//! paper's six fault presets (IF1–IF6) plus the generated first-order
+//! mutant sweep of `symsc-mutate`, on the shape-preserving scaled FE310.
 //!
-//! Runs the symbolic suite T1–T5 against the paper's six fault presets
-//! (IF1–IF6) plus the generated first-order mutant sweep of the
-//! `symsc-mutate` engine, on the shape-preserving scaled FE310, and
-//! verifies:
+//! `--suite` picks the columns: the register-level TLM tests T1–T5
+//! (`tlm`, the default), the ISS-hosted firmware drivers F1–F5
+//! (`firmware`), or the cross-level equivalence tests X1–X3 (`cross`).
+//! The checks, floors and emission fields of each suite are described in
+//! [`symsc_bench::kill_matrix`].
 //!
-//! 1. **Baseline**: every test passes on the unmutated fixed PLIC.
-//! 2. **Presets**: all six IF presets are killed (the paper's Table 2
-//!    says every IF fault is caught by at least one test).
-//! 3. **Sweep**: at least 20 generated mutants are killed; survivors are
-//!    listed by name (the known-equivalent mutants must be among them).
-//! 4. **Floor**: the overall kill rate does not drop below `--floor`
-//!    (percent; default 80).
-//!
-//! Exits nonzero on any violation. With `--emit FILE`, writes the kill
-//! matrix summary as JSON (the `BENCH_mutation_kill.json` trajectory
-//! datapoint). `--smoke` runs a reduced matrix (T1–T3, presets plus six
-//! generated mutants) for CI; `--workers N` pins the explorer's worker
-//! count (default: one per hardware thread — the matrix is identical
-//! either way); `--order eager|guided|exhaustive` picks the exploration
-//! order (merging and scheduling are pure optimizations, so the matrix
-//! content must be identical for any choice — the nightly full matrix
-//! runs `--order eager` as the at-scale differential check).
-//!
-//! `--suite firmware` swaps the columns from the register-level TLM
-//! tests T1–T5 to the ISS-hosted firmware drivers F1–F5 (the
-//! [`symsc_bench::firmware_kill`] harness, also available as the
-//! `firmware_kill` binary) — same flags, `"harness": "firmware_kill"`
-//! emission.
+//! Exits 1 on any violation and 2 on a malformed command line. With
+//! `--emit FILE`, writes the kill matrix summary as JSON (the
+//! `BENCH_mutation_kill.json`, `BENCH_firmware_kill.json` and
+//! `BENCH_cross_check.json` trajectory datapoints). `--smoke` runs a
+//! reduced matrix for CI; `--workers N` pins the explorer's worker count
+//! (default: one per hardware thread — the matrix is identical either
+//! way); `--order eager|guided|exhaustive` picks the exploration order
+//! (merging and scheduling are pure optimizations, so the matrix content
+//! must be identical for any choice — the nightly full matrices run
+//! `--order eager` as the at-scale differential check).
 //!
 //! Usage: `mutation_kill [--smoke] [--floor PCT] [--workers N]
-//!                       [--order ORDER] [--suite tlm|firmware]
+//!                       [--order ORDER] [--suite tlm|firmware|cross]
 //!                       [--emit FILE]`
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use symsc_mutate::{generate, presets, run_kill_matrix_with, Mutant};
-use symsc_plic::{PlicConfig, PlicVariant};
-use symsc_symex::ExploreOrder;
-use symsc_testbench::TestId;
-use symsysc_core::Verifier;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
+use symsc_bench::kill_matrix::{run, Options};
 
 fn main() {
-    let mut smoke = false;
-    let mut floor: Option<f64> = None;
-    let mut workers: usize = 0;
-    let mut order = ExploreOrder::Exhaustive;
-    let mut order_name = "exhaustive";
-    let mut emit: Option<String> = None;
-    let mut firmware = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--floor" => floor = args.next().and_then(|v| v.parse().ok()).or(floor),
-            "--suite" => match args.next().as_deref() {
-                Some("firmware") => firmware = true,
-                Some("tlm") => firmware = false,
-                other => {
-                    eprintln!("unknown suite: {other:?}");
-                    std::process::exit(2);
-                }
-            },
-            "--workers" => workers = args.next().and_then(|v| v.parse().ok()).unwrap_or(workers),
-            "--order" => match args.next().as_deref() {
-                Some("eager") => (order, order_name) = (ExploreOrder::MergeEager, "eager"),
-                Some("guided") => (order, order_name) = (ExploreOrder::CoverageGuided, "guided"),
-                Some("exhaustive") => {}
-                other => {
-                    eprintln!("unknown exploration order: {other:?}");
-                    std::process::exit(2);
-                }
-            },
-            "--emit" => emit = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if firmware {
-        use symsc_bench::firmware_kill::FirmwareKillOptions;
-        let defaults = FirmwareKillOptions::default();
-        let opts = FirmwareKillOptions {
-            smoke,
-            floor: floor.unwrap_or(defaults.floor),
-            workers,
-            order,
-            order_name,
-            emit,
-        };
-        if !symsc_bench::firmware_kill::run(&opts) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    let floor = floor.unwrap_or(80.0);
-
-    let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
-    let tests: Vec<TestId> = if smoke {
-        vec![TestId::T1, TestId::T2, TestId::T3]
-    } else {
-        TestId::ALL.to_vec()
-    };
-    let mut mutants: Vec<Mutant> = presets();
-    let generated = generate(&config);
-    let generated_total = if smoke { 6 } else { generated.len() };
-    mutants.extend(generated.into_iter().take(generated_total));
-    let preset_total = mutants.len() - generated_total;
-
-    println!(
-        "mutation_kill: {} tests x {} mutants ({} presets + {} generated), \
-         sources={}, floor={floor}%, order={order_name}{}",
-        tests.len(),
-        mutants.len(),
-        preset_total,
-        generated_total,
-        config.sources,
-        if smoke { " [smoke]" } else { "" }
-    );
-
-    let start = Instant::now();
-    let matrix = run_kill_matrix_with(config, &mutants, &tests, |name| {
-        Verifier::new(name).workers(workers).explore_order(order)
+    let opts = Options::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("mutation_kill: {e}");
+        std::process::exit(2);
     });
-    let seconds = start.elapsed().as_secs_f64();
-
-    let mut ok = true;
-    for b in &matrix.baseline {
-        println!(
-            "baseline {}: {} ({} paths, {} fork sites, {} directions)",
-            b.test,
-            if b.passed { "pass" } else { "FAIL" },
-            b.paths,
-            b.branch_sites,
-            b.branches_covered
-        );
-        if !b.passed {
-            println!("MISMATCH: baseline {} fails on the fixed PLIC", b.test);
-            ok = false;
-        }
-    }
-
-    let preset_killed = matrix
-        .mutants
-        .iter()
-        .filter(|m| m.preset && m.killed())
-        .count();
-    let generated_killed = matrix
-        .mutants
-        .iter()
-        .filter(|m| !m.preset && m.killed())
-        .count();
-    for m in &matrix.mutants {
-        let by: Vec<String> = tests
-            .iter()
-            .zip(&m.cells)
-            .filter(|(_, c)| c.killed)
-            .map(|(t, c)| format!("{t}({})", c.distinct_errors))
-            .collect();
-        println!(
-            "mutant {:24} {}",
-            m.name,
-            if by.is_empty() {
-                "SURVIVED".to_string()
-            } else {
-                format!("killed by {}", by.join(" "))
-            }
-        );
-    }
-    let kills = matrix.kills_per_test();
-    for (t, k) in tests.iter().zip(&kills) {
-        println!("test {t}: {k}/{} mutants killed", matrix.mutants.len());
-    }
-    println!(
-        "kill rate {:.1}% ({} presets, {} generated killed); \
-         coverage/kill correlation r={:.3}; {seconds:.1}s",
-        matrix.kill_rate(),
-        preset_killed,
-        generated_killed,
-        matrix.coverage_kill_correlation()
-    );
-
-    if preset_killed < preset_total {
-        println!("MISMATCH: only {preset_killed}/{preset_total} IF presets killed");
-        ok = false;
-    }
-    let generated_floor = if smoke { 4 } else { 20 };
-    if generated_killed < generated_floor {
-        println!(
-            "MISMATCH: only {generated_killed} generated mutants killed \
-             (need >= {generated_floor})"
-        );
-        ok = false;
-    }
-    if matrix.kill_rate() < floor {
-        println!(
-            "MISMATCH: kill rate {:.1}% below the {floor}% floor",
-            matrix.kill_rate()
-        );
-        ok = false;
-    }
-
-    if let Some(path) = emit {
-        let mut json = String::from("{\n  \"harness\": \"mutation_kill\",\n");
-        let _ = writeln!(json, "  \"smoke\": {smoke},");
-        let _ = writeln!(json, "  \"order\": \"{order_name}\",");
-        let _ = writeln!(
-            json,
-            "  \"config\": {{\"sources\": {}, \"max_priority\": {}}},",
-            config.sources, config.max_priority
-        );
-        let names: Vec<String> = tests.iter().map(|t| format!("\"{t}\"")).collect();
-        let _ = writeln!(json, "  \"tests\": [{}],", names.join(", "));
-        let _ = writeln!(json, "  \"mutants_total\": {},", matrix.mutants.len());
-        let _ = writeln!(
-            json,
-            "  \"mutants_killed\": {},",
-            preset_killed + generated_killed
-        );
-        let _ = writeln!(json, "  \"kill_rate\": {:.2},", matrix.kill_rate());
-        let _ = writeln!(json, "  \"presets_total\": {preset_total},");
-        let _ = writeln!(json, "  \"presets_killed\": {preset_killed},");
-        let _ = writeln!(json, "  \"generated_total\": {generated_total},");
-        let _ = writeln!(json, "  \"generated_killed\": {generated_killed},");
-        let _ = writeln!(
-            json,
-            "  \"coverage_kill_correlation\": {:.4},",
-            matrix.coverage_kill_correlation()
-        );
-        let _ = writeln!(json, "  \"survivors\": [");
-        let survivors = matrix.survivors();
-        for (i, m) in survivors.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{}\", \"description\": \"{}\"}}{}",
-                json_escape(&m.name),
-                json_escape(&m.description),
-                if i + 1 == survivors.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(json, "  ],");
-        let _ = writeln!(json, "  \"per_test\": [");
-        for (i, (b, k)) in matrix.baseline.iter().zip(&kills).enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{\"test\": \"{}\", \"kills\": {k}, \"baseline_paths\": {}, \
-                 \"branch_sites\": {}, \"branches_covered\": {}}}{}",
-                b.test,
-                b.paths,
-                b.branch_sites,
-                b.branches_covered,
-                if i + 1 == matrix.baseline.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
-        let _ = writeln!(json, "  ],");
-        let _ = writeln!(json, "  \"seconds\": {seconds:.1}");
-        json.push_str("}\n");
-        if let Err(e) = std::fs::write(&path, json) {
-            println!("MISMATCH: could not write {path}: {e}");
-            ok = false;
-        } else {
-            println!("wrote {path}");
-        }
-    }
-
-    if !ok {
+    if !run(&opts) {
         std::process::exit(1);
     }
 }

@@ -190,113 +190,108 @@ fn compare_solver_stack(g: &mut Gate, base: &Json, cur: &Json) {
     }
 }
 
-fn compare_mutation(g: &mut Gate, base: &Json, cur: &Json) {
-    let ctx = "mutation_kill";
-    if base.get("smoke").and_then(Json::as_bool) != cur.get("smoke").and_then(Json::as_bool) {
-        g.fail(format!(
-            "{ctx}: baseline and current runs are at different scales (smoke flag differs)"
-        ));
-        return;
-    }
-    g.counter_exact(base, cur, ctx, "mutants_total");
-    g.rate_at_least(base, cur, ctx, "kill_rate", PERCENT_SLACK);
-    g.rate_at_least(base, cur, ctx, "presets_killed", 0.0);
-    g.rate_at_least(base, cur, ctx, "generated_killed", 1.0);
-    g.seconds_within(base, cur, ctx, "seconds");
+/// What one kill-matrix harness checks beyond the shared kill counts.
+struct KillGate {
+    /// The harness name in the emission.
+    harness: &'static str,
+    /// Flags the current run must report as `true`.
+    flags: &'static [&'static str],
+    /// Counters that must not drop below the baseline, with whether the
+    /// baseline must record them (an optional counter is checked only
+    /// when the baseline has it).
+    counters: &'static [(&'static str, bool)],
+    /// Every TLM-matrix survivor the baseline records as killed in its
+    /// `"unique_kills"` must stay killed.
+    unique_kills: bool,
 }
 
-fn compare_firmware_kill(g: &mut Gate, base: &Json, cur: &Json) {
-    let ctx = "firmware_kill";
-    if base.get("smoke").and_then(Json::as_bool) != cur.get("smoke").and_then(Json::as_bool) {
-        g.fail(format!(
-            "{ctx}: baseline and current runs are at different scales (smoke flag differs)"
-        ));
-        return;
-    }
-    g.counter_exact(base, cur, ctx, "mutants_total");
-    g.rate_at_least(base, cur, ctx, "kill_rate", PERCENT_SLACK);
-    g.rate_at_least(base, cur, ctx, "presets_killed", 0.0);
-    g.rate_at_least(base, cur, ctx, "generated_killed", 1.0);
+/// The kill-matrix harnesses: the three symbolic suites and the fuzzer.
+const KILL_GATES: [KillGate; 4] = [
+    KillGate {
+        harness: "mutation_kill",
+        flags: &[],
+        counters: &[],
+        unique_kills: false,
+    },
     // The headline property of the firmware suite: the enable-stuck
     // mutant no register-level test can kill must stay killed.
-    if cur.get("stuck_enable_1_killed").and_then(Json::as_bool) != Some(true) {
-        g.fail(format!(
-            "{ctx}: current run does not report \"stuck_enable_1_killed\": true"
-        ));
-    }
-    g.seconds_within(base, cur, ctx, "seconds");
-}
-
-fn compare_cross_check(g: &mut Gate, base: &Json, cur: &Json) {
-    let ctx = "cross_check";
-    if base.get("smoke").and_then(Json::as_bool) != cur.get("smoke").and_then(Json::as_bool) {
-        g.fail(format!(
-            "{ctx}: baseline and current runs are at different scales (smoke flag differs)"
-        ));
-        return;
-    }
-    g.counter_exact(base, cur, ctx, "mutants_total");
-    g.rate_at_least(base, cur, ctx, "kill_rate", PERCENT_SLACK);
-    g.rate_at_least(base, cur, ctx, "presets_killed", 0.0);
-    g.rate_at_least(base, cur, ctx, "generated_killed", 1.0);
+    KillGate {
+        harness: "firmware_kill",
+        flags: &["stuck_enable_1_killed"],
+        counters: &[],
+        unique_kills: false,
+    },
     // The headline properties of the cross-level suite: equivalence
     // holds on the fixed baseline, reports stay byte-identical across
     // worker counts / fork strategies / orders, and the kill unique to
     // equivalence checking stays killed.
-    for flag in [
-        "baseline_passed",
-        "reports_identical",
-        "stuck_enable_1_killed",
-    ] {
+    KillGate {
+        harness: "cross_check",
+        flags: &[
+            "baseline_passed",
+            "reports_identical",
+            "stuck_enable_1_killed",
+        ],
+        counters: &[],
+        unique_kills: true,
+    },
+    // The symbolic verdict column rides along in full-matrix fuzz
+    // emissions only. Coverage of the corpus-building campaign is
+    // deterministic at the recorded seed, so shrinkage is a behavior
+    // change, not noise.
+    KillGate {
+        harness: "fuzz_kill",
+        flags: &[],
+        counters: &[("symbolic_killed", false), ("coverage_points", true)],
+        unique_kills: false,
+    },
+];
+
+fn compare_kill_matrix(g: &mut Gate, arm: &KillGate, base: &Json, cur: &Json) {
+    let ctx = arm.harness;
+    if base.get("smoke").and_then(Json::as_bool) != cur.get("smoke").and_then(Json::as_bool) {
+        g.fail(format!(
+            "{ctx}: baseline and current runs are at different scales (smoke flag differs)"
+        ));
+        return;
+    }
+    g.counter_exact(base, cur, ctx, "mutants_total");
+    g.rate_at_least(base, cur, ctx, "kill_rate", PERCENT_SLACK);
+    g.rate_at_least(base, cur, ctx, "presets_killed", 0.0);
+    g.rate_at_least(base, cur, ctx, "generated_killed", 1.0);
+    for flag in arm.flags {
         if cur.get(flag).and_then(Json::as_bool) != Some(true) {
             g.fail(format!(
                 "{ctx}: current run does not report \"{flag}\": true"
             ));
         }
     }
-    // Every TLM-matrix survivor the baseline records as killed by
-    // equivalence must stay killed — losing any one is a regression of
-    // the cross-level suite's unique contribution.
-    match base.get("unique_kills").and_then(Json::as_arr) {
-        Some(base_unique) if !base_unique.is_empty() => {
-            let cur_unique: Vec<&str> = cur
-                .get("unique_kills")
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(Json::as_str).collect())
-                .unwrap_or_default();
-            for name in base_unique.iter().filter_map(Json::as_str) {
-                if !cur_unique.contains(&name) {
-                    g.fail(format!("{ctx}: unique equivalence kill \"{name}\" is gone"));
+    for &(key, required) in arm.counters {
+        if required || base.get(key).is_some() {
+            g.rate_at_least(base, cur, ctx, key, 0.0);
+        }
+    }
+    // Losing any one unique kill is a regression of the suite's unique
+    // contribution.
+    if arm.unique_kills {
+        match base.get("unique_kills").and_then(Json::as_arr) {
+            Some(base_unique) if !base_unique.is_empty() => {
+                let cur_unique: Vec<&str> = cur
+                    .get("unique_kills")
+                    .and_then(Json::as_arr)
+                    .map(|a| a.iter().filter_map(Json::as_str).collect())
+                    .unwrap_or_default();
+                for name in base_unique.iter().filter_map(Json::as_str) {
+                    if !cur_unique.contains(&name) {
+                        g.fail(format!("{ctx}: unique equivalence kill \"{name}\" is gone"));
+                    }
                 }
             }
+            _ => g.fail(format!(
+                "{ctx}: baseline records no \"unique_kills\" (vacuous uniqueness claim)"
+            )),
         }
-        _ => g.fail(format!(
-            "{ctx}: baseline records no \"unique_kills\" (vacuous uniqueness claim)"
-        )),
     }
-    g.seconds_within(base, cur, ctx, "seconds");
-}
-
-fn compare_fuzz_kill(g: &mut Gate, base: &Json, cur: &Json) {
-    let ctx = "fuzz_kill";
-    if base.get("smoke").and_then(Json::as_bool) != cur.get("smoke").and_then(Json::as_bool) {
-        g.fail(format!(
-            "{ctx}: baseline and current runs are at different scales (smoke flag differs)"
-        ));
-        return;
-    }
-    g.counter_exact(base, cur, ctx, "mutants_total");
-    g.rate_at_least(base, cur, ctx, "kill_rate", PERCENT_SLACK);
-    g.rate_at_least(base, cur, ctx, "presets_killed", 0.0);
-    g.rate_at_least(base, cur, ctx, "generated_killed", 1.0);
-    // The symbolic verdict column rides along in full-matrix emissions
-    // only; when the baseline recorded it, the current run must too.
-    if base.get("symbolic_killed").is_some() {
-        g.rate_at_least(base, cur, ctx, "symbolic_killed", 0.0);
-    }
-    // Coverage of the corpus-building campaign is deterministic at the
-    // recorded seed, so shrinkage is a behavior change, not noise.
-    g.rate_at_least(base, cur, ctx, "coverage_points", 0.0);
     g.seconds_within(base, cur, ctx, "seconds");
 }
 
@@ -535,16 +530,15 @@ pub fn compare(baseline: &Json, current: &Json) -> Vec<String> {
     }
     match kind {
         "solver_stack" => compare_solver_stack(&mut g, baseline, current),
-        "mutation_kill" => compare_mutation(&mut g, baseline, current),
-        "firmware_kill" => compare_firmware_kill(&mut g, baseline, current),
-        "cross_check" => compare_cross_check(&mut g, baseline, current),
-        "fuzz_kill" => compare_fuzz_kill(&mut g, baseline, current),
         "fuzz_diff" => compare_fuzz_diff(&mut g, baseline, current),
         "incremental_speedup" => compare_incremental(&mut g, baseline, current),
         "cow_fork" => compare_cow_fork(&mut g, baseline, current),
         "path_merge" => compare_path_merge(&mut g, baseline, current),
         "campaign" => compare_campaign(&mut g, baseline, current),
-        other => g.fail(format!("unknown harness kind \"{other}\"")),
+        other => match KILL_GATES.iter().find(|arm| arm.harness == other) {
+            Some(arm) => compare_kill_matrix(&mut g, arm, baseline, current),
+            None => g.fail(format!("unknown harness kind \"{other}\"")),
+        },
     }
     g.violations
 }

@@ -10,6 +10,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Escapes `s` for a JSON string literal (the harness strings contain
+/// no control characters, so quotes and backslashes are all there is).
+pub fn escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {

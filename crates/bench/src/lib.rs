@@ -16,29 +16,28 @@
 //! * `path_merge` — ablation harness for state merging, subsumption
 //!   pruning and heuristic path scheduling on the full 51-source FE310
 //!   (every exploration order vs. the exhaustive oracle).
-//! * `mutation_kill` — the mutation-testing kill matrix (register-level
-//!   TLM suite by default; `--suite firmware` swaps in the ISS-hosted
-//!   firmware drivers).
-//! * `firmware_kill` — the firmware-in-the-loop kill matrix, standalone.
-//! * `cross_check` — the cross-level equivalence kill matrix: every
-//!   mutant injected into the cycle-level PLIC and checked against the
-//!   fixed TLM model, and vice versa.
+//! * `mutation_kill` — the symbolic mutation-testing kill matrix
+//!   ([`kill_matrix`]): the register-level TLM suite by default,
+//!   `--suite firmware` for the ISS-hosted firmware drivers, `--suite
+//!   cross` for the cross-level equivalence suite (every mutant injected
+//!   into the cycle-level PLIC and checked against the fixed TLM model,
+//!   and vice versa).
+//! * `fuzz_kill` / `fuzz_diff` — the differential fuzzer's kill matrix
+//!   next to the symbolic one, and its coverage diff + seed exchange.
 //! * `bench_gate` — compares fresh harness emissions against the
 //!   committed `BENCH_*.json` baselines and fails on regressions.
-//!
-//! Criterion benches (`cargo bench -p symsc-bench`): `solver`, `kernel`,
-//! `sim_time`, `exploration` — performance characteristics and the
-//! ablations called out in `DESIGN.md`.
+//! * `parallel_speedup`, `profile_query`, `profile_t1` — worker-count
+//!   determinism and solver profiling drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use symsc_symex::SymError;
 
-pub mod cross_check;
-pub mod firmware_kill;
+pub mod cli;
 pub mod gate;
 pub mod json;
+pub mod kill_matrix;
 pub mod workloads;
 
 /// Maps a detected error to the paper's bug label, by the error message of

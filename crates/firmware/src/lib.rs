@@ -12,9 +12,9 @@
 //!   PLIC + scratch RAM under one kernel, with merge fences at `wfi`.
 //! * [`suite`] — the five firmware tests F1–F5 ([`FirmwareId`]), from a
 //!   plain claim/complete loop to a deliberately racy driver that only
-//!   an enable-mask mutant can expose.
-//! * [`matrix`] — the firmware kill matrix: every generated PLIC mutant
-//!   against every firmware test, mirroring `symsc_mutate`.
+//!   an enable-mask mutant can expose. [`FirmwareId`] fills the columns
+//!   of `symsc_mutate`'s kill matrix: every generated PLIC mutant against
+//!   every firmware test.
 //! * [`reference`] — a [`ReferencePlic`](symsc_plic::ReferencePlic)-backed
 //!   bus model so the same driver binary can run on a golden machine,
 //!   the differential oracle for the firmware fuzz lane.
@@ -22,12 +22,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod matrix;
 pub mod reference;
 pub mod soc;
 pub mod suite;
 
-pub use matrix::{run_firmware_kill_matrix, run_firmware_kill_matrix_with, FirmwareKillMatrix};
 pub use reference::{RefMachine, RefPlicBus};
 pub use soc::{enable_all_masks, service_driver, Soc, SymRam};
 pub use suite::{firmware_bench, run_firmware_test, FirmwareId};

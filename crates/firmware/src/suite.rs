@@ -9,6 +9,7 @@
 //! cross-level discipline of the TLM suites lifted to software.
 
 use symsc_iss::{asm, StepOutcome};
+use symsc_mutate::KillSuite;
 use symsc_plic::PlicConfig;
 use symsc_symex::{SymCtx, Width};
 use symsysc_core::{TestOutcome, Verifier};
@@ -512,10 +513,28 @@ pub fn run_firmware_test(test: FirmwareId, config: PlicConfig, verifier: &Verifi
     verifier.run(firmware_bench(test, config))
 }
 
+/// The firmware kill matrix: every PLIC mutant against every firmware
+/// test, the software-driven analog of the register-level T1–T5 matrix
+/// (`symsc_mutate::run_kill_matrix_with` over [`FirmwareId`] columns).
+impl KillSuite for FirmwareId {
+    const VIEW_HEADER: &'static str = "fw-kill-matrix";
+
+    fn run_cell(
+        self,
+        _fixed: PlicConfig,
+        mutated: PlicConfig,
+        _side: Option<&str>,
+        verifier: &Verifier,
+    ) -> TestOutcome {
+        run_firmware_test(self, mutated, verifier)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symsc_plic::PlicVariant;
+    use symsc_mutate::{run_kill_matrix, run_kill_matrix_with, Mutant};
+    use symsc_plic::{MutationOp, PlicVariant, ThresholdCmp};
 
     fn fixed() -> PlicConfig {
         PlicConfig::fe310_scaled().variant(PlicVariant::Fixed)
@@ -547,5 +566,55 @@ mod tests {
             let o = run_firmware_test(FirmwareId::F2, fixed().mutate(op), &Verifier::new("F2"));
             assert!(!o.passed(), "F2 must kill {op:?}");
         }
+    }
+
+    #[test]
+    fn a_small_firmware_matrix_kills_the_presets_it_should() {
+        let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+        let mutants = symsc_mutate::presets();
+        let matrix = run_kill_matrix(config, &mutants, &[FirmwareId::F1, FirmwareId::F2], 1);
+        assert!(
+            matrix.baseline.iter().all(|b| b.passed),
+            "{}",
+            matrix.stable_view()
+        );
+        // IF1 (gateway off-by-one) falls to F1's invalid-id branch; IF6
+        // (threshold off-by-one) to F2's two-sided eligibility check.
+        assert!(matrix.killed_mutant("IF1"), "{}", matrix.stable_view());
+        assert!(matrix.killed_mutant("IF6"), "{}", matrix.stable_view());
+    }
+
+    #[test]
+    fn the_factory_is_called_once_per_firmware_cell_in_order() {
+        let mutants = vec![
+            Mutant::new(
+                "cmp_never",
+                "delivery dead",
+                MutationOp::ThresholdCompare(ThresholdCmp::NeverPass),
+            ),
+            Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
+        ];
+        let calls = std::cell::RefCell::new(Vec::new());
+        let matrix = run_kill_matrix_with(
+            fixed(),
+            &mutants,
+            &[FirmwareId::F1, FirmwareId::F2],
+            |name| {
+                calls.borrow_mut().push(name.to_string());
+                Verifier::new(name).workers(1)
+            },
+        );
+        assert_eq!(matrix.mutants.len(), 2);
+        assert_eq!(
+            calls.into_inner(),
+            [
+                "F1",
+                "F2",
+                "F1/cmp_never",
+                "F2/cmp_never",
+                "F1/dup_notify",
+                "F2/dup_notify"
+            ]
+        );
     }
 }

@@ -232,71 +232,6 @@ pub fn firmware_dictionary(config: &PlicConfig) -> Vec<Vec<u8>> {
     ]
 }
 
-/// The firmware fuzz kill matrix: one campaign per mutant over the
-/// firmware differential lane, mirroring
-/// [`run_fuzz_matrix`](crate::matrix::run_fuzz_matrix).
-pub fn run_firmware_fuzz_matrix(
-    config: PlicConfig,
-    mutants: &[symsc_mutate::Mutant],
-    params: crate::matrix::FuzzMatrixParams,
-) -> crate::matrix::FuzzMatrix {
-    use symsc_plic::Mutation;
-
-    let dictionary = firmware_dictionary(&config);
-    let baseline = crate::engine::Fuzzer::new(config)
-        .runner(run_firmware_input)
-        .seed(params.seed)
-        .workers(params.workers)
-        .max_execs(params.baseline_execs)
-        .batch(params.batch)
-        .seeds(dictionary.clone())
-        .run();
-    let mut corpus = dictionary;
-    let mut seen: std::collections::BTreeSet<Vec<u8>> = corpus.iter().cloned().collect();
-    for entry in &baseline.corpus {
-        if seen.insert(entry.clone()) {
-            corpus.push(entry.clone());
-        }
-    }
-
-    let rows = mutants
-        .iter()
-        .enumerate()
-        .map(|(i, mutant)| {
-            let campaign = crate::engine::Fuzzer::new(config.mutate(mutant.op()))
-                .runner(run_firmware_input)
-                .seed(params.seed.wrapping_add(0x9E37 * (i as u64 + 1)))
-                .workers(params.workers)
-                .max_execs(params.mutant_execs)
-                .batch(params.batch)
-                .seeds(corpus.clone())
-                .stop_on_finding(true)
-                .run();
-            let finding = campaign
-                .findings
-                .first()
-                .map(|f| format!("{}: {}", f.kind, f.message));
-            crate::matrix::FuzzMutantRow {
-                name: mutant.name(),
-                description: mutant.description(),
-                preset: mutant.preset().is_some(),
-                killed: campaign.killed(),
-                execs: campaign.execs,
-                finding,
-            }
-        })
-        .collect();
-
-    crate::matrix::FuzzMatrix {
-        config,
-        baseline_execs: baseline.execs,
-        baseline_findings: baseline.findings.len(),
-        corpus_len: corpus.len(),
-        coverage_points: baseline.coverage.len(),
-        rows,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,9 +29,7 @@ pub use engine::{run_input, Finding, FuzzReport, Fuzzer, InputOutcome, InputRunn
 pub use exchange::{
     confirm_by_replay, confirm_by_trace, probe_registry, seeds_from_symbolic, Probe, ProbeLane,
 };
-pub use firmware::{
-    firmware_dictionary, firmware_differential_bench, run_firmware_fuzz_matrix, run_firmware_input,
-};
+pub use firmware::{firmware_dictionary, firmware_differential_bench, run_firmware_input};
 pub use grammar::{Program, RawOp};
 pub use harness::{differential_bench, scripted_bench, OpPin};
 pub use matrix::{run_fuzz_matrix, FuzzMatrix, FuzzMatrixParams, FuzzMutantRow};

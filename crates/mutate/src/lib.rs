@@ -25,20 +25,21 @@
 //! proxy, which is the point of measuring kills directly. Everything in
 //! [`KillMatrix::stable_view`] is a pure function of the explored path
 //! sets, so the rendered matrix is byte-identical across worker counts.
+//!
+//! The matrix is generic over its test suite ([`KillSuite`]): the
+//! register-level suite T1–T5 ([`TestId`]), the cross-level equivalence
+//! suite X1–X3 ([`CrossId`], every mutant injected into each abstraction
+//! level in turn) and the firmware drivers F1–F5 of `symsc-firmware` all
+//! run through the one [`run_kill_matrix_with`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cross;
-
-pub use cross::{
-    run_cross_kill_matrix, run_cross_kill_matrix_with, CrossBaselineRow, CrossKillMatrix,
-    CrossMutantRow,
-};
+use std::fmt;
 
 use symsc_plic::{InjectedFault, Mutation, MutationOp, PlicConfig, ThresholdCmp};
-use symsc_testbench::{run_test, SuiteParams, TestId};
-use symsysc_core::Verifier;
+use symsc_testbench::{run_cross_test, run_test, CrossId, SuiteParams, TestId};
+use symsysc_core::{TestOutcome, Verifier};
 
 /// A generated (or preset) mutant: a named [`MutationOp`] instance.
 #[derive(Clone, Debug)]
@@ -236,8 +237,87 @@ pub fn by_name(config: &PlicConfig, name: &str) -> Option<Mutant> {
     registry(config).into_iter().find(|m| m.name == name)
 }
 
-/// One (mutant, test) cell of the kill matrix. Every field is a pure
-/// function of the explored path set — deterministic across worker counts.
+/// A test suite that can fill the columns of a [`KillMatrix`].
+///
+/// The matrix runs every test once on the fixed configuration (the
+/// baseline row) and once per mutant and injection side. A suite with a
+/// single model under test has no sides: the mutant simply replaces the
+/// fixed configuration. The cross-level suite has two, injecting the
+/// mutant into one abstraction level while the other stays fixed as its
+/// oracle.
+pub trait KillSuite: Copy + fmt::Display {
+    /// The first word of [`KillMatrix::stable_view`].
+    const VIEW_HEADER: &'static str;
+    /// The injection sides, in cell order; empty for a single-model suite.
+    const SIDES: &'static [&'static str] = &[];
+
+    /// Runs this test for one cell: `fixed` is the unmutated
+    /// configuration, `mutated` the one carrying the mutant (equal to
+    /// `fixed` on the baseline row), and `side` one of
+    /// [`SIDES`](Self::SIDES) — `None` on the baseline row and for a
+    /// single-model suite.
+    fn run_cell(
+        self,
+        fixed: PlicConfig,
+        mutated: PlicConfig,
+        side: Option<&str>,
+        verifier: &Verifier,
+    ) -> TestOutcome;
+}
+
+impl KillSuite for TestId {
+    const VIEW_HEADER: &'static str = "kill-matrix";
+
+    fn run_cell(
+        self,
+        _fixed: PlicConfig,
+        mutated: PlicConfig,
+        _side: Option<&str>,
+        verifier: &Verifier,
+    ) -> TestOutcome {
+        run_test(self, mutated, &SuiteParams::default(), verifier)
+    }
+}
+
+/// The cross-level suite judges a mutant against the *other abstraction
+/// level* rather than against encoded expectations: every mutant is
+/// injected into the cycle-level model (fixed TLM model as oracle) and
+/// into the TLM model (fixed cycle model as oracle). Mutants that survive
+/// the T suite because no test encodes the affected behavior — the
+/// canonical example is `stuck_enable_1`, invisible behind the
+/// enable-all idiom — die here to X3's symbolic enable word.
+impl KillSuite for CrossId {
+    const VIEW_HEADER: &'static str = "cross-kill-matrix";
+    const SIDES: &'static [&'static str] = &["cycle", "tlm"];
+
+    fn run_cell(
+        self,
+        fixed: PlicConfig,
+        mutated: PlicConfig,
+        side: Option<&str>,
+        verifier: &Verifier,
+    ) -> TestOutcome {
+        if side == Some("tlm") {
+            run_cross_test(self, mutated, fixed, verifier)
+        } else {
+            run_cross_test(self, fixed, mutated, verifier)
+        }
+    }
+}
+
+/// The injection sides of suite `S` in cell order: one unnamed side for
+/// a single-model suite.
+fn sides<S: KillSuite>() -> Vec<Option<&'static str>> {
+    if S::SIDES.is_empty() {
+        vec![None]
+    } else {
+        S::SIDES.iter().copied().map(Some).collect()
+    }
+}
+
+/// One (mutant, test, side) cell of the kill matrix. Every field is a
+/// pure function of the explored path set — deterministic across worker
+/// counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellResult {
     /// The test failed on the mutant (and passes on the baseline).
@@ -254,9 +334,9 @@ pub struct CellResult {
 
 /// The suite's result on the unmutated baseline configuration for one test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BaselineRow {
+pub struct BaselineRow<S> {
     /// Which test.
-    pub test: TestId,
+    pub test: S,
     /// Whether the baseline passes (it must, for kills to be meaningful).
     pub passed: bool,
     /// Paths explored.
@@ -267,7 +347,7 @@ pub struct BaselineRow {
     pub branches_covered: u64,
 }
 
-/// One mutant's row: its verdict under every test.
+/// One mutant's row: its verdict under every test and side.
 #[derive(Clone, Debug)]
 pub struct MutantRow {
     /// The mutant's name.
@@ -278,31 +358,33 @@ pub struct MutantRow {
     pub op: MutationOp,
     /// Whether this row is one of the paper's IF presets.
     pub preset: bool,
-    /// Per-test results, parallel to [`KillMatrix::tests`].
+    /// Per-cell results, side by side: for each injection side in
+    /// [`KillSuite::SIDES`] order (a single one for a single-model suite),
+    /// one cell per test, parallel to [`KillMatrix::tests`].
     pub cells: Vec<CellResult>,
 }
 
 impl MutantRow {
-    /// Whether any test killed this mutant.
+    /// Whether any test killed this mutant, on any side.
     pub fn killed(&self) -> bool {
         self.cells.iter().any(|c| c.killed)
     }
 }
 
-/// The full kill matrix: tests × mutants, plus the baseline row.
+/// The full kill matrix: tests × sides × mutants, plus the baseline row.
 #[derive(Clone, Debug)]
-pub struct KillMatrix {
+pub struct KillMatrix<S> {
     /// The (unmutated) configuration every run derives from.
     pub config: PlicConfig,
     /// The tests that ran (columns).
-    pub tests: Vec<TestId>,
+    pub tests: Vec<S>,
     /// Baseline results (the suite on the unmutated configuration).
-    pub baseline: Vec<BaselineRow>,
+    pub baseline: Vec<BaselineRow<S>>,
     /// One row per mutant.
     pub mutants: Vec<MutantRow>,
 }
 
-impl KillMatrix {
+impl<S: KillSuite> KillMatrix<S> {
     /// Killed mutants over total mutants, in percent.
     pub fn kill_rate(&self) -> f64 {
         if self.mutants.is_empty() {
@@ -317,11 +399,48 @@ impl KillMatrix {
         self.mutants.iter().filter(|m| !m.killed()).collect()
     }
 
-    /// Kills per test, parallel to [`tests`](Self::tests).
+    /// Whether the named mutant exists in the matrix and was killed.
+    pub fn killed_mutant(&self, name: &str) -> bool {
+        self.mutants.iter().any(|m| m.name == name && m.killed())
+    }
+
+    /// Whether some test killed `mutant` with the mutant injected on
+    /// `side`, one of [`KillSuite::SIDES`].
+    pub fn killed_on(&self, mutant: &MutantRow, side: &str) -> bool {
+        let n = self.tests.len();
+        S::SIDES
+            .iter()
+            .position(|&s| s == side)
+            .is_some_and(|k| mutant.cells[k * n..(k + 1) * n].iter().any(|c| c.killed))
+    }
+
+    /// Kills per test on any side, parallel to [`tests`](Self::tests).
     pub fn kills_per_test(&self) -> Vec<usize> {
-        (0..self.tests.len())
-            .map(|t| self.mutants.iter().filter(|m| m.cells[t].killed).count())
+        let n = self.tests.len();
+        (0..n)
+            .map(|t| {
+                self.mutants
+                    .iter()
+                    .filter(|m| m.cells.iter().skip(t).step_by(n).any(|c| c.killed))
+                    .count()
+            })
             .collect()
+    }
+
+    /// The label of every cell of a row, parallel to
+    /// [`MutantRow::cells`]: the test name, suffixed with `@side` for a
+    /// suite with injection sides (`T1`, `X1@cycle`).
+    pub fn cell_labels(&self) -> Vec<String> {
+        let mut labels = Vec::new();
+        for side in sides::<S>() {
+            for t in &self.tests {
+                labels.push(match side {
+                    Some(side) => format!("{t}@{side}"),
+                    None => t.to_string(),
+                });
+            }
+        }
+        labels
     }
 
     /// Pearson correlation between a test's baseline branch coverage
@@ -339,14 +458,18 @@ impl KillMatrix {
 
     /// A deterministic rendering of the whole matrix. Contains no timing
     /// and no worker-dependent data, so two runs of the same matrix — at
-    /// any worker counts — produce byte-identical strings.
+    /// any worker counts, fork strategies or exploration orders — produce
+    /// byte-identical strings.
     pub fn stable_view(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "kill-matrix sources={} maxp={} variant={:?}",
-            self.config.sources, self.config.max_priority, self.config.variant
+            "{} sources={} maxp={} variant={:?}",
+            S::VIEW_HEADER,
+            self.config.sources,
+            self.config.max_priority,
+            self.config.variant
         );
         for b in &self.baseline {
             let _ = writeln!(
@@ -359,6 +482,7 @@ impl KillMatrix {
                 b.branches_covered
             );
         }
+        let labels = self.cell_labels();
         for m in &self.mutants {
             let _ = write!(
                 s,
@@ -366,7 +490,7 @@ impl KillMatrix {
                 m.name,
                 if m.preset { " [preset]" } else { "" }
             );
-            for (t, cell) in self.tests.iter().zip(&m.cells) {
+            for (label, cell) in labels.iter().zip(&m.cells) {
                 let verdict = if cell.killed {
                     format!("kill({})", cell.distinct_errors)
                 } else {
@@ -374,7 +498,7 @@ impl KillMatrix {
                 };
                 let _ = write!(
                     s,
-                    " {t}={verdict} paths={} sites={} covered={}",
+                    " {label}={verdict} paths={} sites={} covered={}",
                     cell.paths, cell.branch_sites, cell.branches_covered
                 );
             }
@@ -413,34 +537,37 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 /// passing baseline, the usual mutation-testing setup); a failing baseline
 /// test is recorded as such and kills nothing. `workers` is forwarded to
 /// the explorer — the matrix content is identical for any value.
-pub fn run_kill_matrix(
+pub fn run_kill_matrix<S: KillSuite>(
     config: PlicConfig,
     mutants: &[Mutant],
-    tests: &[TestId],
+    tests: &[S],
     workers: usize,
-) -> KillMatrix {
+) -> KillMatrix<S> {
     run_kill_matrix_with(config, mutants, tests, |name| {
         Verifier::new(name).workers(workers)
     })
 }
 
 /// Like [`run_kill_matrix`], but with full control over the verifier each
-/// exploration uses (exploration order, fork strategy, budgets): `verifier`
-/// receives the cell's test name. Every verifier configuration is a pure
-/// optimization of the same exhaustive exploration, so the matrix content
-/// must be identical for any choice — the regression tests pin this.
-pub fn run_kill_matrix_with<F: Fn(&str) -> Verifier>(
+/// exploration uses (exploration order, fork strategy, budgets).
+///
+/// `verifier` is called exactly once per cell, right before the cell
+/// runs: first the baseline cells in test order, then each mutant's row
+/// in order. It receives the cell's name — `"T1"` for a baseline cell,
+/// `"T1/IF1"` for a mutant cell, `"X1/IF1/cycle"` with an injection side.
+/// Every verifier configuration is a pure optimization of the same
+/// exhaustive exploration, so the matrix content must be identical for
+/// any choice — the regression tests pin this.
+pub fn run_kill_matrix_with<S: KillSuite, F: Fn(&str) -> Verifier>(
     config: PlicConfig,
     mutants: &[Mutant],
-    tests: &[TestId],
+    tests: &[S],
     verifier: F,
-) -> KillMatrix {
-    let params = SuiteParams::default();
-
-    let baseline: Vec<BaselineRow> = tests
+) -> KillMatrix<S> {
+    let baseline: Vec<BaselineRow<S>> = tests
         .iter()
         .map(|&test| {
-            let o = run_test(test, config, &params, &verifier(test.name()));
+            let o = test.run_cell(config, config, None, &verifier(&test.to_string()));
             BaselineRow {
                 test,
                 passed: o.passed(),
@@ -454,25 +581,28 @@ pub fn run_kill_matrix_with<F: Fn(&str) -> Verifier>(
     let rows: Vec<MutantRow> = mutants
         .iter()
         .map(|mutant| {
-            let cells: Vec<CellResult> = tests
-                .iter()
-                .zip(&baseline)
-                .map(|(&test, base)| {
-                    let name = format!("{}/{}", test.name(), Mutation::name(mutant));
-                    let o = run_test(test, config.mutate(mutant.op()), &params, &verifier(&name));
-                    CellResult {
+            let mutated = config.mutate(mutant.op);
+            let mut cells = Vec::new();
+            for side in sides::<S>() {
+                for (&test, base) in tests.iter().zip(&baseline) {
+                    let name = match side {
+                        Some(side) => format!("{test}/{}/{side}", mutant.name),
+                        None => format!("{test}/{}", mutant.name),
+                    };
+                    let o = test.run_cell(config, mutated, side, &verifier(&name));
+                    cells.push(CellResult {
                         killed: base.passed && !o.passed(),
                         distinct_errors: o.report.distinct_errors().len(),
                         paths: o.report.stats.paths,
                         branch_sites: o.report.stats.branch_sites(),
                         branches_covered: o.report.stats.branches_covered(),
-                    }
-                })
-                .collect();
+                    });
+                }
+            }
             MutantRow {
-                name: Mutation::name(mutant),
-                description: mutant.description(),
-                op: mutant.op(),
+                name: mutant.name.clone(),
+                description: mutant.description.clone(),
+                op: mutant.op,
                 preset: mutant.preset.is_some(),
                 cells,
             }
@@ -552,6 +682,102 @@ mod tests {
         assert!(view.contains("mutant cmp_never"));
         assert!(view.contains("SURVIVED"));
         assert!(view.contains("killed 1/2"));
+    }
+
+    #[test]
+    fn cross_matrix_kills_symmetrically_and_spares_equivalents() {
+        let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+        let mutants = vec![
+            Mutant::new(
+                "cmp_never",
+                "delivery dead",
+                MutationOp::ThresholdCompare(ThresholdCmp::NeverPass),
+            ),
+            Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
+            Mutant::new(
+                "stuck_enable_1",
+                "enable bit 1 stuck high",
+                MutationOp::StuckEnableForId(1),
+            ),
+        ];
+        let matrix = run_kill_matrix(config, &mutants, &[CrossId::X1, CrossId::X3], 1);
+        assert!(
+            matrix.baseline.iter().all(|b| b.passed),
+            "baseline must pass"
+        );
+        let dead = &matrix.mutants[0];
+        assert!(
+            matrix.killed_on(dead, "cycle") && matrix.killed_on(dead, "tlm"),
+            "dead delivery diverges whichever level carries it"
+        );
+        assert!(
+            !matrix.mutants[1].killed(),
+            "duplicate notify is equivalent at both levels"
+        );
+        // The headline: the T-suite survivor falls to X3's symbolic
+        // enable word, in both directions.
+        assert!(matrix.killed_mutant("stuck_enable_1"));
+        let view = matrix.stable_view();
+        assert!(view.contains("cross-kill-matrix"));
+        assert!(view.contains("X3@cycle"));
+        assert!(view.contains("X1@tlm"));
+        assert!(view.contains("killed 2/3"));
+    }
+
+    /// Runs a two-mutant matrix over `tests` and returns the names the
+    /// verifier factory received, in call order.
+    fn factory_calls<S: KillSuite>(config: PlicConfig, tests: &[S]) -> Vec<String> {
+        let mutants = vec![
+            Mutant::new(
+                "cmp_never",
+                "delivery dead",
+                MutationOp::ThresholdCompare(ThresholdCmp::NeverPass),
+            ),
+            Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
+        ];
+        let calls = std::cell::RefCell::new(Vec::new());
+        let matrix = run_kill_matrix_with(config, &mutants, tests, |name| {
+            calls.borrow_mut().push(name.to_string());
+            Verifier::new(name).workers(1)
+        });
+        assert_eq!(matrix.mutants.len(), 2);
+        calls.into_inner()
+    }
+
+    #[test]
+    fn the_factory_is_called_once_per_tlm_cell_in_order() {
+        let config = PlicConfig::small().variant(PlicVariant::Fixed);
+        assert_eq!(
+            factory_calls(config, &[TestId::T1, TestId::T3]),
+            [
+                "T1",
+                "T3",
+                "T1/cmp_never",
+                "T3/cmp_never",
+                "T1/dup_notify",
+                "T3/dup_notify"
+            ]
+        );
+    }
+
+    #[test]
+    fn the_factory_is_called_once_per_cross_cell_in_order() {
+        let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+        assert_eq!(
+            factory_calls(config, &[CrossId::X1, CrossId::X3]),
+            [
+                "X1",
+                "X3",
+                "X1/cmp_never/cycle",
+                "X3/cmp_never/cycle",
+                "X1/cmp_never/tlm",
+                "X3/cmp_never/tlm",
+                "X1/dup_notify/cycle",
+                "X3/dup_notify/cycle",
+                "X1/dup_notify/tlm",
+                "X3/dup_notify/tlm"
+            ]
+        );
     }
 
     #[test]

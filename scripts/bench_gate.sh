@@ -8,9 +8,10 @@
 # Everything runs offline; the release binaries are built if missing.
 #
 # Usage: scripts/bench_gate.sh [--skip-mutation] [--skip-campaign]
-#   --skip-mutation  don't rerun the mutation smoke matrix (used by the
-#                    Actions smoke matrix, where the mutation arm runs
-#                    and gates that emission itself)
+#   --skip-mutation  don't rerun the TLM kill-matrix smoke
+#                    (scripts/kill_smoke.sh tlm; used by the Actions
+#                    smoke matrix, where the mutation arm runs and gates
+#                    that emission itself)
 #   --skip-campaign  don't rerun the campaign orchestrator bench (used
 #                    by the Actions smoke matrix, where the campaign arm
 #                    runs and gates that emission itself)
@@ -29,15 +30,14 @@ done
 
 cargo build --offline --release -p symsc-bench \
   --bin solver_stack --bin incremental_speedup --bin mutation_kill \
-  --bin firmware_kill --bin cross_check --bin fuzz_diff --bin cow_fork \
-  --bin path_merge --bin bench_gate
+  --bin fuzz_diff --bin cow_fork --bin path_merge --bin bench_gate
 cargo build --offline --release -p symsc-campaign --bin campaign_bench
 
 out=target/bench_gate
 mkdir -p "$out"
 
 # Scales must match the committed baselines: both ablation harnesses are
-# recorded at sources=32, the mutation baseline at its --smoke matrix.
+# recorded at sources=32, the TLM kill matrix at its --smoke matrix.
 echo "==> solver-stack ablation (sources=32)"
 ./target/release/solver_stack 32 --emit "$out/solver_stack.json"
 
@@ -54,10 +54,10 @@ echo "==> path-merging ablation (full FE310, 51 sources + 2-HART variant)"
 ./target/release/path_merge --emit "$out/path_merge.json"
 
 echo "==> firmware-in-the-loop kill matrix (F1-F5, all 33 mutants)"
-./target/release/firmware_kill --emit "$out/firmware_kill.json"
+./target/release/mutation_kill --suite firmware --emit "$out/firmware_kill.json"
 
 echo "==> cross-level equivalence matrix (X1-X3, all 33 mutants, both directions)"
-./target/release/cross_check --workers 2 --emit "$out/cross_check.json"
+./target/release/mutation_kill --suite cross --workers 2 --emit "$out/cross_check.json"
 
 pairs=(
   BENCH_solver_stack.json "$out/solver_stack.json"
@@ -70,9 +70,8 @@ pairs=(
 )
 
 if [[ "$skip_mutation" -eq 0 ]]; then
-  echo "==> mutation-testing smoke matrix"
-  ./target/release/mutation_kill --smoke --floor 80 --emit "$out/mutation_smoke.json"
-  pairs+=(BENCH_mutation_smoke.json "$out/mutation_smoke.json")
+  echo "==> TLM kill-matrix smoke (runs and gates its own emission)"
+  scripts/kill_smoke.sh tlm
 fi
 
 if [[ "$skip_campaign" -eq 0 ]]; then

@@ -46,13 +46,13 @@ echo "==> parallel exploration determinism + cache smoke"
 ./target/release/parallel_speedup 32 4
 
 echo "==> differential fuzzing smoke (IF presets must die)"
-scripts/fuzz_smoke.sh
+scripts/kill_smoke.sh fuzz
 
 echo "==> firmware-in-the-loop smoke (stuck_enable_1 must die)"
-scripts/firmware_smoke.sh
+scripts/kill_smoke.sh firmware
 
 echo "==> cross-level equivalence smoke (stuck_enable_1 must die to X3)"
-scripts/cross_smoke.sh
+scripts/kill_smoke.sh cross
 
 echo "==> COW fork-engine differential smoke"
 scripts/cow_smoke.sh
@@ -64,9 +64,10 @@ echo "==> campaign orchestrator smoke (kill at checkpoint + resume)"
 scripts/campaign_smoke.sh
 
 echo "==> bench gate (ablation harnesses + baseline comparison)"
-# Runs the solver-stack and incremental-core ablations at the committed
-# baselines' scales plus the reduced mutation kill matrix, and compares
-# all counters against BENCH_*.json. Each harness also enforces its own
+# Runs the ablation harnesses and the full firmware and cross-level kill
+# matrices at the committed baselines' scales plus the TLM kill-matrix
+# smoke (scripts/kill_smoke.sh tlm), and compares all counters against
+# BENCH_*.json. Each harness also enforces its own
 # internal invariants (byte-identical reports, kill-rate floor, >=25%
 # incremental core reduction), so this subsumes the old per-harness
 # smoke steps.

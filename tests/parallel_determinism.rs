@@ -10,10 +10,8 @@
 //! faithful PLIC, so the suite exercises both failing reports (T1 finds
 //! the F1 claim bug) and passing ones.
 
-use symsc_firmware::{
-    firmware_bench, run_firmware_kill_matrix_with, run_firmware_test, FirmwareId,
-};
-use symsc_mutate::{run_cross_kill_matrix_with, run_kill_matrix, run_kill_matrix_with, Mutant};
+use symsc_firmware::{firmware_bench, run_firmware_test, FirmwareId};
+use symsc_mutate::{run_kill_matrix, run_kill_matrix_with, Mutant};
 use symsc_plic::{InjectedFault, MutationOp, PlicConfig, PlicVariant, ThresholdCmp};
 use symsc_testbench::{run_cross_test, run_test, CrossId, SuiteParams, TestId};
 use symsysc_core::prelude::{ExploreOrder, ForkStrategy};
@@ -589,7 +587,7 @@ fn firmware_kill_matrix_is_byte_identical_across_engines() {
         Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
     ];
     let tests = [FirmwareId::F2, FirmwareId::F5];
-    let baseline = run_firmware_kill_matrix_with(config, &mutants, &tests, |name| {
+    let baseline = run_kill_matrix_with(config, &mutants, &tests, |name| {
         Verifier::new(name).workers(1)
     });
     for (workers, strategy, order) in [
@@ -597,7 +595,7 @@ fn firmware_kill_matrix_is_byte_identical_across_engines() {
         (1, ForkStrategy::Reexec, ExploreOrder::Exhaustive),
         (2, ForkStrategy::CowSnapshot, ExploreOrder::MergeEager),
     ] {
-        let other = run_firmware_kill_matrix_with(config, &mutants, &tests, |name| {
+        let other = run_kill_matrix_with(config, &mutants, &tests, |name| {
             Verifier::new(name)
                 .workers(workers)
                 .fork_strategy(strategy)
@@ -758,7 +756,7 @@ fn cross_kill_matrix_is_byte_identical_across_engines() {
         Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
     ];
     let tests = [CrossId::X1, CrossId::X3];
-    let baseline = run_cross_kill_matrix_with(config, &mutants, &tests, |name| {
+    let baseline = run_kill_matrix_with(config, &mutants, &tests, |name| {
         Verifier::new(name).workers(1)
     });
     for (workers, strategy, order) in [
@@ -766,7 +764,7 @@ fn cross_kill_matrix_is_byte_identical_across_engines() {
         (2, ForkStrategy::Reexec, ExploreOrder::Exhaustive),
         (2, ForkStrategy::CowSnapshot, ExploreOrder::MergeEager),
     ] {
-        let other = run_cross_kill_matrix_with(config, &mutants, &tests, |name| {
+        let other = run_kill_matrix_with(config, &mutants, &tests, |name| {
             Verifier::new(name)
                 .workers(workers)
                 .fork_strategy(strategy)

@@ -24,8 +24,9 @@
 //! 4. **Cross suite only**: at least one survivor of the committed
 //!    TLM-only matrix (`BENCH_mutation_kill.json`) dies by equivalence,
 //!    and a reduced matrix re-run at 1/2/8 workers across both fork
-//!    strategies and two exploration orders renders a byte-identical
-//!    [`stable_view`](symsc_mutate::KillMatrix::stable_view).
+//!    strategies and two exploration orders, and once with the solver
+//!    cache layers off (nothing for the cells to share), renders a
+//!    byte-identical [`stable_view`](symsc_mutate::KillMatrix::stable_view).
 //!
 //! With `--emit FILE` the summary JSON is written under the suite's
 //! `"harness"` name (`mutation_kill`, `firmware_kill`, `cross_check`) —
@@ -396,6 +397,16 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
         });
     }
     let summary: Vec<String> = extras.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    let solver = &matrix.solver;
+    println!(
+        "solver: {} core calls, {} conflicts, {} whole-query hits, {} slice hits, \
+         {} subset-UNSAT hits",
+        solver.sat_core_calls,
+        solver.sat_conflicts,
+        solver.cache_hits,
+        solver.slice_hits,
+        solver.cex_subset_hits
+    );
     println!(
         "kill rate {:.1}% ({} presets, {} generated killed); {}; {seconds:.1}s",
         matrix.kill_rate(),
@@ -482,34 +493,48 @@ fn write_survivors_and_tests<S: KillSuite>(
 }
 
 /// Re-runs the reduced matrix at 1/2/8 workers across both fork
-/// strategies and two exploration orders; `true` when every stable view
-/// is byte-identical to the single-worker reference.
+/// strategies and two exploration orders, and once with the solver cache
+/// layers off, which leaves the cells no shared stack to hit; `true` when
+/// every stable view is byte-identical to the single-worker reference.
 fn reruns_identical<S: KillSuite>(config: PlicConfig, mutants: &[Mutant], tests: &[S]) -> bool {
     let reference = run_kill_matrix_with(config, mutants, tests, |name| {
         Verifier::new(name).workers(1)
     })
     .stable_view();
     let mut identical = true;
-    for (workers, fork, order) in [
-        (2, ForkStrategy::CowSnapshot, ExploreOrder::Exhaustive),
-        (8, ForkStrategy::CowSnapshot, ExploreOrder::MergeEager),
-        (2, ForkStrategy::Reexec, ExploreOrder::Exhaustive),
-        (8, ForkStrategy::Reexec, ExploreOrder::MergeEager),
+    for (workers, fork, order, caches) in [
+        (2, ForkStrategy::CowSnapshot, ExploreOrder::Exhaustive, true),
+        (8, ForkStrategy::CowSnapshot, ExploreOrder::MergeEager, true),
+        (2, ForkStrategy::Reexec, ExploreOrder::Exhaustive, true),
+        (8, ForkStrategy::Reexec, ExploreOrder::MergeEager, true),
+        (
+            1,
+            ForkStrategy::CowSnapshot,
+            ExploreOrder::Exhaustive,
+            false,
+        ),
     ] {
         let view = run_kill_matrix_with(config, mutants, tests, |name| {
             Verifier::new(name)
                 .workers(workers)
                 .fork_strategy(fork)
                 .explore_order(order)
+                .query_cache(caches)
+                .solver_stack(caches)
         })
         .stable_view();
         if view != reference {
-            println!("MISMATCH: stable view differs at {workers} workers, {fork:?}, {order:?}");
+            println!(
+                "MISMATCH: stable view differs at {workers} workers, {fork:?}, {order:?}, \
+                 cache layers {}",
+                if caches { "on" } else { "off" }
+            );
             identical = false;
         }
     }
     println!(
-        "determinism: reduced matrix {} across 1/2/8 workers x fork strategies x orders",
+        "determinism: reduced matrix {} across 1/2/8 workers x fork strategies x orders \
+         x cache layers",
         if identical {
             "byte-identical"
         } else {

@@ -43,6 +43,8 @@
 pub mod table;
 pub mod verifier;
 
+pub use symsc_smt::SolverStats;
+pub use symsc_symex::CacheStack;
 pub use table::Table;
 pub use verifier::{TestOutcome, Verifier};
 

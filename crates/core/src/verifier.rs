@@ -5,7 +5,8 @@ use std::fmt;
 use std::time::Duration;
 
 use symsc_symex::{
-    Counterexample, ExploreOrder, Explorer, ForkStrategy, Report, SearchStrategy, SymCtx,
+    CacheStack, Counterexample, ExploreOrder, Explorer, ForkStrategy, Report, SearchStrategy,
+    SymCtx,
 };
 
 /// The result of running one named symbolic test.
@@ -104,6 +105,17 @@ impl Verifier {
     /// identical either way — only solve time and layer statistics change.
     pub fn solver_stack(mut self, enabled: bool) -> Verifier {
         self.explorer = self.explorer.solver_stack(enabled);
+        self
+    }
+
+    /// Builds the solvers over a shared [`CacheStack`], so verdicts
+    /// another run over the same stack proved are cache hits here (the
+    /// kill matrix shares one stack across its cells). The layer switches
+    /// [`query_cache`](Self::query_cache) and
+    /// [`solver_stack`](Self::solver_stack) still win. Reports are
+    /// identical either way.
+    pub fn cache_stack(mut self, stack: &CacheStack) -> Verifier {
+        self.explorer = self.explorer.cache_stack(stack);
         self
     }
 

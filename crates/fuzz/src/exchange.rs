@@ -25,8 +25,13 @@ use crate::harness::{differential_bench, op, scripted_bench, OpPin};
 /// Harvests fuzz seeds from a bounded symbolic exploration of the probe
 /// described by `pins`: every distinct counterexample model is encoded
 /// as a byte input. Deduplicated, in discovery order.
+///
+/// The exploration runs on one worker, so which paths fit `max_paths`
+/// is the depth-first prefix, not a scheduling outcome. Callers that want
+/// parallelism run several probes at once (the campaign's job queue).
 pub fn seeds_from_symbolic(config: PlicConfig, pins: &[OpPin], max_paths: u64) -> Vec<Vec<u8>> {
     let report = Explorer::new()
+        .workers(1)
         .max_paths(max_paths)
         .explore(scripted_bench(config, pins.to_vec()));
     let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
@@ -205,6 +210,17 @@ mod tests {
         );
         let killed = seeds.iter().any(|s| !confirm_by_trace(mutated, s).passed());
         assert!(killed, "an exported seed must reproduce the divergence");
+    }
+
+    #[test]
+    fn a_probe_cut_by_its_budget_returns_the_same_seeds_every_run() {
+        // The smoke campaign's budget of 16 paths covers a fifth of the
+        // masking probe's 81, and every tenth path diverges: the seeds
+        // must come from the same 16 paths on every run.
+        let mutated = scaled().fault(InjectedFault::If6ThresholdOffByOne);
+        let first = seeds_from_symbolic(mutated, &masking_probe(3), 16);
+        assert!(!first.is_empty(), "the budget reaches a diverging path");
+        assert_eq!(seeds_from_symbolic(mutated, &masking_probe(3), 16), first);
     }
 
     #[test]

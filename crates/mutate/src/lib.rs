@@ -39,7 +39,7 @@ use std::fmt;
 
 use symsc_plic::{InjectedFault, Mutation, MutationOp, PlicConfig, ThresholdCmp};
 use symsc_testbench::{run_cross_test, run_test, CrossId, SuiteParams, TestId};
-use symsysc_core::{TestOutcome, Verifier};
+use symsysc_core::{CacheStack, SolverStats, TestOutcome, Verifier};
 
 /// A generated (or preset) mutant: a named [`MutationOp`] instance.
 #[derive(Clone, Debug)]
@@ -382,6 +382,11 @@ pub struct KillMatrix<S> {
     pub baseline: Vec<BaselineRow<S>>,
     /// One row per mutant.
     pub mutants: Vec<MutantRow>,
+    /// Solver statistics summed over every cell, baseline included: which
+    /// layer answered the matrix's queries. Work counters, not results —
+    /// they depend on the worker count, so the
+    /// [`stable_view`](Self::stable_view) leaves them out.
+    pub solver: SolverStats,
 }
 
 impl<S: KillSuite> KillMatrix<S> {
@@ -558,16 +563,28 @@ pub fn run_kill_matrix<S: KillSuite>(
 /// Every verifier configuration is a pure optimization of the same
 /// exhaustive exploration, so the matrix content must be identical for
 /// any choice — the regression tests pin this.
+///
+/// Every cell's verifier is built over one [`CacheStack`] that lives for
+/// this call, so the near-identical mutants stop re-proving the verdicts
+/// an earlier cell proved. The stack is invisible in the matrix content;
+/// a verifier that switches a cache layer off does not use that layer.
 pub fn run_kill_matrix_with<S: KillSuite, F: Fn(&str) -> Verifier>(
     config: PlicConfig,
     mutants: &[Mutant],
     tests: &[S],
     verifier: F,
 ) -> KillMatrix<S> {
+    let stack = CacheStack::new();
+    let mut solver = SolverStats::default();
+    let mut run = |test: S, mutated: PlicConfig, side: Option<&str>, name: &str| {
+        let o = test.run_cell(config, mutated, side, &verifier(name).cache_stack(&stack));
+        solver.merge(&o.report.stats.solver);
+        o
+    };
     let baseline: Vec<BaselineRow<S>> = tests
         .iter()
         .map(|&test| {
-            let o = test.run_cell(config, config, None, &verifier(&test.to_string()));
+            let o = run(test, config, None, &test.to_string());
             BaselineRow {
                 test,
                 passed: o.passed(),
@@ -589,7 +606,7 @@ pub fn run_kill_matrix_with<S: KillSuite, F: Fn(&str) -> Verifier>(
                         Some(side) => format!("{test}/{}/{side}", mutant.name),
                         None => format!("{test}/{}", mutant.name),
                     };
-                    let o = test.run_cell(config, mutated, side, &verifier(&name));
+                    let o = run(test, mutated, side, &name);
                     cells.push(CellResult {
                         killed: base.passed && !o.passed(),
                         distinct_errors: o.report.distinct_errors().len(),
@@ -614,6 +631,7 @@ pub fn run_kill_matrix_with<S: KillSuite, F: Fn(&str) -> Verifier>(
         tests: tests.to_vec(),
         baseline,
         mutants: rows,
+        solver,
     }
 }
 

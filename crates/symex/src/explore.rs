@@ -20,6 +20,7 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
@@ -135,6 +136,37 @@ pub struct Explorer {
     fork: ForkStrategy,
     order: ExploreOrder,
     workers: usize,
+    caches: Option<CacheStack>,
+}
+
+/// A solver cache stack — the whole-query cache plus the counterexample
+/// cache — that several explorations share (see
+/// [`Explorer::cache_stack`]). Cloning the handle shares the caches.
+///
+/// Sharing is semantically invisible: keys are structural fingerprints
+/// that do not depend on any term pool, an exact hit returns the
+/// canonical result a fresh solve computes, and subset-UNSAT and
+/// cached-model answers only ever decide verdicts, which are unique. A
+/// query one exploration solved is therefore a hit for the next one over
+/// the same stack, without changing either report.
+#[derive(Clone, Default)]
+pub struct CacheStack {
+    query: Arc<QueryCache>,
+    cex: Arc<CexCache>,
+}
+
+impl CacheStack {
+    /// An empty stack at the default cache capacities.
+    pub fn new() -> CacheStack {
+        CacheStack::default()
+    }
+}
+
+impl fmt::Debug for CacheStack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The caches can hold tens of thousands of entries.
+        f.debug_struct("CacheStack").finish_non_exhaustive()
+    }
 }
 
 /// The cache stack one exploration's solvers are built over. Parallel
@@ -178,6 +210,7 @@ impl Explorer {
             fork: ForkStrategy::CowSnapshot,
             order: ExploreOrder::Exhaustive,
             workers: 0,
+            caches: None,
         }
     }
 
@@ -214,6 +247,18 @@ impl Explorer {
     /// changing any report.
     pub fn solver_stack(mut self, enabled: bool) -> Explorer {
         self.solver_stack = enabled;
+        self
+    }
+
+    /// Builds the solvers over a shared [`CacheStack`] instead of a
+    /// private one per exploration, so queries another exploration over
+    /// the same stack solved are cache hits here. The layer switches still
+    /// win: with [`query_cache`](Self::query_cache)`(false)` or
+    /// [`solver_stack`](Self::solver_stack)`(false)` that layer of the
+    /// shared stack is not used. Like the switches, sharing cannot change
+    /// any report.
+    pub fn cache_stack(mut self, stack: &CacheStack) -> Explorer {
+        self.caches = Some(stack.clone());
         self
     }
 
@@ -281,11 +326,14 @@ impl Explorer {
             .unwrap_or(1)
     }
 
-    /// The exploration-wide cache stack, per this explorer's config.
+    /// The exploration-wide cache stack, per this explorer's config: the
+    /// shared stack's layers if one is attached, fresh private ones
+    /// otherwise.
     fn solver_setup(&self) -> SolverSetup {
+        let stack = self.caches.clone().unwrap_or_default();
         SolverSetup {
-            query: self.query_cache.then(|| Arc::new(QueryCache::new())),
-            cex: self.solver_stack.then(|| Arc::new(CexCache::new())),
+            query: self.query_cache.then_some(stack.query),
+            cex: self.solver_stack.then_some(stack.cex),
             model_reuse: self.solver_stack,
             incremental: self.incremental,
         }
@@ -1343,6 +1391,76 @@ mod parallel_tests {
             "shared cache shows no hits: {:?}",
             report.stats.solver
         );
+    }
+
+    #[test]
+    fn a_shared_cache_stack_never_changes_a_report() {
+        // The second exploration over one stack answers from what the
+        // first one solved, and must still report exactly what a fresh
+        // explorer reports.
+        let stack = CacheStack::new();
+        let shared = Explorer::new().workers(1).cache_stack(&stack);
+        let first = shared.explore(ladder);
+        let second = shared.explore(ladder);
+        let fresh = Explorer::new().workers(1).explore(ladder);
+        assert!(!first.passed(), "the ladder's needle check fails");
+        // Everything about an error but the time it was found at.
+        let errors = |report: &Report| -> Vec<_> {
+            report
+                .errors
+                .iter()
+                .map(|e| (e.kind, e.message.clone(), e.counterexample.clone(), e.path))
+                .collect()
+        };
+        for (label, report) in [("second", &second), ("fresh", &fresh)] {
+            assert_eq!(errors(report), errors(&first), "{label}: errors");
+            assert_eq!(report.stats.paths, first.stats.paths, "{label}: paths");
+            assert_eq!(report.coverage, first.coverage, "{label}: coverage");
+            assert_eq!(
+                report.stats.branches, first.stats.branches,
+                "{label}: branch coverage"
+            );
+        }
+        assert!(
+            second.stats.solver.sat_core_calls < first.stats.solver.sat_core_calls,
+            "the second run must reuse the first one's answers: {:?} vs {:?}",
+            second.stats.solver,
+            first.stats.solver
+        );
+    }
+
+    #[test]
+    fn switched_off_layers_of_a_shared_stack_are_not_used() {
+        let stack = CacheStack::new();
+        let off = Explorer::new()
+            .workers(1)
+            .query_cache(false)
+            .solver_stack(false)
+            .cache_stack(&stack);
+        off.explore(ladder);
+        let again = off.explore(ladder).stats.solver;
+        assert_eq!(
+            (
+                again.cache_hits,
+                again.slice_hits,
+                again.cex_subset_hits,
+                again.model_reuse_hits
+            ),
+            (0, 0, 0, 0),
+            "{again:?}"
+        );
+        // Nothing was written into the stack either: an explorer with the
+        // layers on finds it as empty as a private one.
+        let on = Explorer::new()
+            .workers(1)
+            .cache_stack(&stack)
+            .explore(ladder);
+        let fresh = Explorer::new().workers(1).explore(ladder);
+        assert_eq!(
+            on.stats.solver.sat_core_calls,
+            fresh.stats.solver.sat_core_calls
+        );
+        assert_eq!(on.stats.solver.cache_hits, fresh.stats.solver.cache_hits);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 #             equivalent, stuck_enable_1 dies to X3's symbolic enable
 #             word, and the reduced matrix renders byte-identically
 #             across 1/2/8 workers x fork strategies x exploration orders
+#             and with the solver cache layers off
 #   fuzz      every IF1-IF6 preset dies to fuzzing alone (--floor 100)
 #
 # On top of the harness's own checks, the smoke runs the whole emission

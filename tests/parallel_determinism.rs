@@ -11,7 +11,7 @@
 //! the F1 claim bug) and passing ones.
 
 use symsc_firmware::{firmware_bench, run_firmware_test, FirmwareId};
-use symsc_mutate::{run_kill_matrix, run_kill_matrix_with, Mutant};
+use symsc_mutate::{run_kill_matrix, run_kill_matrix_with, KillMatrix, KillSuite, Mutant};
 use symsc_plic::{InjectedFault, MutationOp, PlicConfig, PlicVariant, ThresholdCmp};
 use symsc_testbench::{run_cross_test, run_test, CrossId, SuiteParams, TestId};
 use symsysc_core::prelude::{ExploreOrder, ForkStrategy};
@@ -147,6 +147,22 @@ fn parallel_t1_pins_the_same_counterexample() {
     assert_eq!(format!("{seq_cex}"), format!("{par_cex}"));
 }
 
+/// A reduced kill matrix at one worker with both solver cache layers off,
+/// which leaves its cells nothing to share through the runner's cache
+/// stack: the reference that shows the sharing is invisible.
+fn run_unshared<S: KillSuite>(
+    config: PlicConfig,
+    mutants: &[Mutant],
+    tests: &[S],
+) -> KillMatrix<S> {
+    run_kill_matrix_with(config, mutants, tests, |name| {
+        Verifier::new(name)
+            .workers(1)
+            .query_cache(false)
+            .solver_stack(false)
+    })
+}
+
 #[test]
 fn kill_matrix_is_byte_identical_across_worker_counts() {
     // The mutation kill matrix is built from many explorations; its
@@ -172,6 +188,11 @@ fn kill_matrix_is_byte_identical_across_worker_counts() {
         one.stable_view(),
         eight.stable_view(),
         "kill matrix changed between 1 and 8 workers"
+    );
+    assert_eq!(
+        one.stable_view(),
+        run_unshared(config, &mutants, &tests).stable_view(),
+        "kill matrix changed with the shared cache stack"
     );
     // And the reduced matrix behaves as the full harness expects.
     assert!(one.mutants[0].killed(), "IF5 killed by T1");
@@ -608,6 +629,11 @@ fn firmware_kill_matrix_is_byte_identical_across_engines() {
              {strategy:?}/{order:?}"
         );
     }
+    assert_eq!(
+        baseline.stable_view(),
+        run_unshared(config, &mutants, &tests).stable_view(),
+        "firmware kill matrix changed with the shared cache stack"
+    );
     assert!(baseline.killed_mutant("IF6"), "IF6 killed by F2");
     assert!(
         baseline.killed_mutant("stuck_enable_1"),
@@ -777,6 +803,11 @@ fn cross_kill_matrix_is_byte_identical_across_engines() {
              {strategy:?}/{order:?}"
         );
     }
+    assert_eq!(
+        baseline.stable_view(),
+        run_unshared(config, &mutants, &tests).stable_view(),
+        "cross kill matrix changed with the shared cache stack"
+    );
     assert!(
         baseline.killed_mutant("stuck_enable_1"),
         "the equivalence-unique stuck-enable kill holds"

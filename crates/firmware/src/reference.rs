@@ -50,11 +50,13 @@ impl RefPlicBus {
         &self.plic
     }
 
-    /// Raises the external interrupt line `irq` (invalid ids are ignored,
-    /// matching the fixed DUV's gateway), then re-evaluates delivery.
+    /// Raises the external interrupt line `irq`, then re-evaluates
+    /// delivery. Invalid ids are ignored with no side effect, matching the
+    /// fixed DUV's gateway: they attempt no delivery either.
     pub fn trigger(&mut self, irq: u32) {
-        let _ = self.plic.trigger(irq);
-        self.attempt_delivery();
+        if self.plic.trigger(irq).is_ok() {
+            self.attempt_delivery();
+        }
     }
 
     /// Backdoor priority write (testbench setup), mirrored on the DUV.

@@ -16,7 +16,7 @@ use symsc_plic::PlicConfig;
 use symsc_rtl::CrossChecker;
 use symsc_symex::{Explorer, SymCtx, Width};
 
-use crate::engine::InputOutcome;
+use crate::engine::{trace_input, InputOutcome};
 use crate::grammar::{Program, OP_KINDS};
 use crate::harness::{op, pin_mod, OpPin};
 
@@ -118,26 +118,7 @@ fn run_cycle_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
 /// its coverage and errors — the cycle lane's
 /// [`InputRunner`](crate::engine::InputRunner).
 pub fn run_cycle_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
-    let program = Program::decode(bytes);
-    let report = Explorer::new().trace(
-        &program.to_assignment(),
-        cycle_differential_bench(config, program.len()),
-    );
-    let mut coverage = std::collections::BTreeSet::new();
-    for (site, cov) in &report.stats.branches {
-        if cov.taken > 0 {
-            coverage.insert((*site, true));
-        }
-        if cov.not_taken > 0 {
-            coverage.insert((*site, false));
-        }
-    }
-    let errors = report
-        .errors
-        .iter()
-        .map(|e| (e.kind, e.message.clone()))
-        .collect();
-    InputOutcome { coverage, errors }
+    trace_input(config, bytes, cycle_differential_bench)
 }
 
 /// Harvests fuzz seeds from a bounded symbolic exploration of a

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 use symsc_plic::PlicConfig;
 use symsc_rng::Rng;
-use symsc_symex::{ErrorKind, Explorer};
+use symsc_symex::{ErrorKind, Explorer, SymCtx};
 
 use crate::grammar::{Program, MAX_OPS, OP_BYTES};
 use crate::harness::differential_bench;
@@ -61,11 +61,19 @@ pub struct InputOutcome {
 /// Executes one fuzz input as a concolic trace of the differential
 /// harness and collects its coverage and errors.
 pub fn run_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
+    trace_input(config, bytes, differential_bench)
+}
+
+/// The body of every lane's runner: decodes `bytes`, traces the testbench
+/// `bench` builds for the decoded program's length, and collects the
+/// trace's coverage and errors.
+pub(crate) fn trace_input<F: FnMut(&SymCtx)>(
+    config: PlicConfig,
+    bytes: &[u8],
+    bench: impl FnOnce(PlicConfig, usize) -> F,
+) -> InputOutcome {
     let program = Program::decode(bytes);
-    let report = Explorer::new().trace(
-        &program.to_assignment(),
-        differential_bench(config, program.len()),
-    );
+    let report = Explorer::new().trace(&program.to_assignment(), bench(config, program.len()));
     let mut coverage = BTreeSet::new();
     for (site, cov) in &report.stats.branches {
         if cov.taken > 0 {

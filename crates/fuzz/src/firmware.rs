@@ -5,10 +5,11 @@
 //! [`RefMachine`](symsc_firmware::RefMachine) golden model as the
 //! differential oracle.
 //!
-//! The stimulus grammar reuses the byte layout of [`Program`] (6-byte
-//! slots, `op{i}_kind`/`op{i}_a`/`op{i}_b` variables), so corpus
-//! machinery, seed exchange and counterexample round-trips work
-//! unchanged; only the *interpretation* differs. Each slot is applied at
+//! The stimulus grammar reuses the byte layout of
+//! [`Program`](crate::grammar::Program) (6-byte slots,
+//! `op{i}_kind`/`op{i}_a`/`op{i}_b` variables), so corpus machinery, seed
+//! exchange and counterexample round-trips work unchanged; only the
+//! *interpretation* differs. Each slot is applied at
 //! a driver park boundary: the DUV's simulated time is advanced one
 //! clock so scheduled deliveries land, both harts resume, and their step
 //! outcomes must agree. After the whole schedule, the differential
@@ -24,11 +25,10 @@ use symsc_firmware::soc::{enable_all_masks, service_driver, Soc, LOG_WORD0, RAM_
 use symsc_firmware::RefMachine;
 use symsc_plic::config::ENABLE_BASE;
 use symsc_plic::PlicConfig;
-use symsc_symex::{Explorer, SymCtx, Width};
+use symsc_symex::{SymCtx, Width};
 use symsc_tlm::{BlockingTransport, GenericPayload};
 
-use crate::engine::InputOutcome;
-use crate::grammar::Program;
+use crate::engine::{trace_input, InputOutcome};
 use crate::harness::pin_mod;
 
 /// Operation selectors of the firmware schedule (`kind % FW_OP_KINDS`).
@@ -161,26 +161,7 @@ fn run_schedule(ctx: &SymCtx, config: PlicConfig, len: usize) {
 /// coverage and errors — the firmware lane's
 /// [`InputRunner`](crate::engine::InputRunner).
 pub fn run_firmware_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
-    let program = Program::decode(bytes);
-    let report = Explorer::new().trace(
-        &program.to_assignment(),
-        firmware_differential_bench(config, program.len()),
-    );
-    let mut coverage = std::collections::BTreeSet::new();
-    for (site, cov) in &report.stats.branches {
-        if cov.taken > 0 {
-            coverage.insert((*site, true));
-        }
-        if cov.not_taken > 0 {
-            coverage.insert((*site, false));
-        }
-    }
-    let errors = report
-        .errors
-        .iter()
-        .map(|e| (e.kind, e.message.clone()))
-        .collect();
-    InputOutcome { coverage, errors }
+    trace_input(config, bytes, firmware_differential_bench)
 }
 
 /// Handcrafted schedule seeds: protocol-shaped stimuli every campaign
@@ -249,6 +230,30 @@ mod tests {
             assert_eq!(outcome.errors, Vec::new(), "dictionary entry {i} diverged");
             assert!(!outcome.coverage.is_empty());
         }
+    }
+
+    #[test]
+    fn an_invalid_trigger_delivers_nothing_on_either_machine() {
+        // Threshold 4 masks irq 13 (priority 1) while it goes pending;
+        // lowering the threshold unmasks it without a delivery attempt.
+        // The invalid trigger of id 0 that follows must not deliver it:
+        // the DUV's gateway drops the id with no side effect, and so must
+        // the golden machine.
+        let slot = |kind: u32, a: u32| {
+            let mut v = vec![kind as u8];
+            v.extend_from_slice(&a.to_le_bytes());
+            v.push(0);
+            v
+        };
+        let schedule = [
+            slot(fwop::SET_THRESHOLD, 4),
+            slot(fwop::TRIGGER, 13),
+            slot(fwop::SET_THRESHOLD, 0),
+            slot(fwop::TRIGGER, 0),
+        ]
+        .concat();
+        let outcome = run_firmware_input(scaled(), &schedule);
+        assert_eq!(outcome.errors, Vec::new(), "invalid trigger diverged");
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Concrete evaluation of terms under a variable assignment.
 //!
-//! Used to verify solver models, to replay counterexamples, and as the
-//! ground-truth oracle for the property tests that check the bit-blaster.
+//! Used to verify solver models, to replay counterexamples, as the
+//! ground-truth oracle for the property tests that check the bit-blaster,
+//! and — through one long-lived [`Evaluator`] per path — to decide every
+//! branch of a concolic trace.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use crate::term::{Term, TermId, TermPool};
+use crate::fxhash::FxHashMap;
+use crate::term::{Term, TermId, TermPool, Width};
 
 /// Evaluates `root` under `assignment` (variable name → value).
 ///
@@ -31,146 +35,220 @@ use crate::term::{Term, TermId, TermPool};
 /// assert_eq!(evaluate(&pool, succ, &env), 42);
 /// ```
 pub fn evaluate(pool: &TermPool, root: TermId, assignment: &HashMap<String, u64>) -> u64 {
-    let mut memo: HashMap<TermId, u64> = HashMap::new();
-    // Visited guard: terms are shared DAGs; without it, nodes reachable
-    // through many parents are re-expanded exponentially.
-    let mut visited: std::collections::HashSet<TermId> = std::collections::HashSet::new();
-    let mut stack: Vec<(TermId, bool)> = vec![(root, false)];
+    Evaluator::new().eval(pool, root, assignment)
+}
 
-    while let Some((id, children_done)) = stack.pop() {
-        if memo.contains_key(&id) {
-            continue;
-        }
-        let term = pool.term(id);
-        if !children_done {
-            if !visited.insert(id) {
-                // Already expanded once; it will be (or was) computed when
-                // its queued (id, true) entry pops.
-                continue;
-            }
-            stack.push((id, true));
-            match *term {
-                Term::Const { .. } | Term::Var { .. } => {}
-                Term::Not(a) | Term::Neg(a) => stack.push((a, false)),
-                Term::And(a, b)
-                | Term::Or(a, b)
-                | Term::Xor(a, b)
-                | Term::Add(a, b)
-                | Term::Sub(a, b)
-                | Term::Mul(a, b)
-                | Term::Udiv(a, b)
-                | Term::Urem(a, b)
-                | Term::Shl(a, b)
-                | Term::Lshr(a, b)
-                | Term::Ashr(a, b)
-                | Term::Eq(a, b)
-                | Term::Ult(a, b)
-                | Term::Ule(a, b)
-                | Term::Slt(a, b)
-                | Term::Sle(a, b)
-                | Term::Concat(a, b) => {
-                    stack.push((a, false));
-                    stack.push((b, false));
-                }
-                Term::Ite(c, t, e) => {
-                    stack.push((c, false));
-                    stack.push((t, false));
-                    stack.push((e, false));
-                }
-                Term::ZeroExt { arg, .. }
-                | Term::SignExt { arg, .. }
-                | Term::Extract { arg, .. } => stack.push((arg, false)),
-            }
-            continue;
-        }
+/// An evaluator whose memo outlives one call: a sequence of evaluations
+/// over one pool under one assignment computes each term at most once.
+///
+/// The memo maps [`TermId`]s to values. That is sound for as long as
+/// every call passes the same pool and the same assignment: a pool only
+/// grows (interning never changes the term behind an existing id), so a
+/// memoized value stays the value of its id under that assignment. Call
+/// [`clear`](Self::clear) before evaluating under another assignment.
+///
+/// # Example
+///
+/// ```
+/// use std::collections::HashMap;
+/// use symsc_smt::{TermPool, Width};
+/// use symsc_smt::eval::Evaluator;
+///
+/// let mut pool = TermPool::new();
+/// let x = pool.var("x", Width::W8);
+/// let one = pool.constant(1, Width::W8);
+/// let env = HashMap::from([("x".to_string(), 7u64)]);
+/// let mut evaluator = Evaluator::new();
+/// let succ = pool.add(x, one);
+/// assert_eq!(evaluator.eval(&pool, succ, &env), 8);
+/// // The pool grows; `x + 1` is not computed again.
+/// let twice = pool.add(succ, succ);
+/// assert_eq!(evaluator.eval(&pool, twice, &env), 16);
+/// ```
+#[derive(Debug, Default)]
+pub struct Evaluator {
+    /// `Some(value)` once computed; `None` while expanded and waiting for
+    /// its operands (within one call only).
+    memo: FxHashMap<TermId, Option<u64>>,
+    stack: Vec<(TermId, bool)>,
+    /// The pool the memo belongs to (checked in debug builds).
+    pool_id: Option<u64>,
+}
 
-        let width = pool.width(id);
-        let get = |x: TermId| memo[&x];
-        let value = match *term {
-            Term::Const { value, .. } => value,
-            Term::Var { ref name, .. } => {
-                width.truncate(assignment.get(&**name as &str).copied().unwrap_or(0))
-            }
-            Term::Not(a) => !get(a),
-            Term::Neg(a) => get(a).wrapping_neg(),
-            Term::And(a, b) => get(a) & get(b),
-            Term::Or(a, b) => get(a) | get(b),
-            Term::Xor(a, b) => get(a) ^ get(b),
-            Term::Add(a, b) => get(a).wrapping_add(get(b)),
-            Term::Sub(a, b) => get(a).wrapping_sub(get(b)),
-            Term::Mul(a, b) => get(a).wrapping_mul(get(b)),
-            // Division by zero follows the SMT-LIB bvudiv/bvurem
-            // semantics: all-ones and the dividend respectively.
-            Term::Udiv(a, b) => get(a).checked_div(get(b)).unwrap_or(width.mask()),
-            Term::Urem(a, b) => {
-                let a = get(a);
-                a.checked_rem(get(b)).unwrap_or(a)
-            }
-            Term::Shl(a, b) => {
-                let s = get(b);
-                if s >= u64::from(width.bits()) {
-                    0
-                } else {
-                    get(a) << s
-                }
-            }
-            Term::Lshr(a, b) => {
-                let s = get(b);
-                if s >= u64::from(width.bits()) {
-                    0
-                } else {
-                    get(a) >> s
-                }
-            }
-            Term::Ashr(a, b) => {
-                let aw = pool.width(a);
-                let sx = aw.sign_extend_to_64(get(a)) as i64;
-                let s = get(b).min(63);
-                (sx >> s) as u64
-            }
-            Term::Eq(a, b) => u64::from(get(a) == get(b)),
-            Term::Ult(a, b) => u64::from(get(a) < get(b)),
-            Term::Ule(a, b) => u64::from(get(a) <= get(b)),
-            Term::Slt(a, b) => {
-                let w = pool.width(a);
-                u64::from(
-                    (w.sign_extend_to_64(get(a)) as i64) < (w.sign_extend_to_64(get(b)) as i64),
-                )
-            }
-            Term::Sle(a, b) => {
-                let w = pool.width(a);
-                u64::from(
-                    (w.sign_extend_to_64(get(a)) as i64) <= (w.sign_extend_to_64(get(b)) as i64),
-                )
-            }
-            Term::Ite(c, t, e) => {
-                if get(c) == 1 {
-                    get(t)
-                } else {
-                    get(e)
-                }
-            }
-            Term::ZeroExt { arg, .. } => get(arg),
-            Term::SignExt { arg, .. } => {
-                let aw = pool.width(arg);
-                aw.sign_extend_to_64(get(arg))
-            }
-            Term::Extract { arg, lo, .. } => get(arg) >> lo,
-            Term::Concat(a, b) => {
-                let wl = pool.width(b);
-                (get(a) << wl.bits()) | get(b)
-            }
-        };
-        memo.insert(id, width.truncate(value));
+impl Evaluator {
+    /// An evaluator with an empty memo.
+    pub fn new() -> Evaluator {
+        Evaluator::default()
     }
 
-    memo[&root]
+    /// Forgets every memoized value, so the next call may pass another
+    /// pool or another assignment.
+    pub fn clear(&mut self) {
+        self.memo.clear();
+        self.pool_id = None;
+    }
+
+    /// Evaluates `root` under `assignment`, exactly like [`evaluate`], but
+    /// reuses (and extends) the memo of every earlier call since the last
+    /// [`clear`](Self::clear).
+    pub fn eval(
+        &mut self,
+        pool: &TermPool,
+        root: TermId,
+        assignment: &HashMap<String, u64>,
+    ) -> u64 {
+        let memo_pool = *self.pool_id.get_or_insert(pool.pool_id());
+        debug_assert_eq!(
+            memo_pool,
+            pool.pool_id(),
+            "an evaluator's memo belongs to one pool"
+        );
+        self.stack.push((root, false));
+        while let Some((id, operands_done)) = self.stack.pop() {
+            let term = pool.term(id);
+            if !operands_done {
+                // Terms are shared DAGs: an id already computed, or
+                // expanded and queued, is never expanded again — without
+                // this, nodes reachable through many parents would be
+                // re-expanded exponentially.
+                if let Entry::Vacant(slot) = self.memo.entry(id) {
+                    slot.insert(None);
+                    self.stack.push((id, true));
+                    push_operands(term, &mut self.stack);
+                }
+                continue;
+            }
+            // The operands were pushed above this entry, and none can be
+            // waiting below it (an operand's id is smaller than its
+            // user's, so the graph is acyclic): all are computed by now.
+            let memo = &self.memo;
+            let get = |x: TermId| memo[&x].expect("operands are computed first");
+            let value = apply(pool, term, pool.width(id), get, assignment);
+            self.memo.insert(id, Some(value));
+        }
+        self.memo[&root].expect("the root is computed last")
+    }
+}
+
+fn push_operands(term: &Term, stack: &mut Vec<(TermId, bool)>) {
+    match *term {
+        Term::Const { .. } | Term::Var { .. } => {}
+        Term::Not(a) | Term::Neg(a) => stack.push((a, false)),
+        Term::And(a, b)
+        | Term::Or(a, b)
+        | Term::Xor(a, b)
+        | Term::Add(a, b)
+        | Term::Sub(a, b)
+        | Term::Mul(a, b)
+        | Term::Udiv(a, b)
+        | Term::Urem(a, b)
+        | Term::Shl(a, b)
+        | Term::Lshr(a, b)
+        | Term::Ashr(a, b)
+        | Term::Eq(a, b)
+        | Term::Ult(a, b)
+        | Term::Ule(a, b)
+        | Term::Slt(a, b)
+        | Term::Sle(a, b)
+        | Term::Concat(a, b) => {
+            stack.push((a, false));
+            stack.push((b, false));
+        }
+        Term::Ite(c, t, e) => {
+            stack.push((c, false));
+            stack.push((t, false));
+            stack.push((e, false));
+        }
+        Term::ZeroExt { arg, .. } | Term::SignExt { arg, .. } | Term::Extract { arg, .. } => {
+            stack.push((arg, false))
+        }
+    }
+}
+
+/// The value of `term`, of width `width`, given its operands' values
+/// (`get`): the one place the operators' semantics live.
+fn apply(
+    pool: &TermPool,
+    term: &Term,
+    width: Width,
+    get: impl Fn(TermId) -> u64,
+    assignment: &HashMap<String, u64>,
+) -> u64 {
+    let value = match *term {
+        Term::Const { value, .. } => value,
+        Term::Var { ref name, .. } => assignment.get(&**name as &str).copied().unwrap_or(0),
+        Term::Not(a) => !get(a),
+        Term::Neg(a) => get(a).wrapping_neg(),
+        Term::And(a, b) => get(a) & get(b),
+        Term::Or(a, b) => get(a) | get(b),
+        Term::Xor(a, b) => get(a) ^ get(b),
+        Term::Add(a, b) => get(a).wrapping_add(get(b)),
+        Term::Sub(a, b) => get(a).wrapping_sub(get(b)),
+        Term::Mul(a, b) => get(a).wrapping_mul(get(b)),
+        // Division by zero follows the SMT-LIB bvudiv/bvurem
+        // semantics: all-ones and the dividend respectively.
+        Term::Udiv(a, b) => get(a).checked_div(get(b)).unwrap_or(width.mask()),
+        Term::Urem(a, b) => {
+            let a = get(a);
+            a.checked_rem(get(b)).unwrap_or(a)
+        }
+        Term::Shl(a, b) => {
+            let s = get(b);
+            if s >= u64::from(width.bits()) {
+                0
+            } else {
+                get(a) << s
+            }
+        }
+        Term::Lshr(a, b) => {
+            let s = get(b);
+            if s >= u64::from(width.bits()) {
+                0
+            } else {
+                get(a) >> s
+            }
+        }
+        Term::Ashr(a, b) => {
+            let aw = pool.width(a);
+            let sx = aw.sign_extend_to_64(get(a)) as i64;
+            let s = get(b).min(63);
+            (sx >> s) as u64
+        }
+        Term::Eq(a, b) => u64::from(get(a) == get(b)),
+        Term::Ult(a, b) => u64::from(get(a) < get(b)),
+        Term::Ule(a, b) => u64::from(get(a) <= get(b)),
+        Term::Slt(a, b) => {
+            let w = pool.width(a);
+            u64::from((w.sign_extend_to_64(get(a)) as i64) < (w.sign_extend_to_64(get(b)) as i64))
+        }
+        Term::Sle(a, b) => {
+            let w = pool.width(a);
+            u64::from((w.sign_extend_to_64(get(a)) as i64) <= (w.sign_extend_to_64(get(b)) as i64))
+        }
+        Term::Ite(c, t, e) => {
+            if get(c) == 1 {
+                get(t)
+            } else {
+                get(e)
+            }
+        }
+        Term::ZeroExt { arg, .. } => get(arg),
+        Term::SignExt { arg, .. } => {
+            let aw = pool.width(arg);
+            aw.sign_extend_to_64(get(arg))
+        }
+        Term::Extract { arg, lo, .. } => get(arg) >> lo,
+        Term::Concat(a, b) => {
+            let wl = pool.width(b);
+            (get(a) << wl.bits()) | get(b)
+        }
+    };
+    width.truncate(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Width;
 
     fn env(pairs: &[(&str, u64)]) -> HashMap<String, u64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()

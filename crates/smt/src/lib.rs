@@ -57,6 +57,7 @@ pub mod blast;
 pub mod cex;
 pub mod cnf;
 pub mod eval;
+mod fxhash;
 pub mod incremental;
 pub mod model;
 pub mod sat;

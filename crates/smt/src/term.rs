@@ -8,9 +8,11 @@
 //!
 //! Booleans are width-1 bitvectors; there is no separate Bool sort.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
+
+use crate::fxhash::FxHashMap;
 
 /// A bitvector width between 1 and 64 bits inclusive.
 ///
@@ -216,8 +218,8 @@ pub struct TermPool {
     widths: Vec<Width>,
     fps: Vec<u128>,
     supports: Vec<Support>,
-    dedup: HashMap<Term, TermId>,
-    vars: HashMap<Box<str>, TermId>,
+    dedup: FxHashMap<Term, TermId>,
+    vars: FxHashMap<Box<str>, TermId>,
     ops_created: u64,
     pool_id: u64,
 }
@@ -237,8 +239,8 @@ impl Default for TermPool {
             widths: Vec::new(),
             fps: Vec::new(),
             supports: Vec::new(),
-            dedup: HashMap::new(),
-            vars: HashMap::new(),
+            dedup: FxHashMap::default(),
+            vars: FxHashMap::default(),
             ops_created: 0,
             pool_id: next_pool_id(),
         }
@@ -431,7 +433,8 @@ impl TermPool {
         self.const_value(id) == Some(0) && self.width(id) == Width::W1
     }
 
-    /// All variables interned in this pool as `(name, width, id)`.
+    /// All variables interned in this pool as `(name, width, id)`, in an
+    /// unspecified order.
     pub fn variables(&self) -> impl Iterator<Item = (&str, Width, TermId)> + '_ {
         self.vars
             .iter()

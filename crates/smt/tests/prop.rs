@@ -15,11 +15,15 @@
 //!    independent evaluator).
 //! 3. *Planted unsatisfiability* — `x == c1 && x == c2` with `c1 != c2`
 //!    is reported unsatisfiable.
+//!
+//! A fourth property checks the memoizing [`Evaluator`]: one memo, kept
+//! across many roots of one growing pool, answers like the shadow
+//! interpreter, and again after `clear()` under a new assignment.
 
 use std::collections::HashMap;
 
 use symsc_rng::Rng;
-use symsc_smt::eval::evaluate;
+use symsc_smt::eval::{evaluate, Evaluator};
 use symsc_smt::{SatResult, Solver, TermId, TermPool, Width};
 
 const W: Width = Width::W8;
@@ -208,6 +212,41 @@ fn folding_preserves_semantics() {
             via_shadow,
             "case {case}: term {} under {env:?}",
             pool.display(t)
+        );
+    }
+}
+
+#[test]
+fn one_evaluator_memo_serves_many_roots() {
+    let mut rng = Rng::seed_from_u64(0x5EED_0005);
+    let mut pool = TermPool::new();
+    let mut evaluator = Evaluator::new();
+    let env = gen_env(&mut rng);
+    let map = env_map(&env);
+    // Build and evaluate in creation order: the pool grows between calls
+    // and the memo carries every shared subterm over.
+    let mut roots = Vec::new();
+    for case in 0..256 {
+        let node = gen_node(&mut rng, 4);
+        let t = build(&mut pool, &node);
+        assert_eq!(
+            evaluator.eval(&pool, t, &map),
+            u64::from(shadow(&node, &env)),
+            "case {case}: term {} under {env:?}",
+            pool.display(t)
+        );
+        roots.push((node, t));
+    }
+    // A new assignment after `clear()`: every root again, same order.
+    evaluator.clear();
+    let env = gen_env(&mut rng);
+    let map = env_map(&env);
+    for (case, (node, t)) in roots.iter().enumerate() {
+        assert_eq!(
+            evaluator.eval(&pool, *t, &map),
+            u64::from(shadow(node, &env)),
+            "case {case} after clear: term {} under {env:?}",
+            pool.display(*t)
         );
     }
 }

@@ -5,6 +5,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use symsc_smt::eval::Evaluator;
 use symsc_smt::{Model, SatResult, Solver, TermId, TermPool, Width};
 
 use crate::cow::CowVec;
@@ -75,6 +76,9 @@ pub(crate) struct EngineState {
     /// a single concrete path with real branch coverage and no solver
     /// work. This is the fuzzer's execution mode.
     pub(crate) trace: Option<std::collections::HashMap<String, u64>>,
+    /// Evaluates under `trace` with one memo per path: the assignment is
+    /// fixed and the pool only grows, so no term is computed twice.
+    trace_eval: Evaluator,
     /// Functional-coverage bins: label -> number of paths that hit it.
     pub(crate) coverage: std::collections::BTreeMap<String, u64>,
     /// Bins hit on the current path (merged into `coverage` per path).
@@ -149,6 +153,7 @@ impl EngineState {
             budget_exhausted: false,
             replay: None,
             trace: None,
+            trace_eval: Evaluator::new(),
             coverage: std::collections::BTreeMap::new(),
             path_coverage: std::collections::BTreeSet::new(),
             branches: std::collections::BTreeMap::new(),
@@ -186,6 +191,7 @@ impl EngineState {
         self.path_decisions = 0;
         self.path_coverage.clear();
         self.path_branches.clear();
+        self.trace_eval.clear();
         self.journal = snapshot.journal;
         self.journal_cursor = 0;
         // Errors already recorded on the shared prefix resume with this
@@ -360,6 +366,12 @@ impl EngineState {
         std::mem::take(&mut self.path_branches)
     }
 
+    /// The value of `id` under the traced assignment, in trace mode.
+    fn trace_value(&mut self, id: TermId) -> Option<u64> {
+        let env = self.trace.as_ref()?;
+        Some(self.trace_eval.eval(&self.pool, id, env))
+    }
+
     /// Evaluates a width-1 term under the cached model, if one is held.
     fn env_value(&self, cond: TermId) -> Option<bool> {
         self.cur_env
@@ -523,8 +535,8 @@ impl EngineState {
         // path's covered set is independent of how it was reached.
         let site = self.pool.fingerprint(cond);
 
-        if let Some(env) = &self.trace {
-            let dir = symsc_smt::eval::evaluate(&self.pool, cond, env) == 1;
+        if let Some(value) = self.trace_value(cond) {
+            let dir = value == 1;
             self.taken.push(dir);
             self.path_branches.insert((site, dir));
             return dir;
@@ -635,8 +647,8 @@ impl EngineState {
             self.kill_path();
         }
         self.count_decision();
-        if let Some(env) = &self.trace {
-            if symsc_smt::eval::evaluate(&self.pool, cond, env) != 1 {
+        if let Some(value) = self.trace_value(cond) {
+            if value != 1 {
                 self.kill_path();
             }
             return;
@@ -676,11 +688,11 @@ impl EngineState {
             return;
         }
         self.count_decision();
-        if let Some(env) = &self.trace {
+        if let Some(value) = self.trace_value(cond) {
             // Concolic: the check either holds under the traced input or
             // it is a finding — there is no "other fork" to continue on,
             // exactly like replay mode.
-            if symsc_smt::eval::evaluate(&self.pool, cond, env) != 1 {
+            if value != 1 {
                 self.record_error_here(kind, message.to_string());
                 self.kill_path();
             }
@@ -752,9 +764,9 @@ impl EngineState {
     /// structural constraint set — a resumed snapshot replays the same
     /// value from its journal that a forced re-execution would recompute.
     pub(crate) fn concretize(&mut self, id: TermId, width: Width) -> u64 {
-        if let Some(env) = &self.trace {
+        if let Some(value) = self.trace_value(id) {
             // Concolic: the traced assignment already fixes every input.
-            return symsc_smt::eval::evaluate(&self.pool, id, env);
+            return value;
         }
         if let Some(value) = self.pool.const_value(id) {
             // Already concrete (always the case in replay mode, which

@@ -9,9 +9,10 @@
 #
 # Usage: scripts/ci.sh [--skip-smokes]
 #   --skip-smokes  stop after the tier-1 tests; used by the Actions gate
-#                  job, which runs the smokes and the bench gate as its
-#                  own steps so each harness runs exactly once per
-#                  workflow (locally, plain `scripts/ci.sh` runs it all)
+#                  job, which runs the benchmark package, the smokes and
+#                  the bench gate as their own jobs so each runs exactly
+#                  once per workflow (locally, plain `scripts/ci.sh`
+#                  runs it all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,6 +42,13 @@ if [[ "$skip_smokes" -eq 1 ]]; then
   echo "CI gate passed (smokes skipped)."
   exit 0
 fi
+
+echo "==> benchmark package: build + unit tests"
+# benchmark/ is a package of its own outside the workspace, so the
+# workspace build above never compiles it. It builds in its own target
+# dir, benchmark/target.
+cargo build --offline --locked --release --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml -q
 
 echo "==> parallel exploration determinism + cache smoke"
 ./target/release/parallel_speedup 32 4

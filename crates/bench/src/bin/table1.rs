@@ -80,7 +80,8 @@ fn main() {
         stack_lines.push(format!(
             "  {}: {} queries | {} cache hits | {} slices | {} slice hits | \
              {} subset-unsat | {} model reuse | {} focus skips | {} core calls \
-             | {:.1}% above core",
+             | {:.1}% above core | {} conflicts | {} narrowed bits | \
+             {} cube escalations ({} cubes)",
             test.name(),
             s.queries,
             s.cache_hits,
@@ -91,6 +92,10 @@ fn main() {
             s.focus_skips,
             s.sat_core_calls,
             100.0 * s.above_core_rate(),
+            s.sat_conflicts,
+            s.incremental.narrowed_bits,
+            s.incremental.cube_escalations,
+            s.incremental.cubes,
         ));
         for error in outcome.report.distinct_errors() {
             let label = f_label(error).map(|l| format!("{l}: ")).unwrap_or_default();

@@ -5,8 +5,9 @@
 //! the local simplification rules below keep the circuit small before CNF
 //! generation.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::fxhash::FxHashMap;
 
 /// An AIG literal: a node index plus a complement flag.
 ///
@@ -89,7 +90,7 @@ pub enum AigNode {
 #[derive(Clone, Debug)]
 pub struct Aig {
     nodes: Vec<AigNode>,
-    strash: HashMap<(AigLit, AigLit), u32>,
+    strash: FxHashMap<(AigLit, AigLit), u32>,
     num_inputs: u32,
 }
 
@@ -104,7 +105,7 @@ impl Aig {
     pub fn new() -> Aig {
         Aig {
             nodes: vec![AigNode::Const],
-            strash: HashMap::new(),
+            strash: FxHashMap::default(),
             num_inputs: 0,
         }
     }

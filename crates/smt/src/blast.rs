@@ -3,10 +3,16 @@
 //! Every term becomes a vector of AIG literals, least-significant bit first.
 //! The blaster memoizes per [`TermId`], so shared subterms (guaranteed by the
 //! pool's hash-consing) become shared subcircuits.
-
-use std::collections::HashMap;
+//!
+//! A variable may be *narrowed* before it is first blasted: its bits above
+//! a given count are then the constant false instead of fresh inputs, and
+//! the AIG's constant folding shrinks every comparator, adder and mux
+//! they feed. Only the incremental verdict context narrows, and only
+//! variables whose unsigned upper bound it asserts (see
+//! [`SolverCtx`](crate::SolverCtx)).
 
 use crate::aig::{Aig, AigLit};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::term::{Term, TermId, TermPool};
 
 /// Lowers terms into an AIG, tracking which AIG inputs belong to which
@@ -14,8 +20,10 @@ use crate::term::{Term, TermId, TermPool};
 #[derive(Debug, Default)]
 pub struct Blaster {
     aig: Aig,
-    bits: HashMap<TermId, Vec<AigLit>>,
-    var_bits: HashMap<String, Vec<AigLit>>,
+    bits: FxHashMap<TermId, Vec<AigLit>>,
+    var_bits: FxHashMap<String, Vec<AigLit>>,
+    /// Live low-bit counts of the narrowed variables.
+    narrowed: FxHashMap<TermId, u32>,
     next_tag: u32,
 }
 
@@ -36,8 +44,30 @@ impl Blaster {
     }
 
     /// The input literals allocated for each variable (LSB first).
-    pub fn var_bits(&self) -> &HashMap<String, Vec<AigLit>> {
+    /// Iteration order is unspecified.
+    pub fn var_bits(&self) -> &FxHashMap<String, Vec<AigLit>> {
         &self.var_bits
+    }
+
+    /// Whether `id` has been blasted already.
+    pub(crate) fn is_blasted(&self, id: TermId) -> bool {
+        self.bits.contains_key(&id)
+    }
+
+    /// Blasts variable `var` with only its low `live` bits as inputs once
+    /// it is first reached; the bits above are the constant false. Sound
+    /// only while a conjunct bounding `var` below `2^live` is asserted.
+    pub(crate) fn narrow(&mut self, var: TermId, live: u32) {
+        debug_assert!(
+            !self.is_blasted(var),
+            "narrowing an already-blasted variable"
+        );
+        self.narrowed.insert(var, live);
+    }
+
+    /// The live low-bit count of a narrowed variable.
+    pub(crate) fn narrowed(&self, var: TermId) -> Option<u32> {
+        self.narrowed.get(&var).copied()
     }
 
     /// Blasts `id`, returning its bits (LSB first). Results are memoized.
@@ -46,7 +76,7 @@ impl Blaster {
         // call stack. The visited set is essential: terms are DAGs with
         // heavy sharing, and re-expanding shared nodes is exponential.
         let mut order: Vec<TermId> = Vec::new();
-        let mut visited: std::collections::HashSet<TermId> = std::collections::HashSet::new();
+        let mut visited: FxHashSet<TermId> = FxHashSet::default();
         let mut stack: Vec<(TermId, bool)> = vec![(id, false)];
         while let Some((t, expanded)) = stack.pop() {
             if self.bits.contains_key(&t) {
@@ -85,8 +115,12 @@ impl Blaster {
                 .map(|i| self.aig.constant(value >> i & 1 == 1))
                 .collect(),
             Term::Var { name, .. } => {
+                let live = self.narrowed(id).map_or(width, |live| live as usize);
                 let bits: Vec<AigLit> = (0..width)
-                    .map(|_| {
+                    .map(|i| {
+                        if i >= live {
+                            return AigLit::FALSE;
+                        }
                         let tag = self.next_tag;
                         self.next_tag += 1;
                         self.aig.input(tag)
@@ -400,7 +434,8 @@ enum ShiftKind {
     ArithmeticRight,
 }
 
-fn children(term: &Term) -> Vec<TermId> {
+/// The operands of `term`.
+pub(crate) fn children(term: &Term) -> Vec<TermId> {
     match *term {
         Term::Const { .. } | Term::Var { .. } => vec![],
         Term::Not(a) | Term::Neg(a) => vec![a],

@@ -1,8 +1,7 @@
 //! Tseitin transformation from an [`Aig`] to CNF clauses in a SAT solver.
 
-use std::collections::HashMap;
-
 use crate::aig::{Aig, AigLit, AigNode};
+use crate::fxhash::FxHashMap;
 use crate::sat::{Lit, SatSolver, Var};
 
 /// Outcome of loading AIG roots into a SAT solver.
@@ -10,7 +9,7 @@ use crate::sat::{Lit, SatSolver, Var};
 pub enum CnfResult {
     /// All roots encoded; the map gives the SAT variable of each AIG node
     /// in the cone of influence.
-    Loaded(HashMap<u32, Var>),
+    Loaded(FxHashMap<u32, Var>),
     /// A root was the constant false literal — the query is trivially
     /// unsatisfiable without calling the solver.
     TriviallyUnsat,
@@ -22,7 +21,7 @@ pub enum CnfResult {
 /// three standard Tseitin clauses. Constant-true roots are skipped;
 /// a constant-false root short-circuits to [`CnfResult::TriviallyUnsat`].
 pub fn load_aig(aig: &Aig, roots: &[AigLit], solver: &mut SatSolver) -> CnfResult {
-    let mut node_var: HashMap<u32, Var> = HashMap::new();
+    let mut node_var: FxHashMap<u32, Var> = FxHashMap::default();
     if assert_roots(aig, roots, solver, &mut node_var) {
         CnfResult::Loaded(node_var)
     } else {
@@ -39,7 +38,7 @@ pub fn assert_roots(
     aig: &Aig,
     roots: &[AigLit],
     solver: &mut SatSolver,
-    node_var: &mut HashMap<u32, Var>,
+    node_var: &mut FxHashMap<u32, Var>,
 ) -> bool {
     for &root in roots {
         if root == AigLit::TRUE {
@@ -63,14 +62,14 @@ pub fn encode_lit(
     aig: &Aig,
     lit: AigLit,
     solver: &mut SatSolver,
-    node_var: &mut HashMap<u32, Var>,
+    node_var: &mut FxHashMap<u32, Var>,
 ) -> Lit {
     debug_assert!(lit != AigLit::TRUE && lit != AigLit::FALSE);
     encode_cone(aig, lit.node(), solver, node_var);
     Lit::new(node_var[&lit.node()], lit.complemented())
 }
 
-fn encode_cone(aig: &Aig, root: u32, solver: &mut SatSolver, node_var: &mut HashMap<u32, Var>) {
+fn encode_cone(aig: &Aig, root: u32, solver: &mut SatSolver, node_var: &mut FxHashMap<u32, Var>) {
     let mut stack = vec![root];
     while let Some(&n) = stack.last() {
         if node_var.contains_key(&n) {

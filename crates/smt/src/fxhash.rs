@@ -1,17 +1,18 @@
-//! A multiply-rotate hasher for the term layer's in-memory maps.
+//! A multiply-rotate hasher for the solver's in-memory maps.
 //!
-//! Hash-consing hashes every term a model builds, and the evaluator's
-//! memo hashes every [`TermId`](crate::TermId) it visits. Both maps are
-//! private lookup structures keyed by data the process built itself, so
-//! they need speed, not the flood resistance SipHash buys with its
-//! per-process random keys. This is the Fx scheme (rustc's hasher): each
+//! Hash-consing hashes every term a model builds, the evaluator's memo
+//! hashes every [`TermId`](crate::TermId) it visits, and below the term
+//! layer the blaster, the AIG's structural hash and the CNF node map hash
+//! every node of every query. All are private lookup structures keyed by
+//! data the process built itself, so they need speed, not the flood
+//! resistance SipHash buys with its per-process random keys. This is the Fx scheme (rustc's hasher): each
 //! word is folded in as `(h.rotl(5) ^ word) * K`.
 //!
 //! Nothing may iterate a map built on this hasher into a fingerprint,
 //! model or report: the iteration order is a function of the keys alone,
 //! and is an unspecified one.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The Fx multiplier: odd, so the multiply permutes the low bits that
@@ -74,6 +75,9 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` on [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` on [`FxHasher`].
+pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -171,6 +171,10 @@ pub struct SatSolver {
     seen: Vec<bool>,
     ok: bool,
     reduce_count: u64,
+    /// The assumptions of the latest solve. Decision level `k` of the
+    /// trail, for `k` up to the current level and up to `posted.len()`, is
+    /// the pseudo-decision on `posted[k - 1]`.
+    posted: Vec<Lit>,
     stats: SatStats,
 }
 
@@ -205,6 +209,7 @@ impl SatSolver {
             seen: Vec::new(),
             ok: true,
             reduce_count: 0,
+            posted: Vec::new(),
             stats: SatStats::default(),
         }
     }
@@ -713,31 +718,84 @@ impl SatSolver {
     /// never as antecedents — so everything learned here remains valid
     /// for every future call.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> bool {
+        self.solve_limited(assumptions, u64::MAX)
+            .expect("an unlimited solve always decides")
+    }
+
+    /// [`solve_with_assumptions`](Self::solve_with_assumptions) that gives
+    /// up once this call has analyzed `max_conflicts` conflicts, returning
+    /// `None`. The solver is then back at the root level and stays usable;
+    /// whatever it learned remains valid for later calls.
+    ///
+    /// Each restart's conflict budget is the Luby budget capped by what
+    /// remains, so with a budget the search never reaches runs the same
+    /// search as the unlimited call.
+    pub(crate) fn solve_limited(
+        &mut self,
+        assumptions: &[Lit],
+        max_conflicts: u64,
+    ) -> Option<bool> {
+        self.solve_from(0, assumptions, max_conflicts)
+    }
+
+    /// [`solve_with_assumptions`](Self::solve_with_assumptions) that keeps
+    /// the trail of the assumptions it shares, as a prefix, with the latest
+    /// solve, instead of deriving them again from the root. A sequence of
+    /// solves whose assumptions differ only in their last few literals,
+    /// such as cubes in binary order with the slowest-changing bits first,
+    /// then propagates each shared prefix once.
+    ///
+    /// Sound because the kept levels hold exactly those assumptions and
+    /// everything the clause database implies from them: a learnt clause
+    /// asserts at its backtrack level, so it never leaves a lower level
+    /// short of an implication. Only the search order differs from
+    /// `solve_with_assumptions`, never the verdict.
+    pub(crate) fn solve_sharing_prefix(&mut self, assumptions: &[Lit]) -> bool {
+        let shared = self
+            .posted
+            .iter()
+            .zip(assumptions)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.solve_from(shared as u32, assumptions, u64::MAX)
+            .expect("an unlimited solve always decides")
+    }
+
+    /// The solve loop, starting from decision level `keep` (at most the
+    /// number of assumptions shared with the latest solve).
+    fn solve_from(&mut self, keep: u32, assumptions: &[Lit], max_conflicts: u64) -> Option<bool> {
+        self.posted.clear();
+        self.posted.extend_from_slice(assumptions);
         if !self.ok {
-            return false;
+            return Some(false);
         }
-        self.backtrack(0);
-        if self.propagate().is_some() {
+        self.backtrack(keep);
+        if self.decision_level() == 0 && self.propagate().is_some() {
             self.ok = false;
-            return false;
+            return Some(false);
         }
+        let start = self.stats.conflicts;
         let mut restarts = 0u64;
         loop {
-            let conflict_budget = luby(restarts) * 100;
+            let remaining = max_conflicts.saturating_sub(self.stats.conflicts - start);
+            let conflict_budget = (luby(restarts) * 100).min(remaining);
             match self.search(conflict_budget, assumptions) {
-                SearchResult::Sat => return true,
+                SearchResult::Sat => return Some(true),
                 SearchResult::Unsat => {
                     self.ok = false;
-                    return false;
+                    return Some(false);
                 }
                 SearchResult::AssumpUnsat => {
-                    self.backtrack(0);
-                    return false;
+                    self.backtrack(keep);
+                    return Some(false);
                 }
                 SearchResult::Restart => {
+                    self.backtrack(0);
+                    if self.stats.conflicts - start >= max_conflicts {
+                        return None;
+                    }
                     restarts += 1;
                     self.stats.restarts += 1;
-                    self.backtrack(0);
                 }
             }
         }
@@ -1310,5 +1368,139 @@ mod tests {
             assert!(s.solve());
         }
         assert!(shrinks >= 3, "only {shrinks} reductions deleted a clause");
+    }
+
+    /// The pigeonhole formula: `pigeons` pigeons, `holes` holes.
+    fn pigeonhole(s: &mut SatSolver, pigeons: usize, holes: usize) {
+        let vars: Vec<Var> = (0..pigeons * holes).map(|_| s.new_var()).collect();
+        for i in 0..pigeons {
+            let clause: Vec<Lit> = (0..holes)
+                .map(|j| Lit::new(vars[i * holes + j], false))
+                .collect();
+            s.add_clause(&clause);
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
+                    s.add_clause(&[
+                        Lit::new(vars[i1 * holes + j], true),
+                        Lit::new(vars[i2 * holes + j], true),
+                    ]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_exhausted_budget_leaves_the_solver_usable() {
+        // UNSAT: the budget runs out, then the unlimited call agrees
+        // with a fresh solver.
+        let mut s = SatSolver::new();
+        pigeonhole(&mut s, 7, 6);
+        assert_eq!(s.solve_limited(&[], 50), None);
+        assert!(s.is_ok(), "running out is not a verdict");
+        assert!(s.stats().conflicts >= 50);
+        let mut fresh = SatSolver::new();
+        pigeonhole(&mut fresh, 7, 6);
+        assert_eq!(s.solve_with_assumptions(&[]), fresh.solve());
+        assert!(!fresh.solve());
+
+        // SAT under assumptions: a zero budget stops before any decision.
+        let mut s = SatSolver::new();
+        pigeonhole(&mut s, 5, 5);
+        let first = Lit::new(Var(0), false);
+        assert_eq!(s.solve_limited(&[first], 0), None);
+        assert_eq!(s.stats().decisions, 0);
+        assert!(s.solve_with_assumptions(&[first]));
+        assert!(s.value(Var(0)));
+        let mut fresh = SatSolver::new();
+        pigeonhole(&mut fresh, 5, 5);
+        assert!(fresh.solve_with_assumptions(&[first]));
+    }
+
+    #[test]
+    fn an_unreached_budget_runs_the_unlimited_search() {
+        let mut limited = SatSolver::new();
+        pigeonhole(&mut limited, 6, 5);
+        let mut unlimited = SatSolver::new();
+        pigeonhole(&mut unlimited, 6, 5);
+        assert_eq!(limited.solve_limited(&[], 1_000_000), Some(false));
+        assert!(!unlimited.solve());
+        assert_eq!(limited.stats(), unlimited.stats());
+        assert!(limited.stats().restarts > 0, "the Luby schedule ran");
+    }
+
+    #[test]
+    fn prefix_sharing_solves_match_enumeration() {
+        // Cube sweeps in binary order (slowest-changing assumption first),
+        // interleaved with clause additions and plain solves, on seeded
+        // 3-SAT formulas of 12 variables: every verdict is checked by
+        // enumeration and every model against the clauses and cube.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let n = 12;
+        let (mut sat_cubes, mut unsat_cubes) = (0, 0);
+        for round in 0..12 {
+            let mut s = SatSolver::new();
+            let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for step in 0..6 {
+                for _ in 0..8 + round {
+                    let c: Vec<Lit> = (0..3)
+                        .map(|_| Lit::new(vars[next() as usize % n], next() & 1 == 1))
+                        .collect();
+                    s.add_clause(&c);
+                    clauses.push(c);
+                }
+                let models: Vec<u32> = (0..1u32 << n)
+                    .filter(|&x| clauses.iter().all(|c| c.iter().any(|&l| holds(x, l))))
+                    .collect();
+                if step % 2 == 1 {
+                    assert_eq!(s.solve(), !models.is_empty());
+                }
+                // One fixed literal, then 4 cube bits swept in binary order.
+                let head = Lit::new(vars[next() as usize % n], next() & 1 == 1);
+                let mut picked: Vec<usize> = Vec::new();
+                while picked.len() < 4 {
+                    let v = 1 + next() as usize % (n - 1);
+                    if v != head.var().index() && !picked.contains(&v) {
+                        picked.push(v);
+                    }
+                }
+                for cube in 0u32..16 {
+                    let mut assumptions = vec![head];
+                    assumptions.extend(
+                        (0..4)
+                            .rev()
+                            .map(|k| Lit::new(vars[picked[k]], cube >> k & 1 == 0)),
+                    );
+                    let sat = s.solve_sharing_prefix(&assumptions);
+                    let expected = models
+                        .iter()
+                        .any(|&x| assumptions.iter().all(|&l| holds(x, l)));
+                    assert_eq!(sat, expected, "round {round}, step {step}, cube {cube}");
+                    if sat {
+                        sat_cubes += 1;
+                        for c in &clauses {
+                            assert!(c.iter().any(|&l| s.value(l.var()) != l.is_negated()));
+                        }
+                        for l in &assumptions {
+                            assert_eq!(s.value(l.var()), !l.is_negated());
+                        }
+                    } else {
+                        unsat_cubes += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            sat_cubes > 100 && unsat_cubes > 100,
+            "{sat_cubes} / {unsat_cubes}"
+        );
     }
 }

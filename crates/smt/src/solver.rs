@@ -810,6 +810,7 @@ impl Solver {
         let after = ctx.sat_stats();
         self.stats.sat_conflicts += after.conflicts - before.conflicts;
         self.stats.incremental.restarts += after.restarts - before.restarts;
+        self.stats.incremental.merge(&ctx.take_stats());
         self.stats.sat_core_time += t_core.elapsed();
         match verdict {
             Some(true) => {

@@ -141,7 +141,8 @@ impl fmt::Display for ExplorationStats {
              stack: {} slices, {} slice hits, {} subset-unsat, \
              {} model reuse, {} focus skips, {} core calls, {} evictions | \
              incremental: {} contexts, {} assumption solves, \
-             {} clauses retained, {} restarts | \
+             {} clauses retained, {} restarts, {} narrowed bits, \
+             {} cube escalations, {} cubes | \
              cow: {} snapshots, {} fast-forward decisions | \
              merge: {} executed, {} merged, {} subsumed, {} joins, \
              {} rejects, {} promotions | \
@@ -164,6 +165,9 @@ impl fmt::Display for ExplorationStats {
             self.solver.incremental.assumption_solves,
             self.solver.incremental.clauses_retained,
             self.solver.incremental.restarts,
+            self.solver.incremental.narrowed_bits,
+            self.solver.incremental.cube_escalations,
+            self.solver.incremental.cubes,
             self.fork_snapshots,
             self.fast_forward_decisions,
             self.executed_paths,

@@ -1,9 +1,11 @@
 //! Integration: the paper's Table 1 result pattern on the full FE310
 //! configuration (51 sources, 32 priority levels).
 //!
-//! T2 at full scale is solver-heavy (tens of seconds in release, minutes
-//! in debug); it runs `#[ignore]`d by default — `cargo test -- --ignored`
-//! or the `table1` binary exercise it. A scaled-shape T2 runs here.
+//! T2 at full scale is one hard verdict-only query. It takes seconds
+//! because the incremental context narrows the bounded ids and
+//! priorities before bit-blasting and cubes the hard query on the two
+//! ids; its test checks that both steps fired. A scaled-shape T2 runs
+//! here as well.
 
 use symsc_plic::{PlicConfig, PlicVariant};
 use symsc_testbench::{run_test, SuiteParams, TestId};
@@ -34,10 +36,15 @@ fn t1_full_scale_fails_with_exactly_f1() {
 }
 
 #[test]
-#[ignore = "full-scale T2 is solver-heavy; run with --ignored or via the table1 binary"]
 fn t2_full_scale_passes() {
     let o = outcome(TestId::T2, full());
     assert!(o.passed(), "{o}");
+    let layer = &o.report.stats.solver.incremental;
+    assert!(layer.narrowed_bits > 0, "no input was narrowed: {layer:?}");
+    assert!(
+        layer.cube_escalations >= 1,
+        "the hard query was not cubed: {layer:?}"
+    );
 }
 
 #[test]

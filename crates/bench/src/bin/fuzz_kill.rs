@@ -20,7 +20,8 @@
 //! `BENCH_fuzz_kill.json` / `BENCH_fuzz_smoke.json` trajectory
 //! datapoints). `--smoke` runs the presets-only matrix at a
 //! reduced budget for CI; `--workers N` pins the campaign worker count
-//! (default 1 — the matrix is byte-identical at any count).
+//! and the number of symbolic-column cells run at a time (default 1 —
+//! the matrix is byte-identical at any count).
 //!
 //! Usage: `fuzz_kill [--smoke] [--floor PCT] [--workers N] [--emit FILE]`
 

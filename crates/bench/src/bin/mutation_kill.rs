@@ -12,12 +12,12 @@
 //! `--emit FILE`, writes the kill matrix summary as JSON (the
 //! `BENCH_mutation_kill.json`, `BENCH_firmware_kill.json` and
 //! `BENCH_cross_check.json` trajectory datapoints). `--smoke` runs a
-//! reduced matrix for CI; `--workers N` pins the explorer's worker count
-//! (default: one per hardware thread — the matrix is identical either
-//! way); `--order eager|guided|exhaustive` picks the exploration order
-//! (merging and scheduling are pure optimizations, so the matrix content
-//! must be identical for any choice — the nightly full matrices run
-//! `--order eager` as the at-scale differential check).
+//! reduced matrix for CI; `--workers N` runs N cells at a time, each
+//! explored on one thread (default: one per hardware thread — the matrix
+//! is identical either way); `--order eager|guided|exhaustive` picks the
+//! exploration order (merging and scheduling are pure optimizations, so
+//! the matrix content must be identical for any choice — the nightly
+//! full matrices run `--order eager` as the at-scale differential check).
 //!
 //! Usage: `mutation_kill [--smoke] [--floor PCT] [--workers N]
 //!                       [--order ORDER] [--suite tlm|firmware|cross]

@@ -19,7 +19,8 @@ pub struct FuzzKillOptions {
     pub smoke: bool,
     /// Overall fuzz kill-rate floor in percent.
     pub floor: f64,
-    /// Fuzz campaign worker count.
+    /// Fuzz campaign worker count, and the symbolic column's cells run at
+    /// a time.
     pub workers: usize,
     /// Emit the summary JSON to this path.
     pub emit: Option<String>,

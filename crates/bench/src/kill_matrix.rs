@@ -69,7 +69,8 @@ pub struct Options {
     pub smoke: bool,
     /// Overall kill-rate floor in percent (`None`: the suite's default).
     pub floor: Option<f64>,
-    /// Explorer worker count (0 = one per hardware thread).
+    /// Cells run at a time, each explored on one thread (0 = one per
+    /// hardware thread).
     pub workers: usize,
     /// Exploration order for every cell.
     pub order: ExploreOrder,

@@ -155,7 +155,9 @@ impl Verifier {
     }
 
     /// Sets the number of exploration worker threads (`0` = one per
-    /// available hardware thread, `1` = sequential).
+    /// available hardware thread, `1` = sequential). A kill matrix reads
+    /// it as the number of cells to run at a time, and explores each cell
+    /// on one thread (`symsc_mutate::run_kill_matrix_with`).
     pub fn workers(mut self, workers: usize) -> Verifier {
         self.explorer = self.explorer.workers(workers);
         self

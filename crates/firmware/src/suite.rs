@@ -594,27 +594,30 @@ mod tests {
             ),
             Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
         ];
-        let calls = std::cell::RefCell::new(Vec::new());
-        let matrix = run_kill_matrix_with(
-            fixed(),
-            &mutants,
-            &[FirmwareId::F1, FirmwareId::F2],
-            |name| {
-                calls.borrow_mut().push(name.to_string());
-                Verifier::new(name).workers(1)
-            },
-        );
-        assert_eq!(matrix.mutants.len(), 2);
-        assert_eq!(
-            calls.into_inner(),
-            [
-                "F1",
-                "F2",
-                "F1/cmp_never",
-                "F2/cmp_never",
-                "F1/dup_notify",
-                "F2/dup_notify"
-            ]
-        );
+        for workers in [1, 2] {
+            let calls = std::cell::RefCell::new(Vec::new());
+            let matrix = run_kill_matrix_with(
+                fixed(),
+                &mutants,
+                &[FirmwareId::F1, FirmwareId::F2],
+                |name| {
+                    calls.borrow_mut().push(name.to_string());
+                    Verifier::new(name).workers(workers)
+                },
+            );
+            assert_eq!(matrix.mutants.len(), 2);
+            assert_eq!(
+                calls.into_inner(),
+                [
+                    "F1",
+                    "F2",
+                    "F1/cmp_never",
+                    "F2/cmp_never",
+                    "F1/dup_notify",
+                    "F2/dup_notify"
+                ],
+                "{workers} cells at a time"
+            );
+        }
     }
 }

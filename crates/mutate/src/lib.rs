@@ -36,6 +36,9 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::panic;
+use std::sync::mpsc;
+use std::thread;
 
 use symsc_plic::{InjectedFault, Mutation, MutationOp, PlicConfig, ThresholdCmp};
 use symsc_testbench::{run_cross_test, run_test, CrossId, SuiteParams, TestId};
@@ -245,7 +248,7 @@ pub fn by_name(config: &PlicConfig, name: &str) -> Option<Mutant> {
 /// fixed configuration. The cross-level suite has two, injecting the
 /// mutant into one abstraction level while the other stays fixed as its
 /// oracle.
-pub trait KillSuite: Copy + fmt::Display {
+pub trait KillSuite: Copy + fmt::Display + Send + Sync {
     /// The first word of [`KillMatrix::stable_view`].
     const VIEW_HEADER: &'static str;
     /// The injection sides, in cell order; empty for a single-model suite.
@@ -540,8 +543,9 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 ///
 /// `config` should be the *fixed* variant (mutants are judged against a
 /// passing baseline, the usual mutation-testing setup); a failing baseline
-/// test is recorded as such and kills nothing. `workers` is forwarded to
-/// the explorer — the matrix content is identical for any value.
+/// test is recorded as such and kills nothing. `workers` is the number of
+/// cells run at a time, each explored on one thread (`0` = one per
+/// hardware thread) — the matrix content is identical for any value.
 pub fn run_kill_matrix<S: KillSuite>(
     config: PlicConfig,
     mutants: &[Mutant],
@@ -556,73 +560,93 @@ pub fn run_kill_matrix<S: KillSuite>(
 /// Like [`run_kill_matrix`], but with full control over the verifier each
 /// exploration uses (exploration order, fork strategy, budgets).
 ///
-/// `verifier` is called exactly once per cell, right before the cell
-/// runs: first the baseline cells in test order, then each mutant's row
-/// in order. It receives the cell's name — `"T1"` for a baseline cell,
-/// `"T1/IF1"` for a mutant cell, `"X1/IF1/cycle"` with an injection side.
-/// Every verifier configuration is a pure optimization of the same
-/// exhaustive exploration, so the matrix content must be identical for
-/// any choice — the regression tests pin this.
+/// The cells run side by side on a pool of threads as wide as the worker
+/// count ([`Verifier::workers`]) of the verifier returned for the first
+/// cell; each cell explores with `workers(1)` on its pool thread. A pool
+/// of one runs the cells one after another, in matrix order.
+///
+/// `verifier` is called exactly once per cell, on the calling thread, in
+/// matrix order: first the baseline cells in test order, then each
+/// mutant's row in order. Each call is made when a pool thread asks for
+/// its next cell (the first one before the pool starts, to size it). It
+/// receives the cell's name — `"T1"` for a baseline cell, `"T1/IF1"` for
+/// a mutant cell, `"X1/IF1/cycle"` with an injection side. Every verifier
+/// configuration is a pure optimization of the same exhaustive
+/// exploration, so the matrix content must be identical for any choice —
+/// the regression tests pin this.
 ///
 /// Every cell's verifier is built over one [`CacheStack`] that lives for
 /// this call, so the near-identical mutants stop re-proving the verdicts
 /// an earlier cell proved. The stack is invisible in the matrix content;
 /// a verifier that switches a cache layer off does not use that layer.
+///
+/// # Panics
+///
+/// Re-raises the panic of a cell that panicked, once the other pool
+/// threads have finished.
 pub fn run_kill_matrix_with<S: KillSuite, F: Fn(&str) -> Verifier>(
     config: PlicConfig,
     mutants: &[Mutant],
     tests: &[S],
     verifier: F,
 ) -> KillMatrix<S> {
-    let stack = CacheStack::new();
-    let mut solver = SolverStats::default();
-    let mut run = |test: S, mutated: PlicConfig, side: Option<&str>, name: &str| {
-        let o = test.run_cell(config, mutated, side, &verifier(name).cache_stack(&stack));
-        solver.merge(&o.report.stats.solver);
-        o
-    };
-    let baseline: Vec<BaselineRow<S>> = tests
+    let mut cells: Vec<Cell<S>> = tests
         .iter()
-        .map(|&test| {
-            let o = run(test, config, None, &test.to_string());
-            BaselineRow {
-                test,
-                passed: o.passed(),
-                paths: o.report.stats.paths,
-                branch_sites: o.report.stats.branch_sites(),
-                branches_covered: o.report.stats.branches_covered(),
-            }
+        .map(|&test| Cell {
+            test,
+            mutated: config,
+            side: None,
+            name: test.to_string(),
         })
         .collect();
+    for mutant in mutants {
+        let mutated = config.mutate(mutant.op);
+        for side in sides::<S>() {
+            for &test in tests {
+                let name = match side {
+                    Some(side) => format!("{test}/{}/{side}", mutant.name),
+                    None => format!("{test}/{}", mutant.name),
+                };
+                cells.push(Cell {
+                    test,
+                    mutated,
+                    side,
+                    name,
+                });
+            }
+        }
+    }
+    let (results, solver) = run_cells(config, &cells, verifier);
 
+    let (baseline_cells, mutant_cells) = results.split_at(tests.len());
+    let baseline: Vec<BaselineRow<S>> = tests
+        .iter()
+        .zip(baseline_cells)
+        .map(|(&test, cell)| BaselineRow {
+            test,
+            passed: !cell.killed,
+            paths: cell.paths,
+            branch_sites: cell.branch_sites,
+            branches_covered: cell.branches_covered,
+        })
+        .collect();
+    let row_len = tests.len() * sides::<S>().len();
     let rows: Vec<MutantRow> = mutants
         .iter()
-        .map(|mutant| {
-            let mutated = config.mutate(mutant.op);
-            let mut cells = Vec::new();
-            for side in sides::<S>() {
-                for (&test, base) in tests.iter().zip(&baseline) {
-                    let name = match side {
-                        Some(side) => format!("{test}/{}/{side}", mutant.name),
-                        None => format!("{test}/{}", mutant.name),
-                    };
-                    let o = run(test, mutated, side, &name);
-                    cells.push(CellResult {
-                        killed: base.passed && !o.passed(),
-                        distinct_errors: o.report.distinct_errors().len(),
-                        paths: o.report.stats.paths,
-                        branch_sites: o.report.stats.branch_sites(),
-                        branches_covered: o.report.stats.branches_covered(),
-                    });
-                }
-            }
-            MutantRow {
-                name: mutant.name.clone(),
-                description: mutant.description.clone(),
-                op: mutant.op,
-                preset: mutant.preset.is_some(),
-                cells,
-            }
+        .enumerate()
+        .map(|(m, mutant)| MutantRow {
+            name: mutant.name.clone(),
+            description: mutant.description.clone(),
+            op: mutant.op,
+            preset: mutant.preset.is_some(),
+            cells: mutant_cells[m * row_len..(m + 1) * row_len]
+                .iter()
+                .zip(baseline.iter().cycle())
+                .map(|(&cell, base)| CellResult {
+                    killed: base.passed && cell.killed,
+                    ..cell
+                })
+                .collect(),
         })
         .collect();
 
@@ -633,6 +657,89 @@ pub fn run_kill_matrix_with<S: KillSuite, F: Fn(&str) -> Verifier>(
         mutants: rows,
         solver,
     }
+}
+
+/// One exploration of a kill matrix: `test` on the `mutated`
+/// configuration, with the mutant injected on `side`.
+struct Cell<S> {
+    test: S,
+    mutated: PlicConfig,
+    side: Option<&'static str>,
+    name: String,
+}
+
+/// Runs `cells` on the pool [`run_kill_matrix_with`] describes. Returns
+/// one result per cell, in cell order, whose `killed` flag says only
+/// that the test failed, and the solver statistics summed over the cells.
+fn run_cells<S: KillSuite, F: Fn(&str) -> Verifier>(
+    fixed: PlicConfig,
+    cells: &[Cell<S>],
+    verifier: F,
+) -> (Vec<CellResult>, SolverStats) {
+    let stack = CacheStack::new();
+    let mut verifiers = cells.iter().map(|cell| verifier(&cell.name));
+    let first = verifiers.next();
+    let width = first
+        .as_ref()
+        .map_or(0, |v| v.explorer().resolved_workers().min(cells.len()));
+    let mut jobs = first.into_iter().chain(verifiers).enumerate();
+
+    let mut done: Vec<(usize, CellResult, SolverStats)> = thread::scope(|scope| {
+        // A pool thread asks for work by sending a reply channel; the
+        // calling thread answers with the next cell and its verifier, or
+        // drops the reply once every cell is handed out. The loop ends
+        // when every pool thread is gone, finished or panicked.
+        let (ask, asks) = mpsc::channel::<mpsc::Sender<(usize, Verifier)>>();
+        let pool: Vec<_> = (0..width)
+            .map(|_| {
+                let ask = ask.clone();
+                scope.spawn(move || {
+                    let mut results = Vec::new();
+                    loop {
+                        let (reply, job) = mpsc::channel();
+                        if ask.send(reply).is_err() {
+                            break;
+                        }
+                        let Ok((i, verifier)) = job.recv() else {
+                            break;
+                        };
+                        let cell = &cells[i];
+                        let o = cell
+                            .test
+                            .run_cell(fixed, cell.mutated, cell.side, &verifier);
+                        let result = CellResult {
+                            killed: !o.passed(),
+                            distinct_errors: o.report.distinct_errors().len(),
+                            paths: o.report.stats.paths,
+                            branch_sites: o.report.stats.branch_sites(),
+                            branches_covered: o.report.stats.branches_covered(),
+                        };
+                        results.push((i, result, o.report.stats.solver));
+                    }
+                    results
+                })
+            })
+            .collect();
+        drop(ask);
+        for reply in asks {
+            if let Some((i, verifier)) = jobs.next() {
+                // Cannot fail: the asking thread is waiting for this reply.
+                let _ = reply.send((i, verifier.cache_stack(&stack).workers(1)));
+            }
+        }
+        pool.into_iter()
+            .flat_map(|thread| thread.join().unwrap_or_else(|e| panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    let mut solver = SolverStats::default();
+    for (_, _, stats) in &done {
+        solver.merge(stats);
+    }
+    (
+        done.into_iter().map(|(_, result, _)| result).collect(),
+        solver,
+    )
 }
 
 #[cfg(test)]
@@ -674,18 +781,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kill_matrix_kills_and_spares_as_expected() {
-        let config = PlicConfig::small().variant(PlicVariant::Fixed);
-        let mutants = vec![
+    /// A killed mutant and a known-equivalent survivor.
+    fn two_mutants() -> Vec<Mutant> {
+        vec![
             Mutant::new(
                 "cmp_never",
                 "delivery dead",
                 MutationOp::ThresholdCompare(ThresholdCmp::NeverPass),
             ),
             Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
-        ];
-        let matrix = run_kill_matrix(config, &mutants, &[TestId::T1], 1);
+        ]
+    }
+
+    #[test]
+    fn kill_matrix_kills_and_spares_as_expected() {
+        let config = PlicConfig::small().variant(PlicVariant::Fixed);
+        let matrix = run_kill_matrix(config, &two_mutants(), &[TestId::T1], 1);
         assert!(matrix.baseline[0].passed, "baseline T1 must pass");
         assert!(matrix.baseline[0].branch_sites > 0, "T1 forks symbolically");
         assert!(matrix.mutants[0].killed(), "dead delivery must be caught");
@@ -742,21 +853,13 @@ mod tests {
         assert!(view.contains("killed 2/3"));
     }
 
-    /// Runs a two-mutant matrix over `tests` and returns the names the
-    /// verifier factory received, in call order.
-    fn factory_calls<S: KillSuite>(config: PlicConfig, tests: &[S]) -> Vec<String> {
-        let mutants = vec![
-            Mutant::new(
-                "cmp_never",
-                "delivery dead",
-                MutationOp::ThresholdCompare(ThresholdCmp::NeverPass),
-            ),
-            Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
-        ];
+    /// Runs a two-mutant matrix over `tests`, `workers` cells at a time,
+    /// and returns the names the verifier factory received, in call order.
+    fn factory_calls<S: KillSuite>(config: PlicConfig, tests: &[S], workers: usize) -> Vec<String> {
         let calls = std::cell::RefCell::new(Vec::new());
-        let matrix = run_kill_matrix_with(config, &mutants, tests, |name| {
+        let matrix = run_kill_matrix_with(config, &two_mutants(), tests, |name| {
             calls.borrow_mut().push(name.to_string());
-            Verifier::new(name).workers(1)
+            Verifier::new(name).workers(workers)
         });
         assert_eq!(matrix.mutants.len(), 2);
         calls.into_inner()
@@ -765,37 +868,97 @@ mod tests {
     #[test]
     fn the_factory_is_called_once_per_tlm_cell_in_order() {
         let config = PlicConfig::small().variant(PlicVariant::Fixed);
-        assert_eq!(
-            factory_calls(config, &[TestId::T1, TestId::T3]),
-            [
-                "T1",
-                "T3",
-                "T1/cmp_never",
-                "T3/cmp_never",
-                "T1/dup_notify",
-                "T3/dup_notify"
-            ]
-        );
+        for workers in [1, 2] {
+            assert_eq!(
+                factory_calls(config, &[TestId::T1, TestId::T3], workers),
+                [
+                    "T1",
+                    "T3",
+                    "T1/cmp_never",
+                    "T3/cmp_never",
+                    "T1/dup_notify",
+                    "T3/dup_notify"
+                ],
+                "{workers} cells at a time"
+            );
+        }
     }
 
     #[test]
     fn the_factory_is_called_once_per_cross_cell_in_order() {
         let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+        for workers in [1, 2] {
+            assert_eq!(
+                factory_calls(config, &[CrossId::X1, CrossId::X3], workers),
+                [
+                    "X1",
+                    "X3",
+                    "X1/cmp_never/cycle",
+                    "X3/cmp_never/cycle",
+                    "X1/cmp_never/tlm",
+                    "X3/cmp_never/tlm",
+                    "X1/dup_notify/cycle",
+                    "X3/dup_notify/cycle",
+                    "X1/dup_notify/tlm",
+                    "X3/dup_notify/tlm"
+                ],
+                "{workers} cells at a time"
+            );
+        }
+    }
+
+    #[test]
+    fn cells_side_by_side_render_like_cells_in_turn() {
+        let config = PlicConfig::small().variant(PlicVariant::Fixed);
+        let tests = [TestId::T1, TestId::T3];
         assert_eq!(
-            factory_calls(config, &[CrossId::X1, CrossId::X3]),
-            [
-                "X1",
-                "X3",
-                "X1/cmp_never/cycle",
-                "X3/cmp_never/cycle",
-                "X1/cmp_never/tlm",
-                "X3/cmp_never/tlm",
-                "X1/dup_notify/cycle",
-                "X3/dup_notify/cycle",
-                "X1/dup_notify/tlm",
-                "X3/dup_notify/tlm"
-            ]
+            run_kill_matrix(config, &two_mutants(), &tests, 2).stable_view(),
+            run_kill_matrix(config, &two_mutants(), &tests, 1).stable_view()
         );
+    }
+
+    /// A one-test suite whose cell on `dup_notify` panics.
+    #[derive(Clone, Copy, Debug)]
+    struct PanicsOnDupNotify;
+
+    impl fmt::Display for PanicsOnDupNotify {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("P")
+        }
+    }
+
+    impl KillSuite for PanicsOnDupNotify {
+        const VIEW_HEADER: &'static str = "panicking-matrix";
+
+        fn run_cell(
+            self,
+            _fixed: PlicConfig,
+            _mutated: PlicConfig,
+            _side: Option<&str>,
+            verifier: &Verifier,
+        ) -> TestOutcome {
+            let outcome = verifier.run(|_| {});
+            if outcome.name == "P/dup_notify" {
+                panic!("cell {} panicked", outcome.name);
+            }
+            outcome
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_panics_the_matrix() {
+        let config = PlicConfig::small().variant(PlicVariant::Fixed);
+        for workers in [1, 2] {
+            let payload = panic::catch_unwind(|| {
+                run_kill_matrix(config, &two_mutants(), &[PanicsOnDupNotify], workers)
+            })
+            .expect_err("the cell's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("cell P/dup_notify panicked"),
+                "{workers} cells at a time"
+            );
+        }
     }
 
     #[test]

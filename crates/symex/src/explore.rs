@@ -317,7 +317,10 @@ impl Explorer {
         self
     }
 
-    fn resolved_workers(&self) -> usize {
+    /// The worker count [`explore`](Self::explore) will use: the
+    /// configured count, with `0` resolved to the host's available
+    /// parallelism.
+    pub fn resolved_workers(&self) -> usize {
         if self.workers != 0 {
             return self.workers;
         }

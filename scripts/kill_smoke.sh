@@ -15,9 +15,11 @@
 #   fuzz      every IF1-IF6 preset dies to fuzzing alone (--floor 100)
 #
 # On top of the harness's own checks, the smoke runs the whole emission
-# at 1 and at 8 workers and byte-compares the JSON (minus the wall-clock
-# line); the second emission is then gated against the suite's
-# committed BENCH_*_smoke.json baseline.
+# at 1, 2 and 8 workers and byte-compares the JSON (minus the wall-clock
+# line); the 8-worker emission is then gated against the suite's
+# committed BENCH_*_smoke.json baseline. A symbolic matrix runs
+# --workers cells at a time, so this checks that running cells side by
+# side changes nothing; 2 is the core count of the benchmark host.
 #
 # Everything runs offline; the release binaries are built if missing.
 #
@@ -62,15 +64,20 @@ emission="$out/${name}_smoke.json"
 echo "==> $suite smoke matrix, workers=1"
 "$bin" "${harness[@]:1}" --workers 1 --emit "$out/${name}_smoke_w1.json"
 
+echo "==> $suite smoke matrix again, workers=2"
+"$bin" "${harness[@]:1}" --workers 2 --emit "$out/${name}_smoke_w2.json"
+
 echo "==> $suite smoke matrix again, workers=8"
 "$bin" "${harness[@]:1}" --workers 8 --emit "$emission"
 
 echo "==> worker-count byte-identity of the emission"
-if ! diff <(grep -v '"seconds"' "$out/${name}_smoke_w1.json") \
-          <(grep -v '"seconds"' "$emission"); then
-  echo "MISMATCH: $suite emission changed between 1 and 8 workers" >&2
-  exit 1
-fi
+for other in "$out/${name}_smoke_w2.json" "$emission"; do
+  if ! diff <(grep -v '"seconds"' "$out/${name}_smoke_w1.json") \
+            <(grep -v '"seconds"' "$other"); then
+    echo "MISMATCH: $suite emission $other differs from the 1-worker one" >&2
+    exit 1
+  fi
+done
 
 if [[ "$skip_gate" -eq 0 ]]; then
   echo "==> comparing against the committed baseline"

@@ -167,7 +167,7 @@ fn run_unshared<S: KillSuite>(
 fn kill_matrix_is_byte_identical_across_worker_counts() {
     // The mutation kill matrix is built from many explorations; its
     // stable rendering (verdicts, distinct errors, path counts, branch
-    // coverage) must not depend on how many workers ran each one. A
+    // coverage) must not depend on how many of them ran at a time. A
     // reduced matrix keeps the debug-mode runtime sane: two tests, two
     // presets, one killed generated mutant, one known-equivalent survivor.
     let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
@@ -820,6 +820,64 @@ fn cross_kill_matrix_is_byte_identical_across_engines() {
         !baseline.killed_mutant("dup_notify"),
         "duplicate notify stays equivalent at this scale"
     );
+}
+
+/// Runs one kill-matrix cell, under `run`, at 1, 2 and 8 explorer
+/// workers and both fork strategies, and asserts byte-identical reports.
+fn assert_cell_engine_independent(cell: &str, run: impl Fn(&Verifier) -> TestOutcome) {
+    let reference = stable_view(&run(&Verifier::new(cell).workers(1)));
+    for (workers, strategy) in [
+        (1, ForkStrategy::Reexec),
+        (2, ForkStrategy::CowSnapshot),
+        (2, ForkStrategy::Reexec),
+        (8, ForkStrategy::CowSnapshot),
+        (8, ForkStrategy::Reexec),
+    ] {
+        let view = stable_view(&run(&Verifier::new(cell)
+            .workers(workers)
+            .fork_strategy(strategy)));
+        assert_eq!(
+            reference, view,
+            "{cell} report changed at {workers} workers under {strategy:?}"
+        );
+    }
+}
+
+#[test]
+fn mutant_cells_are_worker_and_strategy_independent() {
+    // A kill matrix explores every cell on one thread, so the matrix
+    // reruns above vary how many cells run at a time, not the explorer's
+    // worker count. Here the reduced TLM and cross-level matrices' mutant
+    // cells run directly, so the parallel explorer still meets mutated
+    // configurations, killed and surviving alike.
+    let fixed = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+    let never = MutationOp::ThresholdCompare(ThresholdCmp::NeverPass);
+    for (mutant, op) in [
+        ("IF5", InjectedFault::If5EarlyClearReturn.op()),
+        ("IF6", InjectedFault::If6ThresholdOffByOne.op()),
+        ("cmp_never", never),
+    ] {
+        let mutated = fixed.mutate(op);
+        for test in [TestId::T1, TestId::T3] {
+            assert_cell_engine_independent(&format!("{test}/{mutant}"), |verifier| {
+                run_test(test, mutated, &SuiteParams::default(), verifier)
+            });
+        }
+    }
+    for (mutant, op) in [
+        ("stuck_enable_1", MutationOp::StuckEnableForId(1)),
+        ("cmp_never", never),
+    ] {
+        let mutated = fixed.mutate(op);
+        for test in [CrossId::X1, CrossId::X3] {
+            // `run_cross_test` takes the TLM configuration first.
+            for (side, tlm, cycle) in [("cycle", fixed, mutated), ("tlm", mutated, fixed)] {
+                assert_cell_engine_independent(&format!("{test}/{mutant}/{side}"), |verifier| {
+                    run_cross_test(test, tlm, cycle, verifier)
+                });
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,0 +1,894 @@
+//! The ablation harness behind the `ablation` bin: one table of rows,
+//! one runner, one emission.
+//!
+//! The engine's optimisations — the parallel explorer's shared query
+//! cache, the solver's cache layers, the incremental per-path SAT
+//! context, copy-on-write forks, state merging and coverage-guided
+//! scheduling — may make a verdict faster but never change it. Each row
+//! of [`ROWS`] explores its workloads under a reference configuration and
+//! the configurations it ablates, and holds them to three bars:
+//!
+//! 1. **Report identity**: every configuration renders the reference's
+//!    stable view at 1, 2 and 8 workers, and so does the shipped
+//!    default [`Explorer`] at one worker.
+//! 2. **Liveness**: the counters each optimisation exists to move are
+//!    live where it is on and dead where it is off.
+//! 3. **Headline floor**: the row's gain stays at or above its floor.
+//!
+//! Everything that differs between the rows is one [`Row`] of data, like
+//! the kill matrix's `SuiteSpec` rows. With `--emit FILE` the run is
+//! written as one document (the `BENCH_ablation.json` baseline):
+//! `equivalent` (report identity held everywhere), `workloads`, a flat
+//! `counters` map of every row's one-worker work counters (the gate holds
+//! them exactly), each floor next to its measured value, and the
+//! one-worker `seconds` of every configuration (the gate allows them its
+//! wall-clock head-room).
+
+use std::fmt::Write as _;
+use std::time::Instant;
+
+use symsc_plic::PlicConfig;
+use symsc_symex::{ExplorationStats, ExploreOrder, Explorer, ForkStrategy, Report, SymCtx};
+
+use crate::cli::value;
+use crate::workloads::{
+    bench_config, claim_ladder, fe310_2hart_config, fe310_full_config, merge_pattern,
+    subsumption_pattern, t1_cross_pattern, t1_pattern,
+};
+
+/// The worker counts every configuration is explored at.
+const WORKERS: [usize; 3] = [1, 2, 8];
+
+/// A testbench, boxed so one table can hold every workload.
+type Testbench = Box<dyn Fn(&SymCtx) + Send + Sync>;
+
+/// A testbench a row explores.
+struct Workload {
+    /// The workload's name within its row.
+    name: &'static str,
+    /// The PLIC configuration it runs on.
+    config: fn() -> PlicConfig,
+    /// Builds the testbench for that configuration.
+    bench: fn(PlicConfig) -> Testbench,
+}
+
+/// An explorer configuration a row compares.
+struct Config {
+    /// The configuration's name in counter keys and MISMATCH lines.
+    name: &'static str,
+    /// Sets the configuration up on a fresh [`Explorer`]; the runner sets
+    /// the worker count.
+    explorer: fn(Explorer) -> Explorer,
+}
+
+/// A work counter a row records: its key and how to read it.
+type Counter = (&'static str, fn(&ExplorationStats) -> u64);
+
+/// A liveness check on one workload's runs.
+struct Live {
+    /// What must be there, as its MISMATCH line names it.
+    what: &'static str,
+    /// The workloads it applies to; empty means all of the row's.
+    workloads: &'static [&'static str],
+    /// Whether it holds.
+    holds: fn(&Runs) -> bool,
+}
+
+/// A row's headline floor.
+struct Floor {
+    /// What is measured, as the floor's name in the emission ends.
+    metric: &'static str,
+    /// The least value the metric may take.
+    at_least: f64,
+    /// The workloads it applies to; empty means all of the row's.
+    workloads: &'static [&'static str],
+    /// Reads the metric off one workload's runs.
+    measure: fn(&Runs) -> f64,
+}
+
+/// One optimisation's ablation.
+pub struct Row {
+    /// The row's name, the first part of every key it emits.
+    name: &'static str,
+    /// What it explores.
+    workloads: &'static [Workload],
+    /// Whether the compared view includes `decisions`. Merged exploration
+    /// legitimately skips the decides of the subtrees it adopts.
+    decisions: bool,
+    /// The reference configuration first, then those compared with it.
+    configs: &'static [Config],
+    /// The work counters recorded for every configuration.
+    counters: &'static [Counter],
+    /// Its liveness checks.
+    live: &'static [Live],
+    /// Its headline floor, if it claims a gain.
+    floor: Option<Floor>,
+}
+
+/// One exploration: its report and wall-clock seconds.
+struct Run {
+    /// The report.
+    report: Report,
+    /// Wall-clock seconds.
+    seconds: f64,
+}
+
+/// One workload's runs: every configuration at each of [`WORKERS`].
+struct Runs {
+    configs: &'static [Config],
+    runs: Vec<[Run; WORKERS.len()]>,
+}
+
+impl Runs {
+    /// `config` explored at `workers` workers. Panics on a name or count
+    /// the row does not run: that is a fault in the table.
+    fn at(&self, config: &str, workers: usize) -> &Run {
+        let c = self.configs.iter().position(|c| c.name == config);
+        let k = WORKERS.iter().position(|&w| w == workers);
+        match (c, k) {
+            (Some(c), Some(k)) => &self.runs[c][k],
+            _ => panic!("the row runs no {config:?} at {workers} workers"),
+        }
+    }
+
+    /// The statistics of `config`'s one-worker run.
+    fn seq(&self, config: &str) -> &ExplorationStats {
+        &self.at(config, 1).report.stats
+    }
+}
+
+/// Fractional reduction of `new` against `old` (0.25 = 25% less); zero
+/// when `old` is.
+fn reduction(old: f64, new: f64) -> f64 {
+    if old <= 0.0 {
+        0.0
+    } else {
+        1.0 - new / old
+    }
+}
+
+/// The accelerator-free engine: no whole-query cache, no solver cache
+/// layer, no incremental context. Every counter of a run on it is a pure
+/// function of the explored path set.
+fn bare(e: Explorer) -> Explorer {
+    e.query_cache(false).solver_stack(false).incremental(false)
+}
+
+const PATHS: Counter = ("paths", |s| s.paths);
+const QUERIES: Counter = ("queries", |s| s.solver.queries);
+const TRIVIAL: Counter = ("trivial", |s| s.solver.trivial);
+const CACHE_HITS: Counter = ("cache_hits", |s| s.solver.cache_hits);
+const CACHE_MISSES: Counter = ("cache_misses", |s| s.solver.cache_misses);
+const SAT_CORE_CALLS: Counter = ("sat_core_calls", |s| s.solver.sat_core_calls);
+
+/// The T1 pattern at 32 sources.
+const T1: Workload = Workload {
+    name: "t1",
+    config: || bench_config(32),
+    bench: |c| Box::new(t1_pattern(c)),
+};
+
+/// [`T1`] and its cross product with an independent delay ladder.
+const T1_PAIR: &[Workload] = &[
+    T1,
+    Workload {
+        name: "t1_cross",
+        config: || bench_config(32),
+        bench: |c| Box::new(t1_cross_pattern(c)),
+    },
+];
+
+/// The fenced cross-product workloads the merge floor applies to.
+const MERGE_WORKLOADS: &[&str] = &["merge@51", "merge_2hart@51"];
+
+/// The ablation table.
+pub const ROWS: [Row; 5] = [
+    // The parallel explorer. Its workers share one whole-query cache; COW
+    // forks never re-issue prefix probes, so re-execution is where that
+    // cache has cross-path work to absorb.
+    Row {
+        name: "parallel",
+        workloads: &[T1],
+        decisions: true,
+        configs: &[
+            Config {
+                name: "default",
+                explorer: |e| e,
+            },
+            Config {
+                name: "reexec",
+                explorer: |e| e.fork_strategy(ForkStrategy::Reexec),
+            },
+        ],
+        counters: &[
+            PATHS,
+            ("decisions", |s| s.decisions),
+            QUERIES,
+            CACHE_HITS,
+            SAT_CORE_CALLS,
+        ],
+        live: &[Live {
+            what: "shared whole-query cache hit under re-execution at 2 and 8 workers",
+            workloads: &[],
+            holds: |r| {
+                r.at("reexec", 2).report.stats.solver.cache_hits > 0
+                    && r.at("reexec", 8).report.stats.solver.cache_hits > 0
+            },
+        }],
+        floor: None,
+    },
+    // The solver's cache layers: the counterexample cache and model-reuse
+    // witnesses against the flat whole-query cache. The incremental
+    // context is off in both, so this row ablates the cache layers alone.
+    Row {
+        name: "solver_stack",
+        workloads: T1_PAIR,
+        decisions: true,
+        configs: &[
+            Config {
+                name: "layered",
+                explorer: |e| e.solver_stack(true).incremental(false),
+            },
+            Config {
+                name: "flat",
+                explorer: |e| e.solver_stack(false).incremental(false),
+            },
+        ],
+        counters: &[
+            PATHS,
+            QUERIES,
+            TRIVIAL,
+            CACHE_HITS,
+            CACHE_MISSES,
+            ("slices", |s| s.solver.slices),
+            ("slice_hits", |s| s.solver.slice_hits),
+            ("cex_subset_hits", |s| s.solver.cex_subset_hits),
+            ("model_reuse_hits", |s| s.solver.model_reuse_hits),
+            ("focus_skips", |s| s.solver.focus_skips),
+            ("sliced_hits", |s| s.solver.sliced_hits),
+            SAT_CORE_CALLS,
+            ("evictions", |s| s.solver.evictions),
+        ],
+        live: &[
+            Live {
+                what: "drop in SAT-core calls from flat to layered",
+                workloads: &[],
+                holds: |r| {
+                    r.seq("layered").solver.sat_core_calls < r.seq("flat").solver.sat_core_calls
+                },
+            },
+            // The cross workload's two independent ladders exist to
+            // exercise the slice layer.
+            Live {
+                what: "slice-layer hit",
+                workloads: &["t1_cross"],
+                holds: |r| {
+                    let s = &r.seq("layered").solver;
+                    s.slice_hits + s.cex_subset_hits > 0
+                },
+            },
+        ],
+        floor: Some(Floor {
+            metric: "above_core_rate",
+            at_least: 0.30,
+            workloads: &[],
+            measure: |r| r.seq("layered").solver.above_core_rate(),
+        }),
+    },
+    // The incremental per-path SAT context against the flat per-query
+    // core. Every cache layer is off in both: with the shared cache on,
+    // sibling paths answer each other's prefix probes and barely one
+    // probe per path reaches the core this row measures.
+    Row {
+        name: "incremental",
+        workloads: T1_PAIR,
+        decisions: true,
+        configs: &[
+            Config {
+                name: "incremental",
+                explorer: |e| bare(e).incremental(true),
+            },
+            Config {
+                name: "flat",
+                explorer: bare,
+            },
+        ],
+        counters: &[
+            PATHS,
+            QUERIES,
+            TRIVIAL,
+            CACHE_HITS,
+            CACHE_MISSES,
+            SAT_CORE_CALLS,
+            ("sat_conflicts", |s| s.solver.sat_conflicts),
+            ("contexts", |s| s.solver.incremental.contexts),
+            ("assumption_solves", |s| {
+                s.solver.incremental.assumption_solves
+            }),
+            ("clauses_retained", |s| {
+                s.solver.incremental.clauses_retained
+            }),
+            ("restarts", |s| s.solver.incremental.restarts),
+        ],
+        live: &[
+            Live {
+                what: "incremental context and assumption solve when on",
+                workloads: &[],
+                holds: |r| {
+                    let i = &r.seq("incremental").solver.incremental;
+                    i.contexts > 0 && i.assumption_solves > 0
+                },
+            },
+            Live {
+                what: "silence from the incremental counters when off",
+                workloads: &[],
+                holds: |r| {
+                    let i = &r.seq("flat").solver.incremental;
+                    i.contexts == 0 && i.assumption_solves == 0
+                },
+            },
+        ],
+        // Fewer conflicts or fewer core seconds, whichever is larger.
+        floor: Some(Floor {
+            metric: "core_reduction",
+            at_least: 0.25,
+            workloads: &["t1_cross"],
+            measure: |r| {
+                let (on, off) = (&r.seq("incremental").solver, &r.seq("flat").solver);
+                let conflicts = reduction(off.sat_conflicts as f64, on.sat_conflicts as f64);
+                let seconds = reduction(
+                    off.sat_core_time.as_secs_f64(),
+                    on.sat_core_time.as_secs_f64(),
+                );
+                conflicts.max(seconds)
+            },
+        }),
+    },
+    // Copy-on-write snapshot forks against the re-execution oracle, both
+    // accelerator-free: each accelerator absorbs exactly the re-solved
+    // prefix work this row measures. `claim_ladder` is the fork-cost
+    // stress workload; `t1` rides along as the real-suite datapoint.
+    Row {
+        name: "cow_fork",
+        workloads: &[
+            Workload {
+                name: "t1@8",
+                config: || bench_config(8),
+                bench: |c| Box::new(t1_pattern(c)),
+            },
+            Workload {
+                name: "claim_ladder@8",
+                config: || bench_config(8),
+                bench: |c| Box::new(claim_ladder(c)),
+            },
+            Workload {
+                name: "t1@16",
+                config: || bench_config(16),
+                bench: |c| Box::new(t1_pattern(c)),
+            },
+            Workload {
+                name: "claim_ladder@16",
+                config: || bench_config(16),
+                bench: |c| Box::new(claim_ladder(c)),
+            },
+            Workload {
+                name: "t1@32",
+                config: || bench_config(32),
+                bench: |c| Box::new(t1_pattern(c)),
+            },
+            Workload {
+                name: "claim_ladder@32",
+                config: || bench_config(32),
+                bench: |c| Box::new(claim_ladder(c)),
+            },
+        ],
+        decisions: true,
+        configs: &[
+            Config {
+                name: "reexec",
+                explorer: |e| bare(e).fork_strategy(ForkStrategy::Reexec),
+            },
+            Config {
+                name: "cow",
+                explorer: |e| bare(e).fork_strategy(ForkStrategy::CowSnapshot),
+            },
+        ],
+        counters: &[
+            PATHS,
+            ("fork_snapshots", |s| s.fork_snapshots),
+            ("fast_forward_decisions", |s| s.fast_forward_decisions),
+            QUERIES,
+        ],
+        live: &[
+            Live {
+                what: "snapshot for every path past the root under COW",
+                workloads: &[],
+                holds: |r| {
+                    let cow = r.seq("cow");
+                    cow.fork_snapshots == cow.paths.saturating_sub(1)
+                },
+            },
+            Live {
+                what: "fast-forwarded decision under COW",
+                workloads: &[],
+                holds: |r| r.seq("cow").fast_forward_decisions > 0,
+            },
+            Live {
+                what: "snapshot-free re-execution",
+                workloads: &[],
+                holds: |r| {
+                    let oracle = r.seq("reexec");
+                    oracle.fork_snapshots == 0 && oracle.fast_forward_decisions == 0
+                },
+            },
+        ],
+        // Sequential wall-clock, re-execution over COW.
+        floor: Some(Floor {
+            metric: "speedup",
+            at_least: 2.0,
+            workloads: &["claim_ladder@32"],
+            measure: |r| r.at("reexec", 1).seconds / r.at("cow", 1).seconds.max(1e-9),
+        }),
+    },
+    // State merging and coverage-guided scheduling against the exhaustive
+    // oracle, on the full 51-source FE310 and its two-HART variant.
+    Row {
+        name: "path_merge",
+        workloads: &[
+            Workload {
+                name: "merge@51",
+                config: fe310_full_config,
+                bench: |c| Box::new(merge_pattern(c)),
+            },
+            Workload {
+                name: "merge_2hart@51",
+                config: fe310_2hart_config,
+                bench: |c| Box::new(merge_pattern(c)),
+            },
+            Workload {
+                name: "subsumption@51",
+                config: fe310_full_config,
+                bench: |c| Box::new(subsumption_pattern(c)),
+            },
+        ],
+        decisions: false,
+        configs: &[
+            Config {
+                name: "exhaustive",
+                explorer: |e| e.explore_order(ExploreOrder::Exhaustive),
+            },
+            Config {
+                name: "merge_eager",
+                explorer: |e| e.explore_order(ExploreOrder::MergeEager),
+            },
+            Config {
+                name: "coverage_guided",
+                explorer: |e| e.explore_order(ExploreOrder::CoverageGuided),
+            },
+        ],
+        counters: &[
+            PATHS,
+            ("executed_paths", |s| s.executed_paths),
+            ("merged_paths", |s| s.merged_paths),
+            ("subsumed_paths", |s| s.subsumed_paths),
+            ("join_sites", |s| s.join_sites),
+            ("sched_promotions", |s| s.sched_promotions),
+        ],
+        live: &[
+            Live {
+                what: "merge-free exhaustive oracle",
+                workloads: &[],
+                holds: |r| {
+                    let oracle = r.seq("exhaustive");
+                    oracle.executed_paths == oracle.paths
+                        && oracle.merged_paths == 0
+                        && oracle.subsumed_paths == 0
+                },
+            },
+            Live {
+                what: "join site under MergeEager",
+                workloads: &[],
+                holds: |r| r.seq("merge_eager").join_sites > 0,
+            },
+            Live {
+                what: "subtree adoption under MergeEager",
+                workloads: &[],
+                holds: |r| {
+                    let merged = r.seq("merge_eager");
+                    merged.merged_paths + merged.subsumed_paths > 0
+                },
+            },
+            // The fenced arrivals are closure-disjoint: the implication
+            // query firing there means the cheap check broke.
+            Live {
+                what: "disjoint-prefix adoption without the implication query",
+                workloads: MERGE_WORKLOADS,
+                holds: |r| r.seq("merge_eager").subsumed_paths == 0,
+            },
+            Live {
+                what: "adoption through the implication query",
+                workloads: &["subsumption@51"],
+                holds: |r| r.seq("merge_eager").subsumed_paths > 0,
+            },
+            // The delay ladder leaves unvisited fork sites behind the
+            // first path; the single-ladder subsumption shape does not.
+            Live {
+                what: "coverage-guided promotion",
+                workloads: MERGE_WORKLOADS,
+                holds: |r| r.seq("coverage_guided").sched_promotions > 0,
+            },
+        ],
+        // Represented over executed paths under MergeEager.
+        floor: Some(Floor {
+            metric: "path_reduction",
+            at_least: 3.0,
+            workloads: MERGE_WORKLOADS,
+            measure: |r| {
+                let merged = r.seq("merge_eager");
+                merged.paths as f64 / merged.executed_paths.max(1) as f64
+            },
+        }),
+    },
+];
+
+/// The scheduling-independent projection of a report that every
+/// configuration must match: paths, verdict, errors with their
+/// counterexamples, coverage bins and branch fingerprints, plus
+/// `decisions` when `decisions` is set.
+fn stable_view(report: &Report, decisions: bool) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "paths={}", report.stats.paths);
+    if decisions {
+        let _ = write!(out, " decisions={}", report.stats.decisions);
+    }
+    let _ = writeln!(
+        out,
+        " completed={} passed={}",
+        report.completed,
+        report.passed()
+    );
+    for e in &report.errors {
+        let _ = writeln!(
+            out,
+            "error kind={:?} path={} msg={} cex={}",
+            e.kind, e.path, e.message, e.counterexample
+        );
+    }
+    for (bin, count) in &report.coverage {
+        let _ = writeln!(out, "cover {bin}={count}");
+    }
+    for (site, bc) in &report.stats.branches {
+        let _ = writeln!(out, "branch {site:032x}={}/{}", bc.taken, bc.not_taken);
+    }
+    out
+}
+
+/// A floor next to what was measured against it.
+struct FloorRecord {
+    /// `row/workload/metric`.
+    name: String,
+    floor: f64,
+    measured: f64,
+}
+
+/// What one run of a table measured.
+#[derive(Default)]
+pub struct Outcome {
+    /// Every check held: report identity, liveness and floors.
+    pub ok: bool,
+    /// Every compared view matched its reference.
+    equivalent: bool,
+    /// `row/workload` and the PLIC source count it ran at.
+    workloads: Vec<(String, u32)>,
+    /// `row/workload/config/counter` of every one-worker run.
+    counters: Vec<(String, u64)>,
+    floors: Vec<FloorRecord>,
+    /// `row/workload/config` one-worker wall-clock seconds.
+    seconds: Vec<(String, f64)>,
+}
+
+impl Outcome {
+    /// The emission: one document, one line per entry, timing last.
+    pub fn json(&self) -> String {
+        let mut json = String::from("{\n  \"harness\": \"ablation\",\n");
+        let _ = writeln!(json, "  \"worker_counts_checked\": [1, 2, 8],");
+        let _ = writeln!(json, "  \"equivalent\": {},", self.equivalent);
+        let lines: Vec<String> = self
+            .workloads
+            .iter()
+            .map(|(name, sources)| format!("    {{\"name\": \"{name}\", \"sources\": {sources}}}"))
+            .collect();
+        let _ = writeln!(json, "  \"workloads\": [\n{}\n  ],", lines.join(",\n"));
+        let lines: Vec<String> = self
+            .counters
+            .iter()
+            .map(|(key, n)| format!("    \"{key}\": {n}"))
+            .collect();
+        let _ = writeln!(json, "  \"counters\": {{\n{}\n  }},", lines.join(",\n"));
+        let lines: Vec<String> = self
+            .floors
+            .iter()
+            .map(|f| {
+                format!(
+                    "    {{\"name\": \"{}\", \"floor\": {:.2}, \"measured\": {:.4}}}",
+                    f.name, f.floor, f.measured
+                )
+            })
+            .collect();
+        let _ = writeln!(json, "  \"floors\": [\n{}\n  ],", lines.join(",\n"));
+        let lines: Vec<String> = self
+            .seconds
+            .iter()
+            .map(|(key, s)| format!("    \"{key}\": {s:.3}"))
+            .collect();
+        let _ = writeln!(json, "  \"seconds\": {{\n{}\n  }}", lines.join(",\n"));
+        json.push_str("}\n");
+        json
+    }
+}
+
+/// Whether a check scoped to `scope` applies to `workload`.
+fn applies(scope: &[&str], workload: &str) -> bool {
+    scope.is_empty() || scope.contains(&workload)
+}
+
+/// Runs every row of `rows`, printing each workload's one-worker
+/// counters and a MISMATCH line per failed check.
+pub fn run(rows: &[Row]) -> Outcome {
+    let mut out = Outcome {
+        equivalent: true,
+        ok: true,
+        ..Outcome::default()
+    };
+    for row in rows {
+        for workload in row.workloads {
+            let config = (workload.config)();
+            let bench = (workload.bench)(config);
+            let name = format!("{}/{}", row.name, workload.name);
+            let explore = |explorer: Explorer, workers: usize| {
+                let start = Instant::now();
+                let report = explorer.workers(workers).explore(&*bench);
+                Run {
+                    report,
+                    seconds: start.elapsed().as_secs_f64(),
+                }
+            };
+            let runs = Runs {
+                configs: row.configs,
+                runs: row
+                    .configs
+                    .iter()
+                    .map(|c| WORKERS.map(|workers| explore((c.explorer)(Explorer::new()), workers)))
+                    .collect(),
+            };
+            println!("[{name}] sources={}", config.sources);
+            out.workloads.push((name.clone(), config.sources));
+
+            let reference = stable_view(&runs.runs[0][0].report, row.decisions);
+            for (c, at) in row.configs.iter().zip(&runs.runs) {
+                for (workers, run) in WORKERS.iter().zip(at) {
+                    if stable_view(&run.report, row.decisions) != reference {
+                        println!(
+                            "MISMATCH [{name}]: {} differs from {} at {workers} workers",
+                            c.name, row.configs[0].name
+                        );
+                        out.equivalent = false;
+                    }
+                }
+                let seq = &at[0];
+                let counters: Vec<String> = row
+                    .counters
+                    .iter()
+                    .map(|(key, read)| {
+                        let n = read(&seq.report.stats);
+                        out.counters.push((format!("{name}/{}/{key}", c.name), n));
+                        format!("{key}={n}")
+                    })
+                    .collect();
+                println!(
+                    "  {:16} {:.3}s | {}",
+                    c.name,
+                    seq.seconds,
+                    counters.join(" ")
+                );
+                out.seconds
+                    .push((format!("{name}/{}", c.name), seq.seconds));
+            }
+            let default = explore(Explorer::new(), 1);
+            if stable_view(&default.report, row.decisions) != reference {
+                println!("MISMATCH [{name}]: the shipped default differs at 1 worker");
+                out.equivalent = false;
+            }
+
+            for live in row
+                .live
+                .iter()
+                .filter(|l| applies(l.workloads, workload.name))
+            {
+                if !(live.holds)(&runs) {
+                    println!("MISMATCH [{name}]: no {}", live.what);
+                    out.ok = false;
+                }
+            }
+            if let Some(floor) = row
+                .floor
+                .as_ref()
+                .filter(|f| applies(f.workloads, workload.name))
+            {
+                let measured = (floor.measure)(&runs);
+                println!(
+                    "  floor {}: {measured:.4} (need >= {:.2})",
+                    floor.metric, floor.at_least
+                );
+                if measured < floor.at_least {
+                    println!(
+                        "MISMATCH [{name}]: {} {measured:.4} is below the {:.2} floor",
+                        floor.metric, floor.at_least
+                    );
+                    out.ok = false;
+                }
+                out.floors.push(FloorRecord {
+                    name: format!("{name}/{}", floor.metric),
+                    floor: floor.at_least,
+                    measured,
+                });
+            }
+        }
+    }
+    out.ok &= out.equivalent;
+    out
+}
+
+/// Parses `ablation [--emit FILE]`: the emission path, if any. An unknown
+/// flag or a missing value is an error.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
+    let mut emit = None;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--emit" => emit = Some(value(&arg, &mut args)?),
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    Ok(emit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gate::compare;
+    use crate::json::parse;
+
+    /// The T1 pattern at four sources.
+    const SMALL: &[Workload] = &[Workload {
+        name: "t1@4",
+        config: || bench_config(4),
+        bench: |c| Box::new(t1_pattern(c)),
+    }];
+
+    /// A reference and a configuration that matches it.
+    const SAME: &[Config] = &[
+        Config {
+            name: "reference",
+            explorer: |e| e,
+        },
+        Config {
+            name: "other",
+            explorer: |e| e.solver_stack(false),
+        },
+    ];
+
+    /// A reference and a configuration cut off after one path.
+    const CAPPED: &[Config] = &[
+        Config {
+            name: "reference",
+            explorer: |e| e,
+        },
+        Config {
+            name: "other",
+            explorer: |e| e.max_paths(1),
+        },
+    ];
+
+    /// A small row comparing `configs`.
+    fn small_row(configs: &'static [Config]) -> Row {
+        Row {
+            name: "small",
+            workloads: SMALL,
+            decisions: true,
+            configs,
+            counters: &[PATHS, QUERIES],
+            live: &[],
+            floor: Some(Floor {
+                metric: "paths",
+                at_least: 4.0,
+                workloads: &[],
+                measure: |r| r.seq("other").paths as f64,
+            }),
+        }
+    }
+
+    #[test]
+    fn a_configuration_that_changes_the_report_fails_the_run_and_the_gate() {
+        let good = run(&[small_row(SAME)]);
+        assert!(good.equivalent && good.ok);
+        let good = parse(&good.json()).unwrap();
+        assert_eq!(compare(&good, &good), Vec::<String>::new());
+
+        let bad = run(&[small_row(CAPPED)]);
+        assert!(!bad.equivalent && !bad.ok);
+        let violations = compare(&good, &parse(&bad.json()).unwrap());
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("\"equivalent\": true")),
+            "{violations:?}"
+        );
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("small/t1@4/other/paths")),
+            "{violations:?}"
+        );
+        assert!(
+            violations.iter().any(|v| v.contains("below the")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn every_check_names_a_configuration_its_row_runs() {
+        // Checks read runs by configuration name; a typo would panic only
+        // after the row's explorations. Run every check on empty reports.
+        for row in &ROWS {
+            let runs = Runs {
+                configs: row.configs,
+                runs: row
+                    .configs
+                    .iter()
+                    .map(|_| {
+                        WORKERS.map(|_| Run {
+                            report: Report {
+                                errors: Vec::new(),
+                                coverage: Default::default(),
+                                stats: ExplorationStats::default(),
+                                completed: true,
+                            },
+                            seconds: 1.0,
+                        })
+                    })
+                    .collect(),
+            };
+            for live in row.live {
+                (live.holds)(&runs);
+            }
+            if let Some(floor) = &row.floor {
+                (floor.measure)(&runs);
+            }
+            for scope in row
+                .live
+                .iter()
+                .map(|l| l.workloads)
+                .chain(row.floor.as_ref().map(|f| f.workloads))
+            {
+                for name in scope {
+                    assert!(
+                        row.workloads.iter().any(|w| w.name == *name),
+                        "{}: no workload {name}",
+                        row.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_emit_is_accepted() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&[]), Ok(None));
+        assert_eq!(parse(&["--emit", "a.json"]), Ok(Some("a.json".to_string())));
+        assert!(parse(&["--emit"]).unwrap_err().contains("--emit"));
+        assert!(parse(&["--smoke"]).is_err());
+        assert!(parse(&["32"]).is_err());
+    }
+}

@@ -1,0 +1,34 @@
+//! The ablation harness: every engine optimisation that must never change
+//! a report — the parallel explorer's shared query cache, the solver's
+//! cache layers, the incremental SAT context, copy-on-write forks, state
+//! merging and coverage-guided scheduling — explored against its
+//! reference configuration at 1, 2 and 8 workers. The rows, their checks
+//! and their floors are the table in [`symsc_bench::ablation`].
+//!
+//! Exits 1 on any violation and 2 on a malformed command line. With
+//! `--emit FILE`, writes the run as JSON (the `BENCH_ablation.json`
+//! trajectory datapoint).
+//!
+//! Usage: `ablation [--emit FILE]`
+
+use symsc_bench::ablation::{parse_args, run, ROWS};
+
+fn main() {
+    let emit = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("ablation: {e}");
+        std::process::exit(2);
+    });
+    let outcome = run(&ROWS);
+    let mut ok = outcome.ok;
+    if let Some(path) = emit {
+        if let Err(e) = std::fs::write(&path, outcome.json()) {
+            println!("MISMATCH: could not write {path}: {e}");
+            ok = false;
+        } else {
+            println!("wrote {path}");
+        }
+    }
+    if !ok {
+        std::process::exit(1);
+    }
+}

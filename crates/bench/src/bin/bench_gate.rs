@@ -7,8 +7,8 @@
 //! invocation:
 //!
 //! ```text
-//! bench_gate BENCH_solver_stack.json /tmp/solver_stack.json \
-//!            BENCH_incremental_solve.json /tmp/incremental.json
+//! bench_gate BENCH_ablation.json /tmp/ablation.json \
+//!            BENCH_fuzz_diff.json /tmp/fuzz_diff.json
 //! ```
 //!
 //! `scripts/bench_gate.sh` regenerates the current emissions at the

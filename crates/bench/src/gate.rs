@@ -1,24 +1,21 @@
 //! The perf-regression gate: compares a freshly measured harness run
 //! against its committed `BENCH_*.json` baseline.
 //!
-//! Deterministic counters (path counts, core calls on cache-free runs)
-//! are held to tight factors; scheduling-dependent ones (cache hit rates
-//! under parallel sharing) get additive slack; wall-clock gets a generous
-//! multiple so a loaded CI runner never trips the gate on its own. The
-//! point is to catch *structural* regressions — a change that doubles the
-//! SAT-core call count or halves a kill rate — not to benchmark the
-//! machine.
+//! Four arms cover the eleven baselines: the kill matrices (one
+//! `KillGate` row per harness), the fuzz coverage diff, the campaign and
+//! the ablation harness. Work counters that are pure functions of the
+//! explored path set are held exactly; kill rates get additive slack;
+//! wall-clock gets a generous multiple so a loaded CI runner never trips
+//! the gate on its own. Floors are read from the baseline, never
+//! defaulted. The point is
+//! to catch *structural* regressions — a change that doubles the SAT-core
+//! call count or halves a kill rate — not to benchmark the machine.
 //!
 //! Every check failure is returned as one human-readable violation line;
 //! an empty list means the gate passes.
 
 use crate::json::Json;
 
-/// Multiplicative head-room for counters that are deterministic at the
-/// baseline's scale. A genuine 2x regression always trips this.
-const COUNTER_FACTOR: f64 = 1.5;
-/// Additive slack for rates in [0, 1] that depend on worker scheduling.
-const RATE_SLACK: f64 = 0.10;
 /// Additive slack for percentage-valued rates (kill rate).
 const PERCENT_SLACK: f64 = 5.0;
 /// Wall-clock head-room: a run may take this many times the recorded
@@ -46,30 +43,6 @@ impl Gate {
                 self.fail(format!("{context}: missing numeric field \"{key}\""));
                 None
             }
-        }
-    }
-
-    /// `current[key]` must not exceed `factor * baseline[key]`.
-    fn counter_within(&mut self, base: &Json, cur: &Json, context: &str, key: &str) {
-        let (Some(b), Some(c)) = (self.num(base, context, key), self.num(cur, context, key)) else {
-            return;
-        };
-        // A zero baseline makes the relative tolerance meaningless (any
-        // growth is infinite): say so explicitly instead of emitting a
-        // "factor 1.5 of 0" bound.
-        if b == 0.0 {
-            if c > 0.0 {
-                self.fail(format!(
-                    "{context}: {key} grew to {c} but the baseline is zero \
-                     (relative tolerance is undefined; re-record the baseline)"
-                ));
-            }
-            return;
-        }
-        if c > b * COUNTER_FACTOR {
-            self.fail(format!(
-                "{context}: {key} regressed to {c} (baseline {b}, allowed factor {COUNTER_FACTOR})"
-            ));
         }
     }
 
@@ -116,77 +89,59 @@ impl Gate {
         }
     }
 
-    /// Pairs up the `workloads` arrays by name; a workload present in the
-    /// baseline but missing from the current run is a violation.
-    fn workload_pairs<'j>(
+    /// The `key` maps of both documents. A missing map is a violation, and
+    /// so is an empty baseline map: it would gate nothing.
+    fn maps<'j>(
         &mut self,
         base: &'j Json,
         cur: &'j Json,
+        key: &str,
+    ) -> Option<(&'j Json, &'j Json)> {
+        let found = |doc: &'j Json| doc.get(key).filter(|m| m.as_obj().is_some());
+        let (Some(b), Some(c)) = (found(base), found(cur)) else {
+            self.fail(format!("a \"{key}\" map is missing"));
+            return None;
+        };
+        if keys(b).next().is_none() {
+            self.fail(format!("baseline \"{key}\" map is empty (vacuous gate)"));
+        }
+        Some((b, c))
+    }
+
+    /// Pairs up the `list` arrays' entries by name; an entry present in
+    /// the baseline but missing from the current run is a violation.
+    fn pairs<'j>(
+        &mut self,
+        base: &'j Json,
+        cur: &'j Json,
+        list: &str,
     ) -> Vec<(String, &'j Json, &'j Json)> {
         let mut pairs = Vec::new();
-        // A baseline without workloads would make every per-workload
-        // check pass vacuously — treat it as a broken baseline instead.
-        let Some(base_ws) = base.get("workloads").and_then(Json::as_arr) else {
-            self.fail("baseline has no \"workloads\" array (vacuous gate)".to_string());
+        // A baseline without entries would make every per-entry check
+        // pass vacuously — treat it as a broken baseline instead.
+        let Some(base_entries) = base.get(list).and_then(Json::as_arr) else {
+            self.fail(format!("baseline has no \"{list}\" array (vacuous gate)"));
             return pairs;
         };
-        if base_ws.is_empty() {
-            self.fail("baseline \"workloads\" array is empty (vacuous gate)".to_string());
+        if base_entries.is_empty() {
+            self.fail(format!("baseline \"{list}\" array is empty (vacuous gate)"));
             return pairs;
         }
-        let cur_ws = cur.get("workloads").and_then(Json::as_arr).unwrap_or(&[]);
-        for bw in base_ws {
-            let Some(name) = bw.get("name").and_then(Json::as_str) else {
-                self.fail("baseline workload without a name".to_string());
+        let cur_entries = cur.get(list).and_then(Json::as_arr).unwrap_or(&[]);
+        for be in base_entries {
+            let Some(name) = be.get("name").and_then(Json::as_str) else {
+                self.fail(format!("baseline {list} entry without a name"));
                 continue;
             };
-            match cur_ws
+            match cur_entries
                 .iter()
-                .find(|w| w.get("name").and_then(Json::as_str) == Some(name))
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
             {
-                Some(cw) => pairs.push((name.to_string(), bw, cw)),
-                None => self.fail(format!("current run is missing workload \"{name}\"")),
+                Some(ce) => pairs.push((name.to_string(), be, ce)),
+                None => self.fail(format!("current run is missing {list} entry \"{name}\"")),
             }
         }
         pairs
-    }
-}
-
-/// The whole-query-cache hit rate out of a stats object, if derivable.
-fn hit_rate(stats: &Json) -> Option<f64> {
-    let hits = stats.get("cache_hits")?.as_f64()?;
-    let misses = stats.get("cache_misses")?.as_f64()?;
-    if hits + misses == 0.0 {
-        None
-    } else {
-        Some(hits / (hits + misses))
-    }
-}
-
-fn compare_solver_stack(g: &mut Gate, base: &Json, cur: &Json) {
-    g.equivalence_holds(cur, "solver_stack");
-    g.counter_exact(base, cur, "solver_stack", "sources");
-    for (name, bw, cw) in g.workload_pairs(base, cur) {
-        let ctx = format!("solver_stack/{name}");
-        g.counter_exact(bw, cw, &ctx, "paths");
-        g.seconds_within(bw, cw, &ctx, "layered_seconds");
-        for config in ["layered", "flat"] {
-            let (Some(bs), Some(cs)) = (bw.get(config), cw.get(config)) else {
-                g.fail(format!("{ctx}: missing \"{config}\" stats"));
-                continue;
-            };
-            g.counter_within(bs, cs, &format!("{ctx}/{config}"), "sat_core_calls");
-        }
-        if let (Some(bs), Some(cs)) = (bw.get("layered"), cw.get("layered")) {
-            g.rate_at_least(bs, cs, &ctx, "above_core_rate", RATE_SLACK);
-            if let (Some(b), Some(c)) = (hit_rate(bs), hit_rate(cs)) {
-                if c < b - RATE_SLACK {
-                    g.fail(format!(
-                        "{ctx}: query-cache hit rate dropped to {c:.3} (baseline {b:.3})"
-                    ));
-                }
-            }
-        }
     }
 }
 
@@ -314,117 +269,49 @@ fn compare_fuzz_diff(g: &mut Gate, base: &Json, cur: &Json) {
     g.seconds_within(base, cur, ctx, "seconds");
 }
 
-fn compare_incremental(g: &mut Gate, base: &Json, cur: &Json) {
-    g.equivalence_holds(cur, "incremental_speedup");
-    g.counter_exact(base, cur, "incremental_speedup", "sources");
-    for (name, bw, cw) in g.workload_pairs(base, cur) {
-        let ctx = format!("incremental_speedup/{name}");
-        g.counter_exact(bw, cw, &ctx, "paths");
-        g.seconds_within(bw, cw, &ctx, "incremental_seconds");
-        for config in ["incremental", "flat"] {
-            let (Some(bs), Some(cs)) = (bw.get(config), cw.get(config)) else {
-                g.fail(format!("{ctx}: missing \"{config}\" stats"));
-                continue;
-            };
-            // These runs are cache-free, so the counters are exact
-            // functions of the explored path set — any drift is a
-            // behavior change, not noise.
-            g.counter_exact(bs, cs, &format!("{ctx}/{config}"), "sat_core_calls");
+/// The ablation harness: report identity, every work counter exact in
+/// both directions, each configuration's seconds under the head-room
+/// rule, and every floor the baseline records met.
+fn compare_ablation(g: &mut Gate, base: &Json, cur: &Json) {
+    let ctx = "ablation";
+    g.equivalence_holds(cur, ctx);
+    for (name, bw, cw) in g.pairs(base, cur, "workloads") {
+        g.counter_exact(bw, cw, &format!("{ctx}/{name}"), "sources");
+    }
+    if let Some((base_counters, cur_counters)) = g.maps(base, cur, "counters") {
+        for key in keys(base_counters) {
+            g.counter_exact(base_counters, cur_counters, ctx, key);
         }
-        if let (Some(bs), Some(cs)) = (bw.get("incremental"), cw.get("incremental")) {
-            g.counter_exact(bs, cs, &ctx, "assumption_solves");
-        }
-        // The headline claim: the incremental core still earns its keep.
-        // Conflicts are deterministic; core wall-clock is not — accept
-        // either, with slack on the timing side.
-        let conflict = cw.get("conflict_reduction").and_then(Json::as_f64);
-        let core_time = cw.get("core_time_reduction").and_then(Json::as_f64);
-        if name == "t1_cross" {
-            let best = conflict.unwrap_or(0.0).max(core_time.unwrap_or(0.0));
-            if best < 0.15 {
-                g.fail(format!(
-                    "{ctx}: incremental core shows no speedup (best reduction {best:.3}, \
-                     need >= 0.15 in conflicts or core wall-clock)"
-                ));
+        for key in keys(cur_counters) {
+            if base_counters.get(key).is_none() {
+                g.fail(format!("{ctx}: counter \"{key}\" is not in the baseline"));
             }
+        }
+    }
+    if let Some((base_seconds, cur_seconds)) = g.maps(base, cur, "seconds") {
+        for key in keys(base_seconds) {
+            g.seconds_within(base_seconds, cur_seconds, ctx, key);
+        }
+    }
+    for (name, bf, cf) in g.pairs(base, cur, "floors") {
+        let ctx = format!("{ctx}/{name}");
+        let (Some(floor), Some(measured)) = (g.num(bf, &ctx, "floor"), g.num(cf, &ctx, "measured"))
+        else {
+            continue;
+        };
+        // The table and the baseline must agree on the floor.
+        g.counter_exact(bf, cf, &ctx, "floor");
+        if measured < floor {
+            g.fail(format!("{ctx}: {measured} is below the {floor} floor"));
         }
     }
 }
 
-fn compare_cow_fork(g: &mut Gate, base: &Json, cur: &Json) {
-    let ctx = "cow_fork";
-    if base.get("smoke").and_then(Json::as_bool) != cur.get("smoke").and_then(Json::as_bool) {
-        g.fail(format!(
-            "{ctx}: baseline and current runs are at different scales (smoke flag differs)"
-        ));
-        return;
-    }
-    g.equivalence_holds(cur, ctx);
-    let floor = base
-        .get("speedup_floor")
-        .and_then(Json::as_f64)
-        .unwrap_or(2.0);
-    for (name, bw, cw) in g.workload_pairs(base, cur) {
-        let ctx = format!("cow_fork/{name}");
-        // Accelerator-free runs make every counter a pure function of the
-        // explored path set — any drift is a behavior change, not noise.
-        g.counter_exact(bw, cw, &ctx, "paths");
-        g.counter_exact(bw, cw, &ctx, "fork_snapshots");
-        g.counter_exact(bw, cw, &ctx, "fast_forward_decisions");
-        g.counter_exact(bw, cw, &ctx, "cow_queries");
-        g.counter_exact(bw, cw, &ctx, "reexec_queries");
-        // The fork-cost ceiling: resuming snapshots must stay cheap.
-        g.seconds_within(bw, cw, &ctx, "cow_seconds");
-        // The headline claim on the fork-cost stress workload at the
-        // largest measured scale: COW still at least halves sequential
-        // wall-clock vs. re-execution.
-        if name == "claim_ladder@32" {
-            let speedup = cw.get("speedup").and_then(Json::as_f64).unwrap_or(0.0);
-            if speedup < floor {
-                g.fail(format!(
-                    "{ctx}: COW speedup {speedup:.2}x fell below the {floor:.1}x floor"
-                ));
-            }
-        }
-    }
-}
-
-fn compare_path_merge(g: &mut Gate, base: &Json, cur: &Json) {
-    let ctx = "path_merge";
-    if base.get("smoke").and_then(Json::as_bool) != cur.get("smoke").and_then(Json::as_bool) {
-        g.fail(format!(
-            "{ctx}: baseline and current runs are at different scales (smoke flag differs)"
-        ));
-        return;
-    }
-    g.equivalence_holds(cur, ctx);
-    let floor = base
-        .get("reduction_floor")
-        .and_then(Json::as_f64)
-        .unwrap_or(3.0);
-    for (name, bw, cw) in g.workload_pairs(base, cur) {
-        let ctx = format!("path_merge/{name}");
-        // Sequential merged exploration is deterministic: represented
-        // paths, executed paths and every merge counter are pure
-        // functions of the workload shape — any drift is a behavior
-        // change, not noise.
-        g.counter_exact(bw, cw, &ctx, "paths");
-        g.counter_exact(bw, cw, &ctx, "executed_paths");
-        g.counter_exact(bw, cw, &ctx, "merged_paths");
-        g.counter_exact(bw, cw, &ctx, "subsumed_paths");
-        g.counter_exact(bw, cw, &ctx, "join_sites");
-        g.seconds_within(bw, cw, &ctx, "merged_seconds");
-        // The headline claim on the fenced cross-product workloads: the
-        // merge engine keeps cutting executed paths by the floor factor.
-        if name.starts_with("merge") {
-            let reduction = cw.get("reduction").and_then(Json::as_f64).unwrap_or(0.0);
-            if reduction < floor {
-                g.fail(format!(
-                    "{ctx}: path reduction {reduction:.2}x fell below the {floor:.1}x floor"
-                ));
-            }
-        }
-    }
+/// The member names of an object, in order; none for other values.
+fn keys(doc: &Json) -> impl Iterator<Item = &str> {
+    doc.as_obj()
+        .into_iter()
+        .flat_map(|m| m.keys().map(String::as_str))
 }
 
 fn compare_campaign(g: &mut Gate, base: &Json, cur: &Json) {
@@ -457,17 +344,17 @@ fn compare_campaign(g: &mut Gate, base: &Json, cur: &Json) {
     }
     // The worker-scaling floor: 8 workers must not run slower than 1 by
     // more than the recorded floor (generous — CI runners share cores).
-    let floor = base
-        .get("scaling_floor")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.8);
-    let speedup = cur.get("speedup8").and_then(Json::as_f64).unwrap_or(0.0);
-    if speedup < floor {
-        g.fail(format!(
-            "{ctx}: 8-worker speedup {speedup:.2}x fell below the {floor:.1}x floor"
-        ));
+    if let (Some(floor), Some(speedup)) = (
+        g.num(base, ctx, "scaling_floor"),
+        g.num(cur, ctx, "speedup8"),
+    ) {
+        if speedup < floor {
+            g.fail(format!(
+                "{ctx}: 8-worker speedup {speedup:.2}x fell below the {floor:.1}x floor"
+            ));
+        }
     }
-    for (name, bw, cw) in g.workload_pairs(base, cur) {
+    for (name, bw, cw) in g.pairs(base, cur, "workloads") {
         let ctx = format!("campaign/{name}");
         // Every run executes the full plan fresh.
         g.counter_exact(bw, cw, &ctx, "executed");
@@ -529,12 +416,9 @@ pub fn compare(baseline: &Json, current: &Json) -> Vec<String> {
         return g.violations;
     }
     match kind {
-        "solver_stack" => compare_solver_stack(&mut g, baseline, current),
         "fuzz_diff" => compare_fuzz_diff(&mut g, baseline, current),
-        "incremental_speedup" => compare_incremental(&mut g, baseline, current),
-        "cow_fork" => compare_cow_fork(&mut g, baseline, current),
-        "path_merge" => compare_path_merge(&mut g, baseline, current),
         "campaign" => compare_campaign(&mut g, baseline, current),
+        "ablation" => compare_ablation(&mut g, baseline, current),
         other => match KILL_GATES.iter().find(|arm| arm.harness == other) {
             Some(arm) => compare_kill_matrix(&mut g, arm, baseline, current),
             None => g.fail(format!("unknown harness kind \"{other}\"")),
@@ -560,49 +444,6 @@ pub fn compare_files(baseline_path: &str, current_path: &str) -> Result<Vec<Stri
 mod tests {
     use super::*;
     use crate::json::parse;
-
-    fn solver_stack_doc(core_calls: u64) -> Json {
-        parse(&format!(
-            "{{\"harness\": \"solver_stack\", \"sources\": 32, \
-              \"equivalent\": true, \"workloads\": [\
-              {{\"name\": \"t1\", \"paths\": 32, \"layered_seconds\": 0.07, \
-                \"layered\": {{\"cache_hits\": 124, \"cache_misses\": 134, \
-                  \"sat_core_calls\": {core_calls}, \"above_core_rate\": 0.72}}, \
-                \"flat\": {{\"sat_core_calls\": 134}}}}]}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn identical_documents_pass() {
-        let base = solver_stack_doc(72);
-        assert_eq!(compare(&base, &base), Vec::<String>::new());
-    }
-
-    #[test]
-    fn doubled_core_calls_fail() {
-        let base = solver_stack_doc(72);
-        let bad = solver_stack_doc(144);
-        let violations = compare(&base, &bad);
-        assert!(
-            violations.iter().any(|v| v.contains("sat_core_calls")),
-            "expected a sat_core_calls violation, got {violations:?}"
-        );
-    }
-
-    #[test]
-    fn equivalence_flag_is_required() {
-        let base = solver_stack_doc(72);
-        let cur = parse(
-            "{\"harness\": \"solver_stack\", \"sources\": 32, \
-             \"equivalent\": false, \"workloads\": []}",
-        )
-        .unwrap();
-        let violations = compare(&base, &cur);
-        assert!(violations.iter().any(|v| v.contains("equivalent")));
-        // Missing workloads are also caught.
-        assert!(violations.iter().any(|v| v.contains("missing workload")));
-    }
 
     #[test]
     fn kill_rate_drop_fails_and_slack_passes() {
@@ -880,99 +721,6 @@ mod tests {
             .any(|v| v.contains("instant_kill")));
     }
 
-    #[test]
-    fn harness_kind_mismatch_is_fatal() {
-        let base = solver_stack_doc(72);
-        let other = parse("{\"harness\": \"mutation_kill\"}").unwrap();
-        let violations = compare(&base, &other);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("harness mismatch"));
-    }
-
-    #[test]
-    fn cow_fork_gate_checks_counters_and_the_speedup_floor() {
-        let doc = |snapshots: u64, speedup: f64, equivalent: bool| {
-            parse(&format!(
-                "{{\"harness\": \"cow_fork\", \"smoke\": false, \
-                  \"equivalent\": {equivalent}, \"speedup_floor\": 2.0, \
-                  \"workloads\": [\
-                  {{\"name\": \"claim_ladder@32\", \"sources\": 32, \
-                    \"paths\": 32, \"fork_snapshots\": {snapshots}, \
-                    \"fast_forward_decisions\": 1023, \
-                    \"cow_queries\": 95, \"reexec_queries\": 746, \
-                    \"cow_seconds\": 1.0, \"reexec_seconds\": 5.0, \
-                    \"speedup\": {speedup:.2}}}]}}"
-            ))
-            .unwrap()
-        };
-        let base = doc(31, 5.37, true);
-        assert_eq!(compare(&base, &base), Vec::<String>::new());
-        // Snapshot-counter drift means the fork engine changed behavior.
-        let drifted = doc(17, 5.37, true);
-        assert!(compare(&base, &drifted)
-            .iter()
-            .any(|v| v.contains("fork_snapshots")));
-        // Losing the wall-clock win trips the headline-claim check.
-        let slowed = doc(31, 1.20, true);
-        assert!(compare(&base, &slowed)
-            .iter()
-            .any(|v| v.contains("below the 2.0x floor")));
-        // A report mismatch anywhere is fatal regardless of timing.
-        let diverged = doc(31, 5.37, false);
-        assert!(compare(&base, &diverged)
-            .iter()
-            .any(|v| v.contains("equivalent")));
-    }
-
-    #[test]
-    fn path_merge_gate_checks_counters_and_the_reduction_floor() {
-        let doc = |executed: u64, reduction: f64, equivalent: bool| {
-            parse(&format!(
-                "{{\"harness\": \"path_merge\", \"smoke\": false, \
-                  \"equivalent\": {equivalent}, \"reduction_floor\": 3.0, \
-                  \"workloads\": [\
-                  {{\"name\": \"merge@51\", \"sources\": 51, \
-                    \"paths\": 204, \"executed_paths\": {executed}, \
-                    \"merged_paths\": 153, \"subsumed_paths\": 0, \
-                    \"join_sites\": 1, \"sched_promotions\": 2, \
-                    \"reduction\": {reduction:.2}, \
-                    \"merged_seconds\": 0.3, \
-                    \"exhaustive_seconds\": 0.5}}]}}"
-            ))
-            .unwrap()
-        };
-        let base = doc(54, 3.78, true);
-        assert_eq!(compare(&base, &base), Vec::<String>::new());
-        // The demonstration the acceptance criteria ask for: an injected
-        // path-count regression (merging stops adopting and executes the
-        // whole cross product) must fail the gate — both as counter
-        // drift and as a reduction-floor violation.
-        let regressed = doc(204, 1.0, true);
-        let violations = compare(&base, &regressed);
-        assert!(
-            violations.iter().any(|v| v.contains("executed_paths")),
-            "expected an executed_paths violation, got {violations:?}"
-        );
-        assert!(violations
-            .iter()
-            .any(|v| v.contains("below the 3.0x floor")));
-        // A report mismatch anywhere is fatal regardless of counters.
-        let diverged = doc(54, 3.78, false);
-        assert!(compare(&base, &diverged)
-            .iter()
-            .any(|v| v.contains("equivalent")));
-        // Scale mismatches are rejected outright.
-        let smoke = parse(
-            "{\"harness\": \"path_merge\", \"smoke\": true, \
-              \"equivalent\": true, \"reduction_floor\": 3.0, \
-              \"workloads\": []}",
-        )
-        .unwrap();
-        let violations = compare(&base, &smoke);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("smoke flag differs"));
-    }
-
     fn campaign_doc(
         killed: u64,
         seeds: u64,
@@ -1045,50 +793,15 @@ mod tests {
                 .any(|v| v.contains("missing numeric field \"mutants_total\"")),
             "expected a missing-field violation, got {violations:?}"
         );
-    }
-
-    #[test]
-    fn zero_valued_baseline_counters_refuse_relative_tolerance() {
-        let doc = |calls: u64| {
-            parse(&format!(
-                "{{\"harness\": \"solver_stack\", \"sources\": 32, \
-                  \"equivalent\": true, \"workloads\": [\
-                  {{\"name\": \"t1\", \"paths\": 32, \"layered_seconds\": 0.07, \
-                    \"layered\": {{\"sat_core_calls\": {calls}, \
-                      \"above_core_rate\": 0.72}}, \
-                    \"flat\": {{\"sat_core_calls\": 134}}}}]}}"
-            ))
-            .unwrap()
-        };
-        // Zero baseline, zero current: fine.
-        assert_eq!(compare(&doc(0), &doc(0)), Vec::<String>::new());
-        // Zero baseline, nonzero current: `1.5 * 0` must not silently
-        // allow 0 — the gate names the undefined tolerance explicitly.
-        let violations = compare(&doc(0), &doc(7));
-        assert!(
-            violations.iter().any(|v| v.contains("baseline is zero")),
-            "expected a zero-baseline violation, got {violations:?}"
-        );
-    }
-
-    #[test]
-    fn baselines_without_workloads_fail_instead_of_passing_vacuously() {
-        let empty = parse(
-            "{\"harness\": \"solver_stack\", \"sources\": 32, \
-              \"equivalent\": true, \"workloads\": []}",
-        )
-        .unwrap();
-        let violations = compare(&empty, &solver_stack_doc(72));
-        assert!(
-            violations.iter().any(|v| v.contains("vacuous gate")),
-            "expected a vacuous-gate violation, got {violations:?}"
-        );
-        let missing =
-            parse("{\"harness\": \"solver_stack\", \"sources\": 32, \"equivalent\": true}")
-                .unwrap();
-        assert!(compare(&missing, &solver_stack_doc(72))
+        // Nor is a floor ever defaulted: a campaign baseline without its
+        // scaling floor is a hole too.
+        let mut campaign = campaign_doc(6, 12, 2.8, true, 0);
+        if let Json::Obj(members) = &mut campaign {
+            members.remove("scaling_floor");
+        }
+        assert!(compare(&campaign, &campaign)
             .iter()
-            .any(|v| v.contains("no \"workloads\" array")));
+            .any(|v| v.contains("missing numeric field \"scaling_floor\"")));
     }
 
     #[test]
@@ -1112,31 +825,143 @@ mod tests {
         assert!(!violations.is_empty(), "incomplete doc still gates fields");
     }
 
+    /// An ablation emission: one workload, two counters, one floor.
+    fn ablation_text(core_calls: u64, measured: f64, equivalent: bool) -> String {
+        format!(
+            "{{\"harness\": \"ablation\", \"equivalent\": {equivalent}, \
+              \"workloads\": [{{\"name\": \"solver_stack/t1\", \"sources\": 32}}], \
+              \"counters\": {{\"solver_stack/t1/layered/sat_core_calls\": {core_calls}, \
+                \"solver_stack/t1/flat/sat_core_calls\": 134}}, \
+              \"floors\": [{{\"name\": \"solver_stack/t1/above_core_rate\", \
+                \"floor\": 0.30, \"measured\": {measured}}}], \
+              \"seconds\": {{\"solver_stack/t1/layered\": 0.077}}}}"
+        )
+    }
+
+    fn ablation_doc(core_calls: u64, measured: f64, equivalent: bool) -> Json {
+        parse(&ablation_text(core_calls, measured, equivalent)).unwrap()
+    }
+
     #[test]
-    fn incremental_counters_are_exact() {
-        let doc = |calls: u64, reduction: f64| {
-            parse(&format!(
-                "{{\"harness\": \"incremental_speedup\", \"sources\": 32, \
-                  \"equivalent\": true, \"workloads\": [\
-                  {{\"name\": \"t1_cross\", \"paths\": 128, \
-                    \"incremental_seconds\": 0.2, \
-                    \"conflict_reduction\": -0.27, \
-                    \"core_time_reduction\": {reduction}, \
-                    \"incremental\": {{\"sat_core_calls\": {calls}, \
-                      \"assumption_solves\": 268}}, \
-                    \"flat\": {{\"sat_core_calls\": 655}}}}]}}"
-            ))
-            .unwrap()
-        };
-        let base = doc(655, 0.35);
+    fn identical_documents_pass() {
+        let base = ablation_doc(72, 0.4627, true);
         assert_eq!(compare(&base, &base), Vec::<String>::new());
-        let drifted = doc(700, 0.35);
-        assert!(compare(&base, &drifted)
+    }
+
+    #[test]
+    fn doubled_core_calls_fail() {
+        let base = ablation_doc(72, 0.4627, true);
+        let violations = compare(&base, &ablation_doc(144, 0.4627, true));
+        assert!(
+            violations.iter().any(|v| v.contains("sat_core_calls")),
+            "expected a sat_core_calls violation, got {violations:?}"
+        );
+    }
+
+    #[test]
+    fn ablation_counters_are_exact_in_both_directions() {
+        let base = ablation_doc(72, 0.4627, true);
+        // One call fewer is drift too: the counters are pure functions of
+        // the explored path set.
+        assert!(compare(&base, &ablation_doc(71, 0.4627, true))
             .iter()
-            .any(|v| v.contains("sat_core_calls")));
-        let slowed = doc(655, 0.02);
-        assert!(compare(&base, &slowed)
+            .any(|v| v.contains("solver_stack/t1/layered/sat_core_calls")));
+        // A counter the baseline does not record means a stale baseline.
+        let grown = parse(
+            &ablation_text(72, 0.4627, true)
+                .replace("\"counters\": {", "\"counters\": {\"new/t1/a/paths\": 1, "),
+        )
+        .unwrap();
+        assert!(compare(&base, &grown)
             .iter()
-            .any(|v| v.contains("no speedup")));
+            .any(|v| v.contains("\"new/t1/a/paths\" is not in the baseline")));
+    }
+
+    #[test]
+    fn equivalence_flag_is_required() {
+        let base = ablation_doc(72, 0.4627, true);
+        let violations = compare(&base, &ablation_doc(72, 0.4627, false));
+        assert!(violations.iter().any(|v| v.contains("equivalent")));
+        // Missing workloads are also caught.
+        let cur =
+            parse("{\"harness\": \"ablation\", \"equivalent\": false, \"workloads\": []}").unwrap();
+        let violations = compare(&base, &cur);
+        assert!(violations.iter().any(|v| v.contains("equivalent")));
+        assert!(violations
+            .iter()
+            .any(|v| v.contains("missing workloads entry")));
+    }
+
+    #[test]
+    fn ablation_floors_come_from_the_baseline() {
+        let text = ablation_text(72, 0.4627, true);
+        let base = parse(&text).unwrap();
+        // A measured value below the recorded floor fails.
+        assert!(compare(&base, &ablation_doc(72, 0.2, true))
+            .iter()
+            .any(|v| v.contains("is below the 0.3 floor")));
+        // A floor the baseline does not record is a hole, not a default.
+        let unfloored = parse(&text.replace("\"floor\": 0.30, ", "")).unwrap();
+        assert!(compare(&unfloored, &unfloored)
+            .iter()
+            .any(|v| v.contains("missing numeric field \"floor\"")));
+        // A floor lowered in the table without a new baseline is caught.
+        let lowered = parse(&text.replace("\"floor\": 0.30", "\"floor\": 0.10")).unwrap();
+        assert!(compare(&base, &lowered)
+            .iter()
+            .any(|v| v.contains("floor is 0.1, baseline says 0.3")));
+        // And a floor the current run dropped is missing.
+        let dropped = parse(&text.replace("above_core_rate", "other")).unwrap();
+        assert!(compare(&base, &dropped)
+            .iter()
+            .any(|v| v.contains("missing floors entry")));
+    }
+
+    #[test]
+    fn baselines_without_workloads_fail_instead_of_passing_vacuously() {
+        let text = ablation_text(72, 0.4627, true);
+        let cur = parse(&text).unwrap();
+        let empty =
+            parse(&text.replace("[{\"name\": \"solver_stack/t1\", \"sources\": 32}]", "[]"))
+                .unwrap();
+        let violations = compare(&empty, &cur);
+        assert!(
+            violations.iter().any(|v| v.contains("vacuous gate")),
+            "expected a vacuous-gate violation, got {violations:?}"
+        );
+        let mut missing = cur.clone();
+        if let Json::Obj(members) = &mut missing {
+            members.remove("workloads");
+        }
+        assert!(compare(&missing, &cur)
+            .iter()
+            .any(|v| v.contains("no \"workloads\" array")));
+    }
+
+    #[test]
+    fn harness_kind_mismatch_is_fatal() {
+        let base = ablation_doc(72, 0.4627, true);
+        let other = parse("{\"harness\": \"mutation_kill\"}").unwrap();
+        let violations = compare(&base, &other);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("harness mismatch"));
+    }
+
+    #[test]
+    fn every_committed_baseline_parses_and_passes_its_own_gate() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut names: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            .collect();
+        names.sort();
+        assert!(!names.is_empty(), "no BENCH_*.json in {}", root.display());
+        for name in &names {
+            let text =
+                std::fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(compare(&doc, &doc), Vec::<String>::new(), "{name}");
+        }
     }
 }

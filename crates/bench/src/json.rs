@@ -5,7 +5,8 @@
 //! reader used by the `bench_gate` regression check. It supports the full
 //! JSON grammar the harnesses produce — objects, arrays, strings with
 //! basic escapes, numbers, booleans and null — and reports parse errors
-//! with a byte offset.
+//! with a byte offset. Arrays and objects nest at most [`MAX_DEPTH`]
+//! deep, so a malformed file is an error, never a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -15,6 +16,10 @@ use std::fmt;
 pub fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
+
+/// How deep arrays and objects may nest. The baselines nest three levels
+/// deep; the parser recurses once per level.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,6 +80,14 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The members, if this is an object.
+    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
+        match self {
+            Json::Obj(m) => Some(m),
+            _ => None,
+        }
+    }
 }
 
 /// A parse failure, with the byte offset where it was detected.
@@ -98,6 +111,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -111,6 +125,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -151,8 +167,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -160,6 +176,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, past [`MAX_DEPTH`] an
+    /// error.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -304,18 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_committed_baseline_if_present() {
-        for name in [
-            "../../BENCH_solver_stack.json",
-            "../../BENCH_mutation_kill.json",
-            "../../BENCH_incremental_solve.json",
-            "../../BENCH_fuzz_kill.json",
-            "../../BENCH_fuzz_smoke.json",
-            "../../BENCH_fuzz_diff.json",
-        ] {
-            if let Ok(text) = std::fs::read_to_string(name) {
-                parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            }
-        }
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        // 100,000 levels, closed or not, are an error and no crash.
+        assert!(parse(&nested(100_000)).is_err());
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\": ".repeat(100_000)).is_err());
     }
 }

@@ -9,13 +9,13 @@
 //! * `baseline_compare` — symbolic execution vs. random testing
 //!   time-to-bug (the reproduction's substitute for the paper's
 //!   unreproducible KLEE-on-SystemC-kernel baseline).
-//! * `solver_stack` / `incremental_speedup` / `cow_fork` — ablation
-//!   harnesses for the cache layers, the incremental per-path SAT
-//!   context, and the copy-on-write snapshot fork engine (vs. the
-//!   re-execution oracle).
-//! * `path_merge` — ablation harness for state merging, subsumption
-//!   pruning and heuristic path scheduling on the full 51-source FE310
-//!   (every exploration order vs. the exhaustive oracle).
+//! * `ablation` — every optimisation that must never change a report,
+//!   against its reference configuration at 1, 2 and 8 workers, from
+//!   one table ([`ablation`]): the parallel explorer's shared query
+//!   cache, the solver's cache layers, the incremental per-path SAT
+//!   context, copy-on-write forks (vs. the re-execution oracle), and
+//!   state merging with coverage-guided scheduling on the full
+//!   51-source FE310 (vs. the exhaustive oracle).
 //! * `mutation_kill` — the symbolic mutation-testing kill matrix
 //!   ([`kill_matrix`]): the register-level TLM suite by default,
 //!   `--suite firmware` for the ISS-hosted firmware drivers, `--suite
@@ -26,14 +26,14 @@
 //!   next to the symbolic one, and its coverage diff + seed exchange.
 //! * `bench_gate` — compares fresh harness emissions against the
 //!   committed `BENCH_*.json` baselines and fails on regressions.
-//! * `parallel_speedup`, `profile_query`, `profile_t1` — worker-count
-//!   determinism and solver profiling drivers.
+//! * `profile_query`, `profile_t1` — solver profiling drivers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use symsc_symex::SymError;
 
+pub mod ablation;
 pub mod cli;
 pub mod gate;
 pub mod json;

@@ -1,8 +1,9 @@
 //! Shared exploration workloads for the bench binaries.
 //!
-//! The bins (`parallel_speedup`, `solver_stack`) must measure the *same*
-//! testbenches so their numbers compose; the testbench closures live here
-//! rather than being copied per binary.
+//! The rows of the ablation table ([`crate::ablation`]) measure the
+//! *same* testbenches so their numbers compose — `solver_stack`,
+//! `incremental` and `parallel` all explore [`t1_pattern`] at 32 sources;
+//! the testbench closures live here rather than being copied per row.
 
 use symsc_pk::Kernel;
 use symsc_plic::{Plic, PlicConfig, PlicVariant};
@@ -116,7 +117,7 @@ pub fn t1_cross_pattern(cfg: PlicConfig) -> impl Fn(&SymCtx) + Send + Sync {
 /// subtree instead of re-executing it per bin: exhaustive exploration
 /// walks `CROSS_DELAY_BINS x sources` paths, merged exploration executes
 /// about `sources + CROSS_DELAY_BINS - 1` — the path-reduction headline
-/// of the `path_merge` ablation.
+/// of the ablation table's `path_merge` row.
 pub fn merge_pattern(cfg: PlicConfig) -> impl Fn(&SymCtx) + Send + Sync {
     move |ctx: &SymCtx| {
         let mut kernel = Kernel::new();
@@ -194,7 +195,7 @@ pub fn subsumption_pattern(cfg: PlicConfig) -> impl Fn(&SymCtx) + Send + Sync {
 }
 
 /// A probe-dense claim ladder: the fork-cost stress workload for the
-/// `cow_fork` ablation. It keeps the decision shape of T1 — a symbolic
+/// ablation table's `cow_fork` row. It keeps the decision shape of T1 — a symbolic
 /// claim id enumerated with one `decide` per source — but replaces the
 /// peripheral model with a per-step multiplicative bound check
 /// (`x * (x + i) < n * (n + i)`, provably true for `x < n`). Every step

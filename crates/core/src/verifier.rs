@@ -5,8 +5,7 @@ use std::fmt;
 use std::time::Duration;
 
 use symsc_symex::{
-    CacheStack, Counterexample, ExploreOrder, Explorer, ForkStrategy, Report, SearchStrategy,
-    SymCtx,
+    CacheStack, Counterexample, ExploreOrder, Explorer, ForkStrategy, Report, SymCtx,
 };
 
 /// The result of running one named symbolic test.
@@ -124,12 +123,6 @@ impl Verifier {
     /// incremental statistics change.
     pub fn incremental(mut self, enabled: bool) -> Verifier {
         self.explorer = self.explorer.incremental(enabled);
-        self
-    }
-
-    /// Selects the path-selection strategy (default: depth-first).
-    pub fn strategy(mut self, strategy: SearchStrategy) -> Verifier {
-        self.explorer = self.explorer.strategy(strategy);
         self
     }
 

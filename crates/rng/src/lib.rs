@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline, so it cannot pull `rand` from crates.io.
 //! Everything that needs randomness — the random-search baseline, the
-//! seeded property-test loops, the `RandomPath` strategy — uses this
+//! seeded property-test loops, the fuzzer's mutators — uses this
 //! xorshift64* generator instead. It is explicitly seeded everywhere, so
 //! every "random" run in this repository is reproducible by construction.
 //!

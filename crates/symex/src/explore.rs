@@ -56,37 +56,14 @@ fn install_quiet_hook() {
     });
 }
 
-/// How the explorer orders pending paths — the analogue of KLEE's
-/// searchers. The paper attributes its fast time-to-first-bug to "KLEE's
-/// symbolic exploration heuristics, which attempt to solve the most
-/// promising paths first"; the strategy is exposed here so its effect can
-/// be measured (see the `exploration` bench).
-///
-/// Strategies order *visitation*, so they only matter on a sequential
-/// exploration ([`Explorer::workers`]`(1)`) — with more workers, paths are
-/// claimed greedily by the pool and the merged report is always in
-/// canonical depth-first order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Depth-first: follow one execution to the end before backtracking
-    /// (stack order). Deterministic; the default.
-    DepthFirst,
-    /// Breadth-first: explore all paths of depth *n* before any of depth
-    /// *n + 1* (queue order). Finds shallow bugs first.
-    BreadthFirst,
-    /// Random-path selection with a deterministic seed (KLEE's
-    /// `random-path` searcher): picks a pending prefix uniformly.
-    RandomPath(u64),
-}
-
 /// How a fork materializes the other branch — the engine's state-capture
 /// strategy.
 ///
 /// Both strategies explore the same path tree and produce byte-identical
 /// reports (every report-relevant value is a pure function of the
 /// structural constraint set); they differ only in how much work resuming
-/// a pending path costs. The differential harness in `crates/bench`
-/// (`cow_fork`) holds them to that equivalence bar.
+/// a pending path costs. The `cow_fork` row of the ablation harness in
+/// `crates/bench` holds them to that equivalence bar.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ForkStrategy {
     /// Copy-on-write snapshots (the default): a fork captures the live
@@ -132,7 +109,6 @@ pub struct Explorer {
     query_cache: bool,
     solver_stack: bool,
     incremental: bool,
-    strategy: SearchStrategy,
     fork: ForkStrategy,
     order: ExploreOrder,
     workers: usize,
@@ -206,7 +182,6 @@ impl Explorer {
             query_cache: true,
             solver_stack: true,
             incremental: true,
-            strategy: SearchStrategy::DepthFirst,
             fork: ForkStrategy::CowSnapshot,
             order: ExploreOrder::Exhaustive,
             workers: 0,
@@ -275,14 +250,6 @@ impl Explorer {
         self
     }
 
-    /// Selects the path-selection strategy (default: depth-first). Only
-    /// meaningful with [`workers`](Self::workers)`(1)`; see
-    /// [`SearchStrategy`].
-    pub fn strategy(mut self, strategy: SearchStrategy) -> Explorer {
-        self.strategy = strategy;
-        self
-    }
-
     /// Selects the fork strategy (default: copy-on-write snapshots).
     /// [`ForkStrategy::Reexec`] restores the original forked
     /// re-execution engine, the differential oracle — both produce
@@ -311,7 +278,7 @@ impl Explorer {
     /// Sets the number of worker threads. `0` (the default) uses
     /// [`std::thread::available_parallelism`]; `1` runs the exploration
     /// sequentially on the calling thread, preserving the single-threaded
-    /// engine's exact behavior (shared pool, strategy-ordered visitation).
+    /// engine's exact behavior (shared pool, depth-first visitation).
     pub fn workers(mut self, workers: usize) -> Explorer {
         self.workers = workers;
         self
@@ -381,9 +348,10 @@ impl Explorer {
         }
     }
 
-    /// The single-threaded engine: one pool, one solver, strategy-ordered
-    /// visitation. This is the reference semantics the parallel engine's
-    /// merged reports are defined against.
+    /// The single-threaded engine: one pool, one solver, depth-first
+    /// visitation (coverage-guided under that order). This is the
+    /// reference semantics the parallel engine's merged reports are
+    /// defined against.
     fn explore_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
         install_quiet_hook();
         let state = Arc::new(Mutex::new(EngineState::new(
@@ -395,16 +363,10 @@ impl Explorer {
         let start = Instant::now();
         let mut completed = true;
         let mut paths = 0u64;
-        // xorshift state for SearchStrategy::RandomPath.
-        let mut rng_state = match self.strategy {
-            SearchStrategy::RandomPath(seed) => seed | 1,
-            _ => 0,
-        };
         let mut promotions = 0u64;
         // CoverageGuided visits paths out of canonical order, so its
         // report is assembled from per-path records like the parallel
-        // engine's — a pure function of the explored path set. (The
-        // search strategies intentionally report in visitation order.)
+        // engine's — a pure function of the explored path set.
         let canonical = self.order == ExploreOrder::CoverageGuided;
         let mut records: Vec<PathRecord> = Vec::new();
 
@@ -412,7 +374,7 @@ impl Explorer {
             let next = if self.order == ExploreOrder::CoverageGuided {
                 pick_coverage_guided(&mut worklist, &state, &mut promotions)
             } else {
-                self.pick_next(&mut worklist, &mut rng_state)
+                worklist.pop()
             };
             let Some(snapshot) = next else { break };
             if paths >= self.max_paths {
@@ -469,8 +431,8 @@ impl Explorer {
                 st.end_path_coverage();
                 st.end_path_branches();
             }
-            // Push pending prefixes (discovered this run); pick_next
-            // applies the search strategy on removal.
+            // Push pending prefixes (discovered this run) for the next
+            // pick.
             let pending = std::mem::take(&mut st.pending);
             drop(st);
             worklist.extend(pending);
@@ -528,8 +490,7 @@ impl Explorer {
     /// to the exhaustive engine's; only `executed_paths` (and the solver
     /// workload) shrinks.
     ///
-    /// Visitation is forced depth-first regardless of the configured
-    /// [`SearchStrategy`]: DFS guarantees a join owner's subtree is fully
+    /// Visitation is depth-first: DFS guarantees a join owner's subtree is fully
     /// drained before any path outside it reaches the join, so every
     /// eligible arrival finds a complete subtree to adopt.
     fn explore_merged_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
@@ -1018,33 +979,6 @@ impl Explorer {
                 ..ExplorationStats::default()
             },
             completed: true,
-        }
-    }
-}
-
-impl Explorer {
-    /// Removes and returns the next snapshot to explore, per the strategy.
-    fn pick_next(
-        &self,
-        worklist: &mut Vec<PathSnapshot>,
-        rng_state: &mut u64,
-    ) -> Option<PathSnapshot> {
-        if worklist.is_empty() {
-            return None;
-        }
-        match self.strategy {
-            SearchStrategy::DepthFirst => worklist.pop(),
-            SearchStrategy::BreadthFirst => Some(worklist.remove(0)),
-            SearchStrategy::RandomPath(_) => {
-                // xorshift64*
-                let mut x = *rng_state;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *rng_state = x;
-                let idx = (x as usize) % worklist.len();
-                Some(worklist.swap_remove(idx))
-            }
         }
     }
 }
@@ -1703,79 +1637,6 @@ mod replay_tests {
         let traced = explorer.trace(&outside, bench);
         assert!(traced.passed());
         assert_eq!(traced.stats.paths, 1);
-    }
-}
-
-#[cfg(test)]
-mod strategy_tests {
-    use super::*;
-    use crate::Width;
-
-    /// A forking ladder: 4 nested decisions -> 16 paths; the path with
-    /// x == 0b0111 (bits 0..2 set, bit 3 clear) errors. The first path of
-    /// *any* strategy is the root (all decisions default to true), so the
-    /// needle is placed one flip away from it: depth-first finds it on
-    /// the very next path, breadth-first only after the other one-flip
-    /// prefixes of earlier decisions.
-    fn ladder(ctx: &SymCtx) {
-        let x = ctx.symbolic("x", Width::W8);
-        ctx.assume(&x.ult(&ctx.word(16, Width::W8)));
-        let mut bits = [false; 4];
-        for bit in 0..4u32 {
-            let b = x.bit(bit).to_word();
-            let one = ctx.word(1, Width::W1);
-            bits[bit as usize] = ctx.decide(&b.eq(&one));
-        }
-        let needle = bits == [true, true, true, false]; // x == 0b0111
-        ctx.check_concrete(!needle, "0b0111 is the needle");
-    }
-
-    #[test]
-    fn all_strategies_find_the_same_errors() {
-        for strategy in [
-            SearchStrategy::DepthFirst,
-            SearchStrategy::BreadthFirst,
-            SearchStrategy::RandomPath(7),
-            SearchStrategy::RandomPath(1234),
-        ] {
-            let report = Explorer::new()
-                .workers(1)
-                .strategy(strategy)
-                .explore(ladder);
-            assert_eq!(report.stats.paths, 16, "{strategy:?}");
-            assert_eq!(report.errors.len(), 1, "{strategy:?}");
-            assert_eq!(report.errors[0].counterexample.value("x"), 0b0111);
-            assert!(report.completed, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn strategies_order_paths_differently() {
-        let dfs = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::DepthFirst)
-            .explore(ladder);
-        let bfs = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::BreadthFirst)
-            .explore(ladder);
-        // DFS pops the most recent fork (the bit-3 flip of the root path)
-        // first; BFS drains the older forks (bits 0..2) before it.
-        assert_eq!(dfs.errors[0].path, 1, "DFS: needle on the next path");
-        assert_eq!(bfs.errors[0].path, 4, "BFS: needle after the level");
-    }
-
-    #[test]
-    fn random_path_is_deterministic_per_seed() {
-        let a = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::RandomPath(99))
-            .explore(ladder);
-        let b = Explorer::new()
-            .workers(1)
-            .strategy(SearchStrategy::RandomPath(99))
-            .explore(ladder);
-        assert_eq!(a.errors[0].path, b.errors[0].path);
     }
 }
 

@@ -71,7 +71,7 @@ pub use array::SymArray;
 pub use cow::{CowEnv, CowVec};
 pub use ctx::SymCtx;
 pub use error::{Counterexample, ErrorKind, Report, SymError};
-pub use explore::{CacheStack, Explorer, ForkStrategy, SearchStrategy};
+pub use explore::{CacheStack, Explorer, ForkStrategy};
 pub use merge::{ExploreOrder, StateDigest};
 pub use stats::{BranchCoverage, ExplorationStats};
 pub use symsc_smt::Width;

@@ -65,8 +65,8 @@ pub enum ExploreOrder {
     /// Prioritize pending snapshots whose fork site has an unvisited
     /// `false` direction — KLEE-style coverage-first scheduling. A pure
     /// visitation order: the explored path set (and the report) is
-    /// unchanged. Only meaningful on a sequential exploration, like
-    /// [`SearchStrategy`](crate::SearchStrategy).
+    /// unchanged. Only meaningful on a sequential exploration: with more
+    /// workers, the pool claims paths greedily.
     CoverageGuided,
     /// Merge and subsume paths at testbench-published join points (see
     /// the [module docs](self)). Reports stay byte-identical to

@@ -206,8 +206,9 @@ fn cow_forking_never_changes_a_report() {
     // The copy-on-write snapshot fork engine is a pure optimization: for
     // every suite test, the COW report at 1, 2 and 8 workers must equal
     // the re-execution oracle (prefixes re-solved from scratch) byte for
-    // byte. This is the differential bar the cow_fork benchmark enforces
-    // at scale; here it runs on the scaled suite as a regression.
+    // byte. This is the differential bar the ablation harness's cow_fork
+    // row enforces at scale; here it runs on the scaled suite as a
+    // regression.
     for test in TestId::ALL {
         let oracle = stable_view(&run_test(
             test,
@@ -448,7 +449,8 @@ fn merge_eager_fences_arm_join_sites_on_the_suite() {
     // itself explores only 1–2 paths per test, so there is no second
     // arrival to adopt here; adoption liveness — merged_paths > 0 and
     // executed < represented — is pinned by the engine's own
-    // merge_order tests and enforced at scale by the path_merge bench.)
+    // merge_order tests and enforced at scale by the ablation harness's
+    // path_merge row.)
     let mut join_sites = 0;
     for test in [TestId::T1, TestId::T2, TestId::T3] {
         let outcome = run_test(

@@ -17,20 +17,20 @@
 //!
 //! Everything that differs between the rows is one [`Row`] of data, like
 //! the kill matrix's `SuiteSpec` rows. With `--emit FILE` the run is
-//! written as one document (the `BENCH_ablation.json` baseline):
-//! `equivalent` (report identity held everywhere), `workloads`, a flat
-//! `counters` map of every row's one-worker work counters (the gate holds
-//! them exactly), each floor next to its measured value, and the
-//! one-worker `seconds` of every configuration (the gate allows them its
-//! wall-clock head-room).
+//! written in the gate's one schema (the `BENCH_ablation.json`
+//! baseline): the checks `equivalent` (report identity held everywhere)
+//! and `live` (every liveness check held), every workload's source count
+//! and every row's one-worker work counters as `counters`, each floor
+//! next to its measured value, and the one-worker `seconds` of every
+//! configuration.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use symsc_plic::PlicConfig;
 use symsc_symex::{ExplorationStats, ExploreOrder, Explorer, ForkStrategy, Report, SymCtx};
+use symsysc_core::Emission;
 
-use crate::cli::value;
 use crate::workloads::{
     bench_config, claim_ladder, fe310_2hart_config, fe310_full_config, merge_pattern,
     subsumption_pattern, t1_cross_pattern, t1_pattern,
@@ -563,68 +563,12 @@ fn stable_view(report: &Report, decisions: bool) -> String {
     out
 }
 
-/// A floor next to what was measured against it.
-struct FloorRecord {
-    /// `row/workload/metric`.
-    name: String,
-    floor: f64,
-    measured: f64,
-}
-
 /// What one run of a table measured.
-#[derive(Default)]
 pub struct Outcome {
     /// Every check held: report identity, liveness and floors.
     pub ok: bool,
-    /// Every compared view matched its reference.
-    equivalent: bool,
-    /// `row/workload` and the PLIC source count it ran at.
-    workloads: Vec<(String, u32)>,
-    /// `row/workload/config/counter` of every one-worker run.
-    counters: Vec<(String, u64)>,
-    floors: Vec<FloorRecord>,
-    /// `row/workload/config` one-worker wall-clock seconds.
-    seconds: Vec<(String, f64)>,
-}
-
-impl Outcome {
-    /// The emission: one document, one line per entry, timing last.
-    pub fn json(&self) -> String {
-        let mut json = String::from("{\n  \"harness\": \"ablation\",\n");
-        let _ = writeln!(json, "  \"worker_counts_checked\": [1, 2, 8],");
-        let _ = writeln!(json, "  \"equivalent\": {},", self.equivalent);
-        let lines: Vec<String> = self
-            .workloads
-            .iter()
-            .map(|(name, sources)| format!("    {{\"name\": \"{name}\", \"sources\": {sources}}}"))
-            .collect();
-        let _ = writeln!(json, "  \"workloads\": [\n{}\n  ],", lines.join(",\n"));
-        let lines: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(key, n)| format!("    \"{key}\": {n}"))
-            .collect();
-        let _ = writeln!(json, "  \"counters\": {{\n{}\n  }},", lines.join(",\n"));
-        let lines: Vec<String> = self
-            .floors
-            .iter()
-            .map(|f| {
-                format!(
-                    "    {{\"name\": \"{}\", \"floor\": {:.2}, \"measured\": {:.4}}}",
-                    f.name, f.floor, f.measured
-                )
-            })
-            .collect();
-        let _ = writeln!(json, "  \"floors\": [\n{}\n  ],", lines.join(",\n"));
-        let lines: Vec<String> = self
-            .seconds
-            .iter()
-            .map(|(key, s)| format!("    \"{key}\": {s:.3}"))
-            .collect();
-        let _ = writeln!(json, "  \"seconds\": {{\n{}\n  }}", lines.join(",\n"));
-        json.push_str("}\n");
-        json
-    }
+    /// The run in the gate's schema.
+    pub emission: Emission,
 }
 
 /// Whether a check scoped to `scope` applies to `workload`.
@@ -635,11 +579,8 @@ fn applies(scope: &[&str], workload: &str) -> bool {
 /// Runs every row of `rows`, printing each workload's one-worker
 /// counters and a MISMATCH line per failed check.
 pub fn run(rows: &[Row]) -> Outcome {
-    let mut out = Outcome {
-        equivalent: true,
-        ok: true,
-        ..Outcome::default()
-    };
+    let mut e = Emission::new("ablation");
+    let (mut equivalent, mut live, mut floors_met) = (true, true, true);
     for row in rows {
         for workload in row.workloads {
             let config = (workload.config)();
@@ -662,7 +603,7 @@ pub fn run(rows: &[Row]) -> Outcome {
                     .collect(),
             };
             println!("[{name}] sources={}", config.sources);
-            out.workloads.push((name.clone(), config.sources));
+            e.counter(format!("{name}/sources"), config.sources.into());
 
             let reference = stable_view(&runs.runs[0][0].report, row.decisions);
             for (c, at) in row.configs.iter().zip(&runs.runs) {
@@ -672,7 +613,7 @@ pub fn run(rows: &[Row]) -> Outcome {
                             "MISMATCH [{name}]: {} differs from {} at {workers} workers",
                             c.name, row.configs[0].name
                         );
-                        out.equivalent = false;
+                        equivalent = false;
                     }
                 }
                 let seq = &at[0];
@@ -681,7 +622,7 @@ pub fn run(rows: &[Row]) -> Outcome {
                     .iter()
                     .map(|(key, read)| {
                         let n = read(&seq.report.stats);
-                        out.counters.push((format!("{name}/{}/{key}", c.name), n));
+                        e.counter(format!("{name}/{}/{key}", c.name), n);
                         format!("{key}={n}")
                     })
                     .collect();
@@ -691,23 +632,22 @@ pub fn run(rows: &[Row]) -> Outcome {
                     seq.seconds,
                     counters.join(" ")
                 );
-                out.seconds
-                    .push((format!("{name}/{}", c.name), seq.seconds));
+                e.seconds(format!("{name}/{}", c.name), seq.seconds);
             }
             let default = explore(Explorer::new(), 1);
             if stable_view(&default.report, row.decisions) != reference {
                 println!("MISMATCH [{name}]: the shipped default differs at 1 worker");
-                out.equivalent = false;
+                equivalent = false;
             }
 
-            for live in row
+            for check in row
                 .live
                 .iter()
                 .filter(|l| applies(l.workloads, workload.name))
             {
-                if !(live.holds)(&runs) {
-                    println!("MISMATCH [{name}]: no {}", live.what);
-                    out.ok = false;
+                if !(check.holds)(&runs) {
+                    println!("MISMATCH [{name}]: no {}", check.what);
+                    live = false;
                 }
             }
             if let Some(floor) = row
@@ -720,37 +660,22 @@ pub fn run(rows: &[Row]) -> Outcome {
                     "  floor {}: {measured:.4} (need >= {:.2})",
                     floor.metric, floor.at_least
                 );
-                if measured < floor.at_least {
+                if !e.floor(format!("{name}/{}", floor.metric), floor.at_least, measured) {
                     println!(
                         "MISMATCH [{name}]: {} {measured:.4} is below the {:.2} floor",
                         floor.metric, floor.at_least
                     );
-                    out.ok = false;
+                    floors_met = false;
                 }
-                out.floors.push(FloorRecord {
-                    name: format!("{name}/{}", floor.metric),
-                    floor: floor.at_least,
-                    measured,
-                });
             }
         }
     }
-    out.ok &= out.equivalent;
-    out
-}
-
-/// Parses `ablation [--emit FILE]`: the emission path, if any. An unknown
-/// flag or a missing value is an error.
-pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
-    let mut emit = None;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--emit" => emit = Some(value(&arg, &mut args)?),
-            other => return Err(format!("unknown argument: {other}")),
-        }
+    e.check("equivalent", equivalent);
+    e.check("live", live);
+    Outcome {
+        ok: equivalent && live && floors_met,
+        emission: e,
     }
-    Ok(emit)
 }
 
 #[cfg(test)]
@@ -811,17 +736,17 @@ mod tests {
     #[test]
     fn a_configuration_that_changes_the_report_fails_the_run_and_the_gate() {
         let good = run(&[small_row(SAME)]);
-        assert!(good.equivalent && good.ok);
-        let good = parse(&good.json()).unwrap();
+        assert!(good.ok);
+        let good = parse(&good.emission.json()).unwrap();
         assert_eq!(compare(&good, &good), Vec::<String>::new());
 
         let bad = run(&[small_row(CAPPED)]);
-        assert!(!bad.equivalent && !bad.ok);
-        let violations = compare(&good, &parse(&bad.json()).unwrap());
+        assert!(!bad.ok);
+        let violations = compare(&good, &parse(&bad.emission.json()).unwrap());
         assert!(
             violations
                 .iter()
-                .any(|v| v.contains("\"equivalent\": true")),
+                .any(|v| v.contains("checks equivalent: does not hold")),
             "{violations:?}"
         );
         assert!(
@@ -880,15 +805,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn only_emit_is_accepted() {
-        let parse = |args: &[&str]| parse_args(args.iter().map(|a| a.to_string()));
-        assert_eq!(parse(&[]), Ok(None));
-        assert_eq!(parse(&["--emit", "a.json"]), Ok(Some("a.json".to_string())));
-        assert!(parse(&["--emit"]).unwrap_err().contains("--emit"));
-        assert!(parse(&["--smoke"]).is_err());
-        assert!(parse(&["32"]).is_err());
     }
 }

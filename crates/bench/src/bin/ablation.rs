@@ -11,24 +11,17 @@
 //!
 //! Usage: `ablation [--emit FILE]`
 
-use symsc_bench::ablation::{parse_args, run, ROWS};
+use symsc_bench::ablation::{run, ROWS};
+use symsysc_core::cli::emit_only;
 
 fn main() {
-    let emit = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+    let emit = emit_only(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("ablation: {e}");
         std::process::exit(2);
     });
     let outcome = run(&ROWS);
-    let mut ok = outcome.ok;
-    if let Some(path) = emit {
-        if let Err(e) = std::fs::write(&path, outcome.json()) {
-            println!("MISMATCH: could not write {path}: {e}");
-            ok = false;
-        } else {
-            println!("wrote {path}");
-        }
-    }
-    if !ok {
+    let written = emit.is_none_or(|path| outcome.emission.write(&path));
+    if !(outcome.ok && written) {
         std::process::exit(1);
     }
 }

@@ -15,13 +15,16 @@
 //!    confirmed by both the concolic trace and the constant-folded
 //!    replay of `symsc-symex`.
 //!
-//! Exits nonzero on any violation. With `--emit FILE`, writes the
-//! comparison as JSON (the `BENCH_fuzz_diff.json` trajectory datapoint).
+//! Exits 1 on any violation and 2 on a malformed command line. With
+//! `--emit FILE`, writes the comparison in the gate's schema (the
+//! `BENCH_fuzz_diff.json` trajectory datapoint): each item above is a
+//! check, and the campaign's executions, corpus and coverage, the
+//! probes' paths and coverage, the overlap and the exchanged seeds are
+//! counters.
 //!
-//! Usage: `fuzz_diff [--execs N] [--emit FILE]`
+//! Usage: `fuzz_diff [--emit FILE]`
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use symsc_fuzz::exchange::{gateway_probe, masking_probe};
@@ -31,6 +34,13 @@ use symsc_fuzz::{
 use symsc_plic::config::InjectedFault;
 use symsc_plic::{PlicConfig, PlicVariant};
 use symsc_symex::{Explorer, Report};
+use symsysc_core::cli::emit_only;
+use symsysc_core::Emission;
+
+/// The campaign seed.
+const SEED: u64 = 0xD1FF;
+/// The execution budget of the baseline campaign and of the IF6 hunt.
+const EXECS: u64 = 256;
 
 /// Coverage points of an exploration report, in the fuzzer's key space.
 fn coverage_points(report: &Report) -> BTreeSet<(u128, bool)> {
@@ -47,35 +57,26 @@ fn coverage_points(report: &Report) -> BTreeSet<(u128, bool)> {
 }
 
 fn main() {
-    let mut execs: u64 = 256;
-    let mut emit: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--execs" => execs = args.next().and_then(|v| v.parse().ok()).unwrap_or(execs),
-            "--emit" => emit = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let emit = emit_only(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("fuzz_diff: {e}");
+        std::process::exit(2);
+    });
 
     let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
-    let seed: u64 = 0xD1FF;
     println!(
-        "fuzz_diff: sources={}, campaign budget {execs} execs, seed {seed:#x}",
+        "fuzz_diff: sources={}, campaign budget {EXECS} execs, seed {SEED:#x}",
         config.sources
     );
     let start = Instant::now();
+    let mut e = Emission::new("fuzz_diff");
     let mut ok = true;
 
     // 1. The baseline fuzz campaign, at one and eight workers.
     let campaign = |workers| {
         Fuzzer::new(config)
-            .seed(seed)
+            .seed(SEED)
             .workers(workers)
-            .max_execs(execs)
+            .max_execs(EXECS)
             .seeds(dictionary(&config))
             .run()
     };
@@ -93,11 +94,11 @@ fn main() {
         fuzz.coverage.len(),
         fuzz.findings.len()
     );
-    if !equivalent {
+    if !e.check("equivalent", equivalent) {
         println!("MISMATCH: campaign differs between one and eight workers");
         ok = false;
     }
-    if !fuzz.findings.is_empty() {
+    if !e.check("baseline_clean", fuzz.findings.is_empty()) {
         println!("MISMATCH: baseline campaign diverged on the fixed PLIC");
         ok = false;
     }
@@ -131,7 +132,7 @@ fn main() {
         fuzz.coverage.len(),
         symbolic.len()
     );
-    if shared == 0 {
+    if !e.check("coverage_overlap", shared > 0) {
         println!("MISMATCH: the two coverage maps do not intersect");
         ok = false;
     }
@@ -140,7 +141,7 @@ fn main() {
     let if1 = config.fault(InjectedFault::If1OffByOneGateway);
     let seeds = seeds_from_symbolic(if1, &gateway_probe(), 64);
     let seeded = Fuzzer::new(if1)
-        .seed(seed)
+        .seed(SEED)
         .seeds(seeds.clone())
         .stop_on_finding(true)
         .max_execs(64)
@@ -150,7 +151,7 @@ fn main() {
         "symbolic->fuzz: {} exported seeds, instant kill: {instant_kill}",
         seeds.len()
     );
-    if !instant_kill {
+    if !e.check("instant_kill", instant_kill) {
         println!("MISMATCH: symbolic gateway model did not kill IF1 on exec 1");
         ok = false;
     }
@@ -158,10 +159,10 @@ fn main() {
     // 3b. Fuzz → symbolic: an IF6 divergence confirms by trace and replay.
     let if6 = config.fault(InjectedFault::If6ThresholdOffByOne);
     let hunt = Fuzzer::new(if6)
-        .seed(seed)
+        .seed(SEED)
         .seeds(dictionary(&if6))
         .stop_on_finding(true)
-        .max_execs(execs)
+        .max_execs(EXECS)
         .run();
     let (trace_confirmed, replay_confirmed) = match hunt.findings.first() {
         Some(finding) => (
@@ -175,46 +176,50 @@ fn main() {
          {trace_confirmed}, replay confirmed: {replay_confirmed}",
         hunt.killed()
     );
-    if !(trace_confirmed && replay_confirmed) {
+    if !(e.check("trace_confirmed", trace_confirmed)
+        & e.check("replay_confirmed", replay_confirmed))
+    {
         println!("MISMATCH: fuzz-found divergence failed symbolic confirmation");
         ok = false;
     }
 
     let seconds = start.elapsed().as_secs_f64();
     println!("{seconds:.1}s");
+    e.counter("sources", config.sources.into());
+    e.counter("max_priority", config.max_priority.into());
+    e.counter("seed", SEED);
+    e.counter("fuzz_execs", fuzz.execs);
+    e.counter("fuzz_corpus", fuzz.corpus.len() as u64);
+    e.counter("fuzz_points", fuzz.coverage.len() as u64);
+    e.counter("symbolic_paths", symbolic_paths);
+    e.counter("symbolic_points", symbolic.len() as u64);
+    e.counter("shared_points", shared as u64);
+    e.counter("fuzz_only_points", fuzz_only as u64);
+    e.counter("symbolic_only_points", symbolic_only as u64);
+    e.counter("exchange_seeds", seeds.len() as u64);
+    e.seconds("total", seconds);
 
     if let Some(path) = emit {
-        let mut json = String::from("{\n  \"harness\": \"fuzz_diff\",\n");
-        let _ = writeln!(json, "  \"equivalent\": {equivalent},");
-        let _ = writeln!(
-            json,
-            "  \"config\": {{\"sources\": {}, \"max_priority\": {}}},",
-            config.sources, config.max_priority
-        );
-        let _ = writeln!(json, "  \"seed\": {seed},");
-        let _ = writeln!(json, "  \"fuzz_execs\": {},", fuzz.execs);
-        let _ = writeln!(json, "  \"fuzz_corpus\": {},", fuzz.corpus.len());
-        let _ = writeln!(json, "  \"fuzz_points\": {},", fuzz.coverage.len());
-        let _ = writeln!(json, "  \"symbolic_paths\": {symbolic_paths},");
-        let _ = writeln!(json, "  \"symbolic_points\": {},", symbolic.len());
-        let _ = writeln!(json, "  \"shared_points\": {shared},");
-        let _ = writeln!(json, "  \"fuzz_only_points\": {fuzz_only},");
-        let _ = writeln!(json, "  \"symbolic_only_points\": {symbolic_only},");
-        let _ = writeln!(json, "  \"exchange_seeds\": {},", seeds.len());
-        let _ = writeln!(json, "  \"instant_kill\": {instant_kill},");
-        let _ = writeln!(json, "  \"trace_confirmed\": {trace_confirmed},");
-        let _ = writeln!(json, "  \"replay_confirmed\": {replay_confirmed},");
-        let _ = writeln!(json, "  \"seconds\": {seconds:.1}");
-        json.push_str("}\n");
-        if let Err(e) = std::fs::write(&path, json) {
-            println!("MISMATCH: could not write {path}: {e}");
-            ok = false;
-        } else {
-            println!("wrote {path}");
-        }
+        ok &= e.write(&path);
     }
 
     if !ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_flags_are_rejected_not_defaulted() {
+        let parse = |args: &[&str]| emit_only(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&["--emit", "d.json"]), Ok(Some("d.json".to_string())));
+        // A bare --emit names no file to write: an error, not a silent pass.
+        assert!(parse(&["--emit"]).unwrap_err().contains("--emit"));
+        // The budget is a constant: no flag sets it.
+        assert!(parse(&["--execs", "abc"]).is_err());
+        assert!(parse(&["--execs", "64"]).is_err());
     }
 }

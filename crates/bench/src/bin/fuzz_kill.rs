@@ -1,4 +1,4 @@
-//! The fuzz-vs-symbolic kill-matrix harness.
+//! The differential fuzzer's kill matrix.
 //!
 //! Runs the coverage-guided differential fuzzer of `symsc-fuzz` against
 //! the paper's six fault presets (IF1–IF6) plus the generated first-order
@@ -7,46 +7,81 @@
 //! 1. **Baseline**: the corpus-building campaign on the unmutated fixed
 //!    PLIC reports zero divergences from the reference model.
 //! 2. **Presets**: all six IF presets are killed by fuzzing alone.
-//! 3. **Floor**: the overall fuzz kill rate does not drop below
-//!    `--floor` (percent; default 80).
+//! 3. **Floor**: the overall fuzz kill rate stays at or above the floor
+//!    of its scale: 100 % for the presets-only smoke matrix, 80 % for the
+//!    full one.
 //!
-//! In the full (non-`--smoke`) mode the harness also runs the *symbolic*
-//! kill matrix (T1–T5) over the same mutants and emits both verdict
-//! columns side by side — the fuzz-vs-symbolic comparison of the paper's
-//! Table 2, mutant by mutant.
+//! The symbolic verdicts of the same mutants are the TLM kill matrix's
+//! (`mutation_kill`, `BENCH_mutation_kill.json`); the two baselines'
+//! per-mutant counters tell the fuzz-vs-symbolic story side by side.
 //!
 //! Exits 1 on any violation and 2 on a malformed command line. With
-//! `--emit FILE`, writes the kill matrix as JSON (the
+//! `--emit FILE`, writes the kill matrix in the gate's schema (the
 //! `BENCH_fuzz_kill.json` / `BENCH_fuzz_smoke.json` trajectory
-//! datapoints). `--smoke` runs the presets-only matrix at a
-//! reduced budget for CI; `--workers N` pins the campaign worker count
-//! and the number of symbolic-column cells run at a time (default 1 —
-//! the matrix is byte-identical at any count).
+//! datapoints): the campaign's coverage and corpus, the kill counts and
+//! every mutant's verdict and executions, all of them the same at any
+//! worker count. `--smoke` runs the presets-only matrix at a reduced
+//! budget for CI; `--workers N` pins the campaign worker count (default
+//! 1).
 //!
-//! Usage: `fuzz_kill [--smoke] [--floor PCT] [--workers N] [--emit FILE]`
+//! Usage: `fuzz_kill [--smoke] [--workers N] [--emit FILE]`
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use symsc_bench::cli::FuzzKillOptions;
-use symsc_bench::json::escape as json_escape;
 use symsc_fuzz::{run_fuzz_matrix, FuzzMatrixParams};
-use symsc_mutate::{generate, presets, run_kill_matrix, Mutant};
+use symsc_mutate::{generate, presets, Mutant};
 use symsc_plic::{PlicConfig, PlicVariant};
-use symsc_testbench::TestId;
+use symsysc_core::cli::value;
+use symsysc_core::Emission;
+
+/// The kill-rate floor in percent: `[smoke, full]`.
+const KILL_RATE_FLOOR: [f64; 2] = [100.0, 80.0];
+
+/// Parsed `fuzz_kill` options.
+#[derive(Debug, PartialEq)]
+struct Options {
+    /// Presets-only matrix at a reduced budget, for CI.
+    smoke: bool,
+    /// Fuzz campaign worker count.
+    workers: usize,
+    /// Emit the summary JSON to this path.
+    emit: Option<String>,
+}
+
+impl Options {
+    /// Parses `fuzz_kill [--smoke] [--workers N] [--emit FILE]`. An
+    /// unknown flag or a missing or malformed value is an error.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+        let mut opts = Options {
+            smoke: false,
+            workers: 1,
+            emit: None,
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => opts.smoke = true,
+                "--workers" => opts.workers = value(&arg, &mut args)?,
+                "--emit" => opts.emit = Some(value(&arg, &mut args)?),
+                other => return Err(format!("unknown argument: {other}")),
+            }
+        }
+        Ok(opts)
+    }
+}
 
 fn main() {
-    let FuzzKillOptions {
+    let Options {
         smoke,
-        floor,
         workers,
         emit,
-    } = FuzzKillOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+    } = Options::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("fuzz_kill: {e}");
         std::process::exit(2);
     });
 
     let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+    let floor = KILL_RATE_FLOOR[usize::from(!smoke)];
     let mut mutants: Vec<Mutant> = presets();
     if !smoke {
         mutants.extend(generate(&config));
@@ -72,56 +107,26 @@ fn main() {
 
     let start = Instant::now();
     let matrix = run_fuzz_matrix(config, &mutants, params);
-    println!(
-        "fuzz column: {} mutants in {:.1}s",
-        matrix.rows.len(),
-        start.elapsed().as_secs_f64()
-    );
-
-    // The symbolic column: the same mutants under the full T1–T5 suite.
-    // Skipped in smoke mode (the mutation-smoke CI job covers it there).
-    let symbolic = if smoke {
-        None
-    } else {
-        let sym_start = Instant::now();
-        let sym = run_kill_matrix(config, &mutants, &TestId::ALL, workers);
-        println!(
-            "symbolic column: {} mutants in {:.1}s",
-            sym.mutants.len(),
-            sym_start.elapsed().as_secs_f64()
-        );
-        Some(sym)
-    };
     let seconds = start.elapsed().as_secs_f64();
 
+    let mut e = Emission::new("fuzz_kill");
     let mut ok = true;
     println!(
         "baseline: {} findings over {} execs, corpus {} entries, {} coverage points",
         matrix.baseline_findings, matrix.baseline_execs, matrix.corpus_len, matrix.coverage_points
     );
-    if matrix.baseline_findings != 0 {
+    if !e.check("baseline_clean", matrix.baseline_findings == 0) {
         println!("MISMATCH: the baseline campaign diverged on the fixed PLIC");
         ok = false;
     }
-
-    let symbolic_killed = |name: &str| -> Option<bool> {
-        symbolic
-            .as_ref()
-            .map(|sym| sym.mutants.iter().any(|m| m.name == name && m.killed()))
-    };
     for row in &matrix.rows {
-        let sym = match symbolic_killed(&row.name) {
-            Some(true) => " symbolic:killed",
-            Some(false) => " symbolic:SURVIVED",
-            None => "",
-        };
         println!(
-            "mutant {:24} fuzz:{}{sym}{}",
+            "mutant {:24} {}{}",
             row.name,
             if row.killed {
                 format!("killed @{}", row.execs)
             } else {
-                format!("SURVIVED ({} execs)", row.execs)
+                format!("SURVIVED ({} execs; {})", row.execs, row.description)
             },
             row.finding
                 .as_deref()
@@ -129,21 +134,17 @@ fn main() {
                 .unwrap_or_default()
         );
     }
+    let (presets_killed, generated_killed) = (matrix.presets_killed(), matrix.generated_killed());
     println!(
-        "fuzz kill rate {:.1}% ({} presets, {} generated killed); {seconds:.1}s",
-        matrix.kill_rate(),
-        matrix.presets_killed(),
-        matrix.generated_killed()
+        "fuzz kill rate {:.1}% ({presets_killed} presets, {generated_killed} generated killed); \
+         {seconds:.1}s",
+        matrix.kill_rate()
     );
-
-    if matrix.presets_killed() < preset_total {
-        println!(
-            "MISMATCH: only {}/{preset_total} IF presets killed by fuzzing",
-            matrix.presets_killed()
-        );
+    if !e.check("required_kills", presets_killed == preset_total) {
+        println!("MISMATCH: only {presets_killed}/{preset_total} IF presets killed by fuzzing");
         ok = false;
     }
-    if matrix.kill_rate() < floor {
+    if !e.floor("kill_rate", floor, matrix.kill_rate()) {
         println!(
             "MISMATCH: fuzz kill rate {:.1}% below the {floor}% floor",
             matrix.kill_rate()
@@ -151,80 +152,62 @@ fn main() {
         ok = false;
     }
 
-    if let Some(path) = emit {
-        let sym_killed_total = symbolic
-            .as_ref()
-            .map(|sym| sym.mutants.iter().filter(|m| m.killed()).count());
-        let mut json = String::from("{\n  \"harness\": \"fuzz_kill\",\n");
-        let _ = writeln!(json, "  \"smoke\": {smoke},");
-        let _ = writeln!(
-            json,
-            "  \"config\": {{\"sources\": {}, \"max_priority\": {}}},",
-            config.sources, config.max_priority
-        );
-        let _ = writeln!(json, "  \"seed\": {},", params.seed);
-        let _ = writeln!(json, "  \"baseline_execs\": {},", matrix.baseline_execs);
-        let _ = writeln!(json, "  \"corpus_len\": {},", matrix.corpus_len);
-        let _ = writeln!(json, "  \"coverage_points\": {},", matrix.coverage_points);
-        let _ = writeln!(json, "  \"mutants_total\": {},", matrix.rows.len());
-        let _ = writeln!(
-            json,
-            "  \"mutants_killed\": {},",
-            matrix.rows.iter().filter(|r| r.killed).count()
-        );
-        let _ = writeln!(json, "  \"kill_rate\": {:.2},", matrix.kill_rate());
-        let _ = writeln!(json, "  \"presets_total\": {preset_total},");
-        let _ = writeln!(json, "  \"presets_killed\": {},", matrix.presets_killed());
-        let _ = writeln!(json, "  \"generated_total\": {generated_total},");
-        let _ = writeln!(
-            json,
-            "  \"generated_killed\": {},",
-            matrix.generated_killed()
-        );
-        if let Some(sk) = sym_killed_total {
-            let _ = writeln!(json, "  \"symbolic_killed\": {sk},");
-        }
-        let _ = writeln!(json, "  \"mutants\": [");
-        for (i, row) in matrix.rows.iter().enumerate() {
-            let sym = match symbolic_killed(&row.name) {
-                Some(k) => format!(", \"symbolic_killed\": {k}"),
-                None => String::new(),
-            };
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{}\", \"preset\": {}, \"fuzz_killed\": {}, \
-                 \"execs\": {}{sym}}}{}",
-                json_escape(&row.name),
-                row.preset,
-                row.killed,
-                row.execs,
-                if i + 1 == matrix.rows.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(json, "  ],");
-        let _ = writeln!(json, "  \"survivors\": [");
-        let survivors = matrix.survivors();
-        for (i, row) in survivors.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{\"name\": \"{}\", \"description\": \"{}\"}}{}",
-                json_escape(&row.name),
-                json_escape(&row.description),
-                if i + 1 == survivors.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(json, "  ],");
-        let _ = writeln!(json, "  \"seconds\": {seconds:.1}");
-        json.push_str("}\n");
-        if let Err(e) = std::fs::write(&path, json) {
-            println!("MISMATCH: could not write {path}: {e}");
-            ok = false;
-        } else {
-            println!("wrote {path}");
-        }
+    e.counter("sources", config.sources.into());
+    e.counter("max_priority", config.max_priority.into());
+    e.counter("seed", params.seed);
+    e.counter("baseline_execs", matrix.baseline_execs);
+    e.counter("corpus_len", matrix.corpus_len as u64);
+    e.counter("coverage_points", matrix.coverage_points as u64);
+    e.counter("mutants_total", matrix.rows.len() as u64);
+    e.counter("mutants_killed", (presets_killed + generated_killed) as u64);
+    e.counter("presets_total", preset_total as u64);
+    e.counter("presets_killed", presets_killed as u64);
+    e.counter("generated_total", generated_total as u64);
+    e.counter("generated_killed", generated_killed as u64);
+    for row in &matrix.rows {
+        e.counter(format!("killed/{}", row.name), row.killed.into());
+        e.counter(format!("execs/{}", row.name), row.execs);
     }
+    e.seconds("total", seconds);
 
+    if let Some(path) = emit {
+        ok &= e.write(&path);
+    }
     if !ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_with_their_defaults() {
+        let opts = parse(&["--smoke", "--workers", "2", "--emit", "f.json"]).unwrap();
+        assert_eq!(
+            opts,
+            Options {
+                smoke: true,
+                workers: 2,
+                emit: Some("f.json".to_string())
+            }
+        );
+        assert_eq!(parse(&[]).unwrap().workers, 1);
+    }
+
+    #[test]
+    fn malformed_flags_are_rejected_not_defaulted() {
+        let err = parse(&["--workers", "-1"]).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
+        let err = parse(&["--smoke", "--emit"]).unwrap_err();
+        assert!(err.contains("--emit"), "{err}");
+        assert!(parse(&["--suite", "tlm"]).is_err());
+        // The floors are constants of the scale: no flag sets them.
+        assert!(parse(&["--floor", "80"]).is_err());
     }
 }

@@ -9,7 +9,7 @@
 //! [`symsc_bench::kill_matrix`].
 //!
 //! Exits 1 on any violation and 2 on a malformed command line. With
-//! `--emit FILE`, writes the kill matrix summary as JSON (the
+//! `--emit FILE`, writes the kill matrix in the gate's schema (the
 //! `BENCH_mutation_kill.json`, `BENCH_firmware_kill.json` and
 //! `BENCH_cross_check.json` trajectory datapoints). `--smoke` runs a
 //! reduced matrix for CI; `--workers N` runs N cells at a time, each
@@ -19,9 +19,8 @@
 //! the matrix content must be identical for any choice — the nightly
 //! full matrices run `--order eager` as the at-scale differential check).
 //!
-//! Usage: `mutation_kill [--smoke] [--floor PCT] [--workers N]
-//!                       [--order ORDER] [--suite tlm|firmware|cross]
-//!                       [--emit FILE]`
+//! Usage: `mutation_kill [--smoke] [--workers N] [--order ORDER]
+//!                       [--suite tlm|firmware|cross] [--emit FILE]`
 
 use symsc_bench::kill_matrix::{run, Options};
 

@@ -16,34 +16,36 @@
 //! the exploration order — the table content is identical for any
 //! choice, only executed-path counts and wall time change.
 
+use std::num::NonZeroU32;
+
 use symsc_bench::f_label;
 use symsc_plic::PlicConfig;
 use symsc_symex::ExploreOrder;
 use symsc_testbench::{run_test, SuiteParams, TestId};
+use symsysc_core::cli::{order, value};
 use symsysc_core::{Table, Verifier};
 
-fn main() {
-    let mut harts: u32 = 1;
-    let mut order = ExploreOrder::Exhaustive;
-    let mut args = std::env::args().skip(1);
+/// Parses `table1 [--harts N] [--order exhaustive|eager|guided]`: the
+/// HART count and the exploration order. An unknown flag or a missing or
+/// malformed value is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(u32, ExploreOrder), String> {
+    let (mut harts, mut explore_order) = (1, ExploreOrder::Exhaustive);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--harts" => harts = args.next().and_then(|v| v.parse().ok()).unwrap_or(harts),
-            "--order" => match args.next().as_deref() {
-                Some("eager") => order = ExploreOrder::MergeEager,
-                Some("guided") => order = ExploreOrder::CoverageGuided,
-                Some("exhaustive") => {}
-                other => {
-                    eprintln!("unknown exploration order: {other:?}");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            "--harts" => harts = value::<NonZeroU32>(&arg, &mut args)?.get(),
+            "--order" => explore_order = order(&arg, &mut args)?.0,
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
+    Ok((harts, explore_order))
+}
+
+fn main() {
+    let (harts, order) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("table1: {e}");
+        std::process::exit(2);
+    });
     let config = PlicConfig::fe310().harts(harts);
     let params = SuiteParams::default();
 
@@ -122,4 +124,31 @@ fn main() {
     println!("Note: '#Exec. Ops' counts engine operations (term constructions +");
     println!("branch decisions), the native analogue of the paper's executed");
     println!("LLVM instructions. Absolute values are not comparable to KLEE's.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(u32, ExploreOrder), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn malformed_flags_are_rejected_not_defaulted() {
+        assert_eq!(parse(&[]), Ok((1, ExploreOrder::Exhaustive)));
+        assert_eq!(
+            parse(&["--harts", "2", "--order", "eager"]),
+            Ok((2, ExploreOrder::MergeEager))
+        );
+        // A malformed count is an error, never the default of one.
+        let err = parse(&["--harts", "two"]).unwrap_err();
+        assert!(err.contains("--harts"), "{err}");
+        // A PLIC needs at least one HART.
+        assert!(parse(&["--harts", "0"]).is_err());
+        assert!(parse(&["--harts"]).is_err());
+        assert!(parse(&["--order", "random"]).is_err());
+        assert!(parse(&["--order"]).is_err());
+        assert!(parse(&["--hart", "2"]).is_err());
+    }
 }

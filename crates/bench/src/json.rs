@@ -1,21 +1,16 @@
 //! A minimal JSON reader for the committed `BENCH_*.json` baselines.
 //!
 //! The workspace is dependency-free by design (no serde), and the bench
-//! harnesses emit their JSON by hand; this is the matching hand-rolled
-//! reader used by the `bench_gate` regression check. It supports the full
-//! JSON grammar the harnesses produce — objects, arrays, strings with
-//! basic escapes, numbers, booleans and null — and reports parse errors
-//! with a byte offset. Arrays and objects nest at most [`MAX_DEPTH`]
-//! deep, so a malformed file is an error, never a stack overflow.
+//! harnesses write their JSON with [`symsysc_core::Emission`]; this is the
+//! matching hand-rolled reader used by the `bench_gate` regression check.
+//! It supports the full JSON grammar the harnesses produce — objects,
+//! arrays, strings with basic escapes, numbers, booleans and null — and
+//! reports parse errors with a byte offset. Parsing is linear in the
+//! input, and arrays and objects nest at most [`MAX_DEPTH`] deep, so a
+//! malformed file is an error, never a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Escapes `s` for a JSON string literal (the harness strings contain
-/// no control characters, so quotes and backslashes are all there is).
-pub fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// How deep arrays and objects may nest. The baselines nest three levels
 /// deep; the parser recurses once per level.
@@ -109,21 +104,23 @@ impl fmt::Display for ParseError {
 /// content is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.error("trailing content after JSON document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`; it sits on a char boundary whenever the
+    /// text is sliced.
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
@@ -138,7 +135,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -157,7 +154,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -269,13 +266,12 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Copy the full UTF-8 scalar starting here.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape: both
+                    // are ASCII, so the run ends on a char boundary.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -290,8 +286,8 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error("malformed number"))
     }
@@ -332,6 +328,27 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         let err = parse("nope").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn a_megabyte_of_long_multibyte_strings_parses() {
+        // 1,300 strings of 500 characters, two- and three-byte UTF-8 among
+        // them, each followed by an escape and its index: about 1 MB.
+        let raw: String = "aé€xy".chars().cycle().take(500).collect();
+        let doc = format!(
+            "[{}]",
+            (0..1300)
+                .map(|i| format!("\"{raw}\\n{i}\""))
+                .collect::<Vec<_>>()
+                .join(", ")
+        );
+        assert!(doc.len() > 1_000_000, "{} bytes", doc.len());
+        let parsed = parse(&doc).unwrap();
+        let strings = parsed.as_arr().unwrap();
+        assert_eq!(strings.len(), 1300);
+        for (i, s) in strings.iter().enumerate() {
+            assert_eq!(s.as_str(), Some(format!("{raw}\n{i}").as_str()));
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!    T1–T5 because no TLM test ever disables a source, dies to the
 //!    firmware suite's F5 and to the cross suite's X3.
 //! 3. **Sweep**: enough generated mutants die, and the overall kill
-//!    rate stays above `--floor` (percent).
+//!    rate stays at or above the suite's floor. Both floors are
+//!    constants of the suite's row, one per scale.
 //! 4. **Cross suite only**: at least one survivor of the committed
 //!    TLM-only matrix (`BENCH_mutation_kill.json`) dies by equivalence,
 //!    and a reduced matrix re-run at 1/2/8 workers across both fork
@@ -28,21 +29,26 @@
 //!    cache layers off (nothing for the cells to share), renders a
 //!    byte-identical [`stable_view`](symsc_mutate::KillMatrix::stable_view).
 //!
-//! With `--emit FILE` the summary JSON is written under the suite's
-//! `"harness"` name (`mutation_kill`, `firmware_kill`, `cross_check`) —
-//! the `BENCH_*.json` trajectory datapoints the bench gate compares.
+//! With `--emit FILE` the run is written in the gate's one schema under
+//! the suite's `"harness"` name (`mutation_kill`, `firmware_kill`,
+//! `cross_check`) — the `BENCH_*.json` trajectory datapoints the bench
+//! gate compares. Its counters hold the kill counts, every mutant's
+//! verdict (`killed/<mutant>`, per injection side `@cycle`/`@tlm` for
+//! the cross suite) and every test's kills and baseline path and branch
+//! counts; all of them are the same at any worker count, fork strategy
+//! and exploration order. Its checks are the items above and its floors
+//! the two of item 3.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use symsc_firmware::FirmwareId;
-use symsc_mutate::{generate, presets, run_kill_matrix_with, KillMatrix, KillSuite, Mutant};
+use symsc_mutate::{generate, presets, run_kill_matrix_with, KillSuite, Mutant};
 use symsc_plic::{Mutation, PlicConfig, PlicVariant};
 use symsc_symex::{ExploreOrder, ForkStrategy};
 use symsc_testbench::{CrossId, TestId};
-use symsysc_core::Verifier;
+use symsysc_core::cli::{order, value};
+use symsysc_core::{Emission, Verifier};
 
-use crate::cli::value;
 use crate::json;
 
 /// The committed TLM-only matrix the cross suite's uniqueness claim is
@@ -67,29 +73,26 @@ pub struct Options {
     pub suite: Suite,
     /// Run the reduced matrix for CI.
     pub smoke: bool,
-    /// Overall kill-rate floor in percent (`None`: the suite's default).
-    pub floor: Option<f64>,
     /// Cells run at a time, each explored on one thread (0 = one per
     /// hardware thread).
     pub workers: usize,
     /// Exploration order for every cell.
     pub order: ExploreOrder,
-    /// The order's CLI spelling, echoed into the emission.
+    /// The order's CLI spelling.
     pub order_name: &'static str,
     /// Emit the summary JSON to this path.
     pub emit: Option<String>,
 }
 
 impl Options {
-    /// Parses `mutation_kill [--smoke] [--floor PCT] [--workers N]
-    /// [--order exhaustive|eager|guided] [--suite tlm|firmware|cross]
-    /// [--emit FILE]`. An unknown flag or a missing or malformed value is
-    /// an error.
+    /// Parses `mutation_kill [--smoke] [--workers N] [--order
+    /// exhaustive|eager|guided] [--suite tlm|firmware|cross] [--emit
+    /// FILE]`. An unknown flag or a missing or malformed value is an
+    /// error.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         let mut opts = Options {
             suite: Suite::Tlm,
             smoke: false,
-            floor: None,
             workers: 0,
             order: ExploreOrder::Exhaustive,
             order_name: "exhaustive",
@@ -99,7 +102,6 @@ impl Options {
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--smoke" => opts.smoke = true,
-                "--floor" => opts.floor = Some(value(&arg, &mut args)?),
                 "--workers" => opts.workers = value(&arg, &mut args)?,
                 "--emit" => opts.emit = Some(value(&arg, &mut args)?),
                 "--suite" => {
@@ -111,15 +113,7 @@ impl Options {
                         other => return Err(format!("unknown suite: {other:?}")),
                     }
                 }
-                "--order" => {
-                    let name: String = value(&arg, &mut args)?;
-                    (opts.order, opts.order_name) = match name.as_str() {
-                        "exhaustive" => (ExploreOrder::Exhaustive, "exhaustive"),
-                        "eager" => (ExploreOrder::MergeEager, "eager"),
-                        "guided" => (ExploreOrder::CoverageGuided, "guided"),
-                        other => return Err(format!("unknown exploration order: {other:?}")),
-                    }
-                }
+                "--order" => (opts.order, opts.order_name) = order(&arg, &mut args)?,
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
@@ -127,29 +121,9 @@ impl Options {
     }
 }
 
-/// A field a suite's emission adds after `"generated_killed"`.
-enum Extra<S: 'static> {
-    /// Pearson r between each test's baseline branch coverage and its
-    /// kill count.
-    CoverageKillCorrelation,
-    /// Whether `stuck_enable_1` died.
-    StuckEnable1Killed,
-    /// Survivors of the committed TLM-only matrix this matrix kills; the
-    /// list must not be empty.
-    UniqueKills,
-    /// Whether every baseline cell passed.
-    BaselinePassed,
-    /// Whether the reduced matrix over these tests and mutants renders
-    /// byte-identically across workers, fork strategies and orders.
-    ReportsIdentical {
-        tests: &'static [S],
-        mutants: [&'static str; 2],
-    },
-}
-
 /// One suite's row of the harness table.
 struct SuiteSpec<S: 'static> {
-    /// The emission's `"harness"` name, which selects the gate arm.
+    /// The emission's `"harness"` name.
     harness: &'static str,
     /// Columns of the full matrix.
     full: &'static [S],
@@ -158,14 +132,17 @@ struct SuiteSpec<S: 'static> {
     /// The generated mutants the `--smoke` matrix keeps (next to every
     /// preset), one per operator family with a distinctive story.
     smoke_generated: [&'static str; 6],
-    /// The default kill-rate floor in percent.
-    floor: f64,
+    /// The kill-rate floor in percent: `[smoke, full]`.
+    kill_rate_floor: [f64; 2],
     /// The minimum number of generated kills: `[smoke, full]`.
     generated_floor: [usize; 2],
     /// Mutants that must die.
     required_kills: &'static [&'static str],
-    /// The suite's extra emission fields, in order.
-    extras: &'static [Extra<S>],
+    /// Whether some survivor of the committed TLM-only matrix must die.
+    unique_kills: bool,
+    /// The tests and mutants of a reduced matrix that must render
+    /// byte-identically across workers, fork strategies and orders.
+    reruns: Option<(&'static [S], [&'static str; 2])>,
 }
 
 const TLM: SuiteSpec<TestId> = SuiteSpec {
@@ -180,10 +157,11 @@ const TLM: SuiteSpec<TestId> = SuiteSpec {
         "drop_notify_2",
         "drop_notify_7",
     ],
-    floor: 80.0,
+    kill_rate_floor: [80.0, 80.0],
     generated_floor: [4, 20],
     required_kills: &["IF1", "IF2", "IF3", "IF4", "IF5", "IF6"],
-    extras: &[Extra::CoverageKillCorrelation],
+    unique_kills: false,
+    reruns: None,
 };
 
 const FIRMWARE: SuiteSpec<FirmwareId> = SuiteSpec {
@@ -198,10 +176,11 @@ const FIRMWARE: SuiteSpec<FirmwareId> = SuiteSpec {
         "stuck_enable_1",
         "complete_keeps_eip",
     ],
-    floor: 80.0,
+    kill_rate_floor: [80.0, 80.0],
     generated_floor: [4, 20],
     required_kills: &["stuck_enable_1"],
-    extras: &[Extra::StuckEnable1Killed],
+    unique_kills: false,
+    reruns: None,
 };
 
 const CROSS: SuiteSpec<CrossId> = SuiteSpec {
@@ -216,18 +195,11 @@ const CROSS: SuiteSpec<CrossId> = SuiteSpec {
         "dup_notify",
         "complete_keeps_eip",
     ],
-    floor: 50.0,
+    kill_rate_floor: [50.0, 50.0],
     generated_floor: [0, 0],
     required_kills: &["stuck_enable_1"],
-    extras: &[
-        Extra::StuckEnable1Killed,
-        Extra::UniqueKills,
-        Extra::BaselinePassed,
-        Extra::ReportsIdentical {
-            tests: &[CrossId::X1, CrossId::X3],
-            mutants: ["stuck_enable_1", "cmp_never"],
-        },
-    ],
+    unique_kills: true,
+    reruns: Some((&[CrossId::X1, CrossId::X3], ["stuck_enable_1", "cmp_never"])),
 };
 
 /// Runs the kill matrix `opts` selects; returns `false` on any MISMATCH
@@ -243,8 +215,10 @@ pub fn run(opts: &Options) -> bool {
 
 fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
     let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+    let scale = usize::from(!opts.smoke);
     let tests = if opts.smoke { spec.smoke } else { spec.full };
-    let floor = opts.floor.unwrap_or(spec.floor);
+    let kill_rate_floor = spec.kill_rate_floor[scale];
+    let generated_floor = spec.generated_floor[scale];
     let mut mutants: Vec<Mutant> = presets();
     let preset_total = mutants.len();
     mutants.extend(
@@ -256,7 +230,7 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
 
     println!(
         "{}: {} tests x {} mutants ({} presets + {} generated){}, \
-         sources={}, floor={floor}%, order={}{}",
+         sources={}, floor={kill_rate_floor}%, order={}{}",
         spec.harness,
         tests.len(),
         mutants.len(),
@@ -279,6 +253,7 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
     });
     let seconds = start.elapsed().as_secs_f64();
 
+    let mut e = Emission::new(spec.harness);
     let mut ok = true;
     for b in &matrix.baseline {
         println!(
@@ -291,20 +266,10 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
         );
         if !b.passed {
             println!("MISMATCH: baseline {} fails on the fixed PLIC", b.test);
-            ok = false;
         }
     }
+    ok &= e.check("baseline_passed", matrix.baseline.iter().all(|b| b.passed));
 
-    let preset_killed = matrix
-        .mutants
-        .iter()
-        .filter(|m| m.preset && m.killed())
-        .count();
-    let generated_killed = matrix
-        .mutants
-        .iter()
-        .filter(|m| !m.preset && m.killed())
-        .count();
     let labels = matrix.cell_labels();
     for m in &matrix.mutants {
         let by: Vec<String> = labels
@@ -317,7 +282,7 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
             "mutant {:24} {}",
             m.name,
             if by.is_empty() {
-                "SURVIVED".to_string()
+                format!("SURVIVED ({})", m.description)
             } else {
                 format!("killed by {}", by.join(" "))
             }
@@ -328,76 +293,89 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
         println!("test {t}: {k}/{} mutants killed", matrix.mutants.len());
     }
 
+    let mut required = true;
     for name in spec.required_kills {
         if !matrix.killed_mutant(name) {
             println!("MISMATCH: {name} survived the {} suite", spec.harness);
+            required = false;
+        }
+    }
+    ok &= e.check("required_kills", required);
+    if spec.unique_kills {
+        let tlm = json::parse(TLM_BASELINE).expect("committed TLM baseline parses");
+        let unique: Vec<String> = crate::gate::verdicts(&tlm)
+            .into_iter()
+            .filter(|(name, killed)| !killed && matrix.killed_mutant(name))
+            .map(|(name, _)| name)
+            .collect();
+        println!("unique kills (TLM-matrix survivors killed here): {unique:?}");
+        if unique.is_empty() {
+            println!(
+                "MISMATCH: no TLM-matrix survivor is killed \
+                 (the suite's unique contribution is gone)"
+            );
+        }
+        ok &= e.check("unique_kills", !unique.is_empty());
+    }
+    if let Some((tests, names)) = spec.reruns {
+        let reduced: Vec<Mutant> = mutants
+            .iter()
+            .filter(|m| names.contains(&Mutation::name(*m).as_str()))
+            .cloned()
+            .collect();
+        ok &= e.check(
+            "reports_identical",
+            reruns_identical(config, &reduced, tests),
+        );
+    }
+
+    let killed = |preset: bool| {
+        matrix
+            .mutants
+            .iter()
+            .filter(|m| m.preset == preset && m.killed())
+            .count() as u64
+    };
+    let (preset_killed, generated_killed) = (killed(true), killed(false));
+    e.counter("sources", config.sources.into());
+    e.counter("max_priority", config.max_priority.into());
+    e.counter("mutants_total", matrix.mutants.len() as u64);
+    e.counter("mutants_killed", preset_killed + generated_killed);
+    e.counter("presets_total", preset_total as u64);
+    e.counter("presets_killed", preset_killed);
+    e.counter("generated_total", generated_total as u64);
+    e.counter("generated_killed", generated_killed);
+    for (b, k) in matrix.baseline.iter().zip(&kills) {
+        let t = b.test;
+        e.counter(format!("{t}/kills"), *k as u64);
+        e.counter(format!("{t}/baseline_paths"), b.paths);
+        e.counter(format!("{t}/branch_sites"), b.branch_sites);
+        e.counter(format!("{t}/branches_covered"), b.branches_covered);
+    }
+    for m in &matrix.mutants {
+        if S::SIDES.is_empty() {
+            e.counter(format!("killed/{}", m.name), m.killed().into());
+        }
+        for side in S::SIDES {
+            let killed = matrix.killed_on(m, side);
+            e.counter(format!("killed/{}@{side}", m.name), killed.into());
+        }
+    }
+    for (name, floor, measured) in [
+        ("kill_rate", kill_rate_floor, matrix.kill_rate()),
+        (
+            "generated_killed",
+            generated_floor as f64,
+            generated_killed as f64,
+        ),
+    ] {
+        if !e.floor(name, floor, measured) {
+            println!("MISMATCH: {name} {measured:.2} is below the {floor} floor");
             ok = false;
         }
     }
-    let [smoke_floor, full_floor] = spec.generated_floor;
-    let generated_floor = if opts.smoke { smoke_floor } else { full_floor };
-    if generated_killed < generated_floor {
-        println!(
-            "MISMATCH: only {generated_killed} generated mutants killed \
-             (need >= {generated_floor})"
-        );
-        ok = false;
-    }
-    if matrix.kill_rate() < floor {
-        println!(
-            "MISMATCH: kill rate {:.1}% below the {floor}% floor",
-            matrix.kill_rate()
-        );
-        ok = false;
-    }
+    e.seconds("total", seconds);
 
-    let mut extras: Vec<(&str, String)> = Vec::new();
-    for extra in spec.extras {
-        extras.push(match extra {
-            Extra::CoverageKillCorrelation => (
-                "coverage_kill_correlation",
-                format!("{:.4}", matrix.coverage_kill_correlation()),
-            ),
-            Extra::StuckEnable1Killed => (
-                "stuck_enable_1_killed",
-                matrix.killed_mutant("stuck_enable_1").to_string(),
-            ),
-            Extra::UniqueKills => {
-                let tlm = json::parse(TLM_BASELINE).expect("committed TLM baseline parses");
-                let unique: Vec<String> = crate::gate::survivor_names(&tlm)
-                    .into_iter()
-                    .filter(|name| matrix.killed_mutant(name))
-                    .map(|name| format!("\"{}\"", json::escape(&name)))
-                    .collect();
-                if unique.is_empty() {
-                    println!(
-                        "MISMATCH: no TLM-matrix survivor is killed \
-                         (the suite's unique contribution is gone)"
-                    );
-                    ok = false;
-                }
-                ("unique_kills", format!("[{}]", unique.join(", ")))
-            }
-            Extra::BaselinePassed => (
-                "baseline_passed",
-                matrix.baseline.iter().all(|b| b.passed).to_string(),
-            ),
-            Extra::ReportsIdentical {
-                tests,
-                mutants: names,
-            } => {
-                let reduced: Vec<Mutant> = mutants
-                    .iter()
-                    .filter(|m| names.contains(&Mutation::name(*m).as_str()))
-                    .cloned()
-                    .collect();
-                let identical = reruns_identical(config, &reduced, tests);
-                ok &= identical;
-                ("reports_identical", identical.to_string())
-            }
-        });
-    }
-    let summary: Vec<String> = extras.iter().map(|(k, v)| format!("{k}={v}")).collect();
     let solver = &matrix.solver;
     println!(
         "solver: {} core calls, {} conflicts, {} whole-query hits, {} slice hits, \
@@ -409,88 +387,16 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
         solver.cex_subset_hits
     );
     println!(
-        "kill rate {:.1}% ({} presets, {} generated killed); {}; {seconds:.1}s",
+        "kill rate {:.1}% ({preset_killed} presets, {generated_killed} generated killed); \
+         coverage-kill correlation {:.4}; {seconds:.1}s",
         matrix.kill_rate(),
-        preset_killed,
-        generated_killed,
-        summary.join("; ")
+        matrix.coverage_kill_correlation()
     );
 
     if let Some(path) = &opts.emit {
-        let mut json = format!("{{\n  \"harness\": \"{}\",\n", spec.harness);
-        let _ = writeln!(json, "  \"smoke\": {},", opts.smoke);
-        let _ = writeln!(json, "  \"order\": \"{}\",", opts.order_name);
-        let _ = writeln!(
-            json,
-            "  \"config\": {{\"sources\": {}, \"max_priority\": {}}},",
-            config.sources, config.max_priority
-        );
-        let names: Vec<String> = tests.iter().map(|t| format!("\"{t}\"")).collect();
-        let _ = writeln!(json, "  \"tests\": [{}],", names.join(", "));
-        let _ = writeln!(json, "  \"mutants_total\": {},", matrix.mutants.len());
-        let _ = writeln!(
-            json,
-            "  \"mutants_killed\": {},",
-            preset_killed + generated_killed
-        );
-        let _ = writeln!(json, "  \"kill_rate\": {:.2},", matrix.kill_rate());
-        let _ = writeln!(json, "  \"presets_total\": {preset_total},");
-        let _ = writeln!(json, "  \"presets_killed\": {preset_killed},");
-        let _ = writeln!(json, "  \"generated_total\": {generated_total},");
-        let _ = writeln!(json, "  \"generated_killed\": {generated_killed},");
-        for (key, value) in &extras {
-            let _ = writeln!(json, "  \"{key}\": {value},");
-        }
-        write_survivors_and_tests(&mut json, &matrix, &kills);
-        let _ = writeln!(json, "  \"seconds\": {seconds:.1}");
-        json.push_str("}\n");
-        if let Err(e) = std::fs::write(path, json) {
-            println!("MISMATCH: could not write {path}: {e}");
-            ok = false;
-        } else {
-            println!("wrote {path}");
-        }
+        ok &= e.write(path);
     }
-
     ok
-}
-
-/// The emission's `"survivors"` and `"per_test"` arrays.
-fn write_survivors_and_tests<S: KillSuite>(
-    json: &mut String,
-    matrix: &KillMatrix<S>,
-    kills: &[usize],
-) {
-    let _ = writeln!(json, "  \"survivors\": [");
-    let survivors = matrix.survivors();
-    for (i, m) in survivors.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"description\": \"{}\"}}{}",
-            json::escape(&m.name),
-            json::escape(&m.description),
-            if i + 1 == survivors.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"per_test\": [");
-    for (i, (b, k)) in matrix.baseline.iter().zip(kills).enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"test\": \"{}\", \"kills\": {k}, \"baseline_paths\": {}, \
-             \"branch_sites\": {}, \"branches_covered\": {}}}{}",
-            b.test,
-            b.paths,
-            b.branch_sites,
-            b.branches_covered,
-            if i + 1 == matrix.baseline.len() {
-                ""
-            } else {
-                ","
-            }
-        );
-    }
-    let _ = writeln!(json, "  ],");
 }
 
 /// Re-runs the reduced matrix at 1/2/8 workers across both fork
@@ -559,8 +465,6 @@ mod tests {
             "--suite",
             "cross",
             "--smoke",
-            "--floor",
-            "50",
             "--workers",
             "2",
             "--order",
@@ -571,36 +475,37 @@ mod tests {
         .unwrap();
         assert_eq!(opts.suite, Suite::Cross);
         assert!(opts.smoke);
-        assert_eq!(opts.floor, Some(50.0));
         assert_eq!(opts.workers, 2);
         assert_eq!(opts.order, ExploreOrder::MergeEager);
         assert_eq!(opts.order_name, "eager");
         assert_eq!(opts.emit.as_deref(), Some("out.json"));
-        // No flags: the TLM suite at its own default floor.
         let opts = parse(&[]).unwrap();
-        assert_eq!((opts.suite, opts.floor), (Suite::Tlm, None));
+        assert_eq!(
+            (opts.suite, opts.smoke, opts.workers),
+            (Suite::Tlm, false, 0)
+        );
     }
 
     #[test]
     fn malformed_flags_are_rejected_not_defaulted() {
-        let err = parse(&["--floor", "abc"]).unwrap_err();
-        assert!(err.contains("--floor"), "{err}");
         let err = parse(&["--workers", "-1"]).unwrap_err();
         assert!(err.contains("--workers"), "{err}");
         let err = parse(&["--smoke", "--emit"]).unwrap_err();
         assert!(err.contains("--emit"), "{err}");
         assert!(parse(&["--suite", "rtl"]).is_err());
         assert!(parse(&["--order", "random"]).is_err());
-        assert!(parse(&["--flor", "80"]).is_err());
+        // The floors are constants of the suite table: no flag sets them.
+        assert!(parse(&["--floor", "80"]).is_err());
     }
 
     #[test]
     fn the_committed_tlm_baseline_feeds_the_uniqueness_claim() {
-        let survivors = crate::gate::survivor_names(&json::parse(TLM_BASELINE).unwrap());
-        assert!(
-            survivors.contains(&"stuck_enable_1".to_string()),
-            "the TLM-only matrix must still list stuck_enable_1 as a survivor \
-             for the cross-level uniqueness claim to mean anything: {survivors:?}"
+        let verdicts = crate::gate::verdicts(&json::parse(TLM_BASELINE).unwrap());
+        assert_eq!(
+            verdicts.get("stuck_enable_1"),
+            Some(&false),
+            "the TLM-only matrix must still record stuck_enable_1 as a survivor \
+             for the cross-level uniqueness claim to mean anything"
         );
     }
 }

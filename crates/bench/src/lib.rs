@@ -22,11 +22,17 @@
 //!   cross` for the cross-level equivalence suite (every mutant injected
 //!   into the cycle-level PLIC and checked against the fixed TLM model,
 //!   and vice versa).
-//! * `fuzz_kill` / `fuzz_diff` — the differential fuzzer's kill matrix
-//!   next to the symbolic one, and its coverage diff + seed exchange.
+//! * `fuzz_kill` / `fuzz_diff` — the differential fuzzer's kill matrix,
+//!   and its coverage diff against the symbolic engine + seed exchange.
 //! * `bench_gate` — compares fresh harness emissions against the
-//!   committed `BENCH_*.json` baselines and fails on regressions.
+//!   committed `BENCH_*.json` baselines with the one comparator
+//!   ([`gate::compare`]) and fails on regressions.
 //! * `profile_query`, `profile_t1` — solver profiling drivers.
+//!
+//! The campaign bench, `campaign_bench`, is a binary of `symsc-campaign`.
+//! Every gated harness writes its run with [`symsysc_core::Emission`],
+//! in the one schema the gate reads, and parses its flags with
+//! [`symsysc_core::cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +40,6 @@
 use symsc_symex::SymError;
 
 pub mod ablation;
-pub mod cli;
 pub mod gate;
 pub mod json;
 pub mod kill_matrix;

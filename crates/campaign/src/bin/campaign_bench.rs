@@ -1,22 +1,36 @@
 //! `campaign_bench` — the campaign-orchestrator bench harness.
 //!
 //! Runs the smoke campaign spec at 1, 2 and 8 workers plus one
-//! kill-at-checkpoint/resume pair, and emits `BENCH_campaign.json` for
-//! `symsc_bench::gate`:
+//! kill-at-checkpoint/resume pair per worker count, and with `--emit
+//! PATH` writes the run in the gate's schema (`BENCH_campaign.json`, read
+//! by `symsc_bench::gate`):
 //!
-//! - **throughput** per worker count (jobs/second, wall-clock, steal and
-//!   exchange counters);
-//! - **determinism**: the final `report.json`/`report.txt` must be
-//!   byte-identical across all worker counts *and* across the
+//! - **checks**: a clean baseline, and final `report.json`/`report.txt`
+//!   byte-identical across all worker counts *and* across every
 //!   kill/resume pair — any divergence prints a `MISMATCH` line and
-//!   exits 1 (and the emitted flags fail the gate).
+//!   exits 1;
+//! - **counters**: the jobs, kills and exchanges of the final report,
+//!   each run's executed jobs, and the single worker's steals (it has
+//!   nobody to steal from) — all of them fixed by the spec;
+//! - **floors**: the 8-worker speedup over one worker must stay at or
+//!   above 0.7, a sanity floor that holds even on a one-core runner;
+//! - **seconds**: each run's wall-clock and the total.
 //!
-//! Usage: `campaign_bench [--seed N] [--emit PATH]`
+//! Exits 2 on a malformed command line.
+//!
+//! Usage: `campaign_bench [--emit PATH]`
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use symsc_campaign::{resume, start, CampaignSpec, RunOptions, REPORT_JSON, REPORT_TEXT};
+use symsysc_core::cli::emit_only;
+use symsysc_core::Emission;
+
+/// The smoke campaign's seed.
+const SEED: u64 = 0xCA3F;
+/// The least 8-worker speedup over one worker.
+const SPEEDUP8_FLOOR: f64 = 0.7;
 
 struct WorkerRun {
     workers: usize,
@@ -115,36 +129,15 @@ fn killed_and_resumed(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut emit: Option<PathBuf> = None;
-    let mut seed: u64 = 0xCA3F;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--emit" => {
-                i += 1;
-                emit = Some(PathBuf::from(args.get(i).expect("--emit needs a path")));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("bad seed");
-            }
-            other => {
-                eprintln!("usage: campaign_bench [--seed N] [--emit PATH] (got {other:?})");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let emit = emit_only(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("campaign_bench: {e}");
+        std::process::exit(2);
+    });
 
-    let spec = CampaignSpec::smoke(seed);
+    let spec = CampaignSpec::smoke(SEED);
     let total_start = Instant::now();
 
-    println!("==> smoke campaign at 1/2/8 workers (seed {seed:#x})");
+    println!("==> smoke campaign at 1/2/8 workers (seed {SEED:#x})");
     let runs: Vec<WorkerRun> = [1usize, 2, 8].iter().map(|&w| run_at(&spec, w)).collect();
     for run in &runs {
         println!(
@@ -157,15 +150,16 @@ fn main() {
         );
     }
 
+    let mut e = Emission::new("campaign");
     let mut ok = true;
     let reports_identical = runs
         .iter()
         .all(|r| r.report_json == runs[0].report_json && r.report_text == runs[0].report_text);
-    if !reports_identical {
+    if !e.check("reports_identical", reports_identical) {
         println!("MISMATCH: final reports differ across worker counts");
         ok = false;
     }
-    if !runs[0].baseline_clean {
+    if !e.check("baseline_clean", runs[0].baseline_clean) {
         println!("MISMATCH: baseline suite or baseline fuzz lane is dirty");
         ok = false;
     }
@@ -184,7 +178,7 @@ fn main() {
         );
         resume_identical &= identical;
     }
-    if !resume_identical {
+    if !e.check("resume_identical", resume_identical) {
         println!("MISMATCH: kill/resume round-trip changed the final report");
         ok = false;
     }
@@ -193,54 +187,45 @@ fn main() {
     let speedup8 = runs[0].seconds / runs[2].seconds.max(1e-9);
     println!("speedup at 8 workers: {speedup8:.2}x; total bench wall-clock {seconds:.1}s");
 
+    if !e.floor("speedup8", SPEEDUP8_FLOOR, speedup8) {
+        println!("MISMATCH: 8-worker speedup {speedup8:.2}x below the {SPEEDUP8_FLOOR}x floor");
+        ok = false;
+    }
+    let first = &runs[0];
+    e.counter("seed", SEED);
+    e.counter("jobs", first.jobs);
+    e.counter("mutants_total", first.mutants as u64);
+    e.counter("mutants_killed", first.killed as u64);
+    e.counter("seeds_exchanged", first.seeds_exchanged);
+    e.counter("findings_exchanged", first.findings_exchanged);
+    for run in &runs {
+        e.counter(format!("w{}/executed", run.workers), run.executed);
+        e.seconds(format!("w{}", run.workers), run.seconds);
+    }
+    e.counter("w1/steals", first.steals);
+    e.seconds("total", seconds);
+
     if let Some(path) = emit {
-        let mut j = String::from("{\n");
-        j.push_str("  \"harness\": \"campaign\",\n");
-        j.push_str("  \"smoke\": true,\n");
-        j.push_str(&format!("  \"jobs\": {},\n", runs[0].jobs));
-        j.push_str(&format!("  \"mutants_total\": {},\n", runs[0].mutants));
-        j.push_str(&format!("  \"mutants_killed\": {},\n", runs[0].killed));
-        j.push_str(&format!(
-            "  \"seeds_exchanged\": {},\n",
-            runs[0].seeds_exchanged
-        ));
-        j.push_str(&format!(
-            "  \"findings_exchanged\": {},\n",
-            runs[0].findings_exchanged
-        ));
-        j.push_str(&format!(
-            "  \"baseline_clean\": {},\n",
-            runs[0].baseline_clean
-        ));
-        j.push_str(&format!("  \"reports_identical\": {reports_identical},\n"));
-        j.push_str(&format!("  \"resume_identical\": {resume_identical},\n"));
-        // 8 workers must never be catastrophically slower than 1 — but
-        // a >1x floor would be unachievable on single-core runners, so
-        // this is a scaling *sanity* floor, not a speedup demand.
-        j.push_str("  \"scaling_floor\": 0.7,\n");
-        j.push_str(&format!("  \"speedup8\": {speedup8:.3},\n"));
-        j.push_str("  \"workloads\": [\n");
-        for (i, run) in runs.iter().enumerate() {
-            j.push_str(&format!(
-                "    {{\"name\": \"w{}\", \"workers\": {}, \"seconds\": {:.3}, \
-                 \"jobs_per_sec\": {:.2}, \"executed\": {}, \"steals\": {}}}{}\n",
-                run.workers,
-                run.workers,
-                run.seconds,
-                run.jobs as f64 / run.seconds.max(1e-9),
-                run.executed,
-                run.steals,
-                if i + 1 == runs.len() { "" } else { "," }
-            ));
-        }
-        j.push_str("  ],\n");
-        j.push_str(&format!("  \"seconds\": {seconds:.3}\n"));
-        j.push_str("}\n");
-        std::fs::write(&path, j).expect("writing emission");
-        println!("wrote {}", path.display());
+        ok &= e.write(&path);
     }
 
     if !ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_flags_are_rejected_not_defaulted() {
+        let parse = |args: &[&str]| emit_only(args.iter().map(|a| a.to_string()));
+        assert_eq!(parse(&["--emit", "c.json"]), Ok(Some("c.json".to_string())));
+        // A missing path or an unknown flag is an error, not a panic.
+        assert!(parse(&["--emit"]).unwrap_err().contains("--emit"));
+        assert!(parse(&["--seed", "x"]).is_err());
+        // The seed is a constant: no flag sets it.
+        assert!(parse(&["--seed", "51775"]).is_err());
     }
 }

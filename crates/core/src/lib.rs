@@ -19,7 +19,9 @@
 //! A [`Verifier`] wraps the exploration engine with test naming, budgets
 //! and result presentation (the row format of the paper's Table 1), plus
 //! one-call counterexample replay. The [`prelude`] re-exports everything a
-//! testbench needs.
+//! testbench needs. The harness binaries share their flag parsing
+//! ([`cli`]) and the one schema their gated runs are written in
+//! ([`Emission`]).
 //!
 //! # Example
 //!
@@ -40,9 +42,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
+pub mod emission;
 pub mod table;
 pub mod verifier;
 
+pub use emission::Emission;
 pub use symsc_smt::SolverStats;
 pub use symsc_symex::CacheStack;
 pub use table::Table;

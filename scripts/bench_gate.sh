@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The perf-regression gate: regenerates the bench-harness emissions at
-# the committed baselines' scales and compares them (with the tolerance
-# policy in crates/bench/src/gate.rs) against the BENCH_*.json files at
-# the repo root. Exits nonzero if any harness fails its own internal
-# checks or any counter regressed past tolerance. This is the only place
+# the committed baselines' scales and compares them (with the one
+# comparator in crates/bench/src/gate.rs: checks must hold, counters
+# match exactly, floors are met, wall-clock stays within head-room)
+# against the BENCH_*.json files at the repo root. Exits nonzero if any
+# harness fails its own internal checks or the gate finds a violation. This is the only place
 # the ablation harness runs: its full table is a superset of every
 # smaller ablation run.
 #

@@ -139,9 +139,9 @@ impl Verifier {
     /// Selects the exploration order (default: exhaustive).
     /// [`ExploreOrder::MergeEager`] adopts finished join-point subtrees
     /// instead of re-executing them; [`ExploreOrder::CoverageGuided`]
-    /// steers the sequential visitation toward unvisited fork
-    /// directions. Reports are identical either way — only executed-path
-    /// and merge/scheduler statistics change.
+    /// steers each worker's visitation toward fork directions it has not
+    /// yet taken. Reports are identical either way, at any worker count —
+    /// only executed-path and merge/scheduler statistics change.
     pub fn explore_order(mut self, order: ExploreOrder) -> Verifier {
         self.explorer = self.explorer.explore_order(order);
         self

@@ -196,7 +196,7 @@ struct QueryShard {
 /// ([`TermPool::fingerprint`]), so a key names the same logical query in
 /// *any* pool: one `QueryCache` can be shared between solvers working over
 /// different (per-worker) pools, which is exactly what the parallel
-/// explorer does via [`Solver::with_shared_cache`].
+/// explorer does via [`Solver::with_stack`].
 ///
 /// Sharing is semantically transparent. Constraint sets are sliced and
 /// blasted in fingerprint order and the SAT core is deterministic, so the
@@ -306,7 +306,6 @@ pub struct Solver {
     stats: SolverStats,
     cache: Option<Arc<QueryCache>>,
     cex: Option<Arc<CexCache>>,
-    model_reuse: bool,
     incremental: bool,
     /// The current path's retained incremental context (see
     /// [`SolverCtx`]); dropped by [`begin_path`](Solver::begin_path) and
@@ -326,37 +325,25 @@ impl Solver {
         Solver::with_stack(
             Some(Arc::new(QueryCache::new())),
             Some(Arc::new(CexCache::new())),
-            true,
         )
     }
 
     /// Creates a solver with every cache layer disabled (ablation /
     /// benchmarks): all queries go through slicing straight to the core.
     pub fn without_cache() -> Solver {
-        Solver::with_stack(None, None, false)
-    }
-
-    /// Creates a solver whose whole-query cache is an existing (possibly
-    /// shared) one, with a private counterexample cache.
-    pub fn with_shared_cache(cache: Arc<QueryCache>) -> Solver {
-        Solver::with_stack(Some(cache), Some(Arc::new(CexCache::new())), true)
+        Solver::with_stack(None, None)
     }
 
     /// Creates a solver with an explicit layer configuration: `cache` is
     /// the whole-query memo layer, `cex` the per-slice counterexample
-    /// cache, `model_reuse` enables cached-model witnesses in
-    /// [`check_feasible`](Solver::check_feasible) (it has no effect
-    /// without `cex`). Any `Arc` may be shared across solvers/threads.
-    pub fn with_stack(
-        cache: Option<Arc<QueryCache>>,
-        cex: Option<Arc<CexCache>>,
-        model_reuse: bool,
-    ) -> Solver {
+    /// cache, whose stored models also serve as cached-model witnesses in
+    /// [`check_feasible`](Solver::check_feasible). Any `Arc` may be shared
+    /// across solvers/threads.
+    pub fn with_stack(cache: Option<Arc<QueryCache>>, cex: Option<Arc<CexCache>>) -> Solver {
         Solver {
             stats: SolverStats::default(),
             cache,
             cex,
-            model_reuse,
             incremental: true,
             ctx: None,
         }
@@ -746,7 +733,7 @@ impl Solver {
             self.stats.cex_time += t0.elapsed();
             return Some(SatResult::Unsat);
         }
-        if verdict_only && self.model_reuse {
+        if verdict_only {
             for m in cex.subset_models(&key, MODEL_REUSE_CANDIDATES) {
                 let env = m.to_env();
                 if entries
@@ -1076,7 +1063,8 @@ mod tests {
         let xa = pool_a.var("x", Width::W16);
         let ka = pool_a.constant(1234, Width::W16);
         let ca = pool_a.eq(xa, ka);
-        let mut solver_a = Solver::with_shared_cache(Arc::clone(&cache));
+        let mut solver_a =
+            Solver::with_stack(Some(Arc::clone(&cache)), Some(Arc::new(CexCache::new())));
         let ra = solver_a.check(&pool_a, &[ca]);
 
         let mut pool_b = TermPool::new();
@@ -1086,7 +1074,8 @@ mod tests {
         let kb = pool_b.constant(1234, Width::W16);
         let xb = pool_b.var("x", Width::W16);
         let cb = pool_b.eq(xb, kb);
-        let mut solver_b = Solver::with_shared_cache(Arc::clone(&cache));
+        let mut solver_b =
+            Solver::with_stack(Some(Arc::clone(&cache)), Some(Arc::new(CexCache::new())));
         let rb = solver_b.check(&pool_b, &[cb]);
 
         assert_eq!(ra, rb, "same structure, same verdict and model");
@@ -1367,7 +1356,7 @@ mod tests {
     fn bounded_query_cache_evicts_fifo_and_counts() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
-        let mut s = Solver::with_stack(Some(Arc::new(QueryCache::with_capacity(1))), None, false);
+        let mut s = Solver::with_stack(Some(Arc::new(QueryCache::with_capacity(1))), None);
         // Enough distinct single-constraint queries to overflow every
         // 1-entry shard and force evictions.
         for v in 0..64 {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use symsc_rng::Rng;
 use symsc_smt::eval::evaluate;
-use symsc_smt::{QueryCache, SatResult, Solver, TermId, TermPool, Width};
+use symsc_smt::{CexCache, QueryCache, SatResult, Solver, TermId, TermPool, Width};
 
 const W: Width = Width::W8;
 const SEED: u64 = 0x5EED_CAC4E;
@@ -185,14 +185,15 @@ fn shared_cache_replays_across_term_pools() {
     // not pool-local term ids.
     let cache = Arc::new(QueryCache::new());
     let mut pool_a = TermPool::new();
-    let mut solver_a = Solver::with_shared_cache(Arc::clone(&cache));
+    let mut solver_a =
+        Solver::with_stack(Some(Arc::clone(&cache)), Some(Arc::new(CexCache::new())));
     let results_a = replay(&mut pool_a, &mut solver_a);
     let stats_a = solver_a.stats();
     assert_eq!(stats_a.cache_hits, 0);
     assert_eq!(stats_a.cache_misses, stats_a.queries - stats_a.trivial);
 
     let mut pool_b = TermPool::new();
-    let mut solver_b = Solver::with_shared_cache(cache);
+    let mut solver_b = Solver::with_stack(Some(cache), Some(Arc::new(CexCache::new())));
     let results_b = replay(&mut pool_b, &mut solver_b);
     let stats_b = solver_b.stats();
     assert_eq!(results_a, results_b);

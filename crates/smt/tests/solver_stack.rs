@@ -202,7 +202,7 @@ fn shared_stack_is_order_independent_across_solvers() {
             let j = rng.gen_range_inclusive(0, i as u64) as usize;
             order.swap(i, j);
         }
-        let mut solver = Solver::with_stack(Some(Arc::clone(&query)), Some(Arc::clone(&cex)), true);
+        let mut solver = Solver::with_stack(Some(Arc::clone(&query)), Some(Arc::clone(&cex)));
         for (i, result) in replay_in_order(&mut solver, &order) {
             assert_eq!(
                 baseline[i], result,

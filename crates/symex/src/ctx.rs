@@ -341,7 +341,7 @@ impl EngineState {
     }
 
     /// Removes and returns the coverage bins hit on the current path.
-    /// Parallel workers fold these into the merged report themselves
+    /// The worker loop folds these into the canonical report itself
     /// instead of going through [`end_path_coverage`](Self::end_path_coverage).
     pub(crate) fn take_path_coverage(&mut self) -> std::collections::BTreeSet<String> {
         std::mem::take(&mut self.path_coverage)
@@ -361,7 +361,7 @@ impl EngineState {
     }
 
     /// Removes and returns the `(site, direction)` pairs decided on the
-    /// current path; the parallel merge counts them itself.
+    /// current path; the worker loop's canonical assembly counts them.
     pub(crate) fn take_path_branches(&mut self) -> std::collections::BTreeSet<(u128, bool)> {
         std::mem::take(&mut self.path_branches)
     }
@@ -454,10 +454,11 @@ impl EngineState {
                 self.record_error_event(kind, &message, None);
                 self.record_error(kind, message, &model);
             }
+            // The path constraints are kept feasible by construction, so
+            // UNSAT is an engine or solver bug — and dropping the error
+            // would turn a Fail into a Pass.
             SatResult::Unsat => {
-                // The path constraints are kept feasible by construction;
-                // reaching here would indicate an engine bug.
-                debug_assert!(false, "erring path has infeasible constraints");
+                panic!("engine invariant violated: an erring path's constraints are infeasible")
             }
         }
     }
@@ -688,10 +689,16 @@ impl EngineState {
             return;
         }
         self.count_decision();
-        if let Some(value) = self.trace_value(cond) {
-            // Concolic: the check either holds under the traced input or
-            // it is a finding — there is no "other fork" to continue on,
-            // exactly like replay mode.
+        // Replay folds its inputs to constants; trace evaluates them.
+        let concrete = if self.replay.is_some() {
+            self.pool.const_value(cond)
+        } else {
+            self.trace_value(cond)
+        };
+        if let Some(value) = concrete {
+            // Replay and trace: the check either holds under the concrete
+            // input or it is a finding — there is no "other fork" to
+            // continue on, and no solver to ask.
             if value != 1 {
                 self.record_error_here(kind, message.to_string());
                 self.kill_path();
@@ -807,10 +814,11 @@ impl EngineState {
                 }
                 value
             }
-            SatResult::Unsat => {
-                debug_assert!(false, "concretize on infeasible path");
-                self.kill_path()
-            }
+            // Ending the path here would drop it from a report that still
+            // says it is complete.
+            SatResult::Unsat => panic!(
+                "engine invariant violated: concretize on a path whose constraints are infeasible"
+            ),
         }
     }
 
@@ -1067,17 +1075,22 @@ impl EngineState {
                         let start = Instant::now();
                         let result = self.solver.check_with_focus(&self.pool, &terms, focus);
                         self.solver_time += start.elapsed();
-                        if let SatResult::Sat(model) = result {
-                            errors.push(SymError {
-                                kind: *kind,
-                                message: message.clone(),
-                                counterexample: Counterexample::from_model(&model, &inputs),
-                                path: 0,
-                                found_at: self.started.elapsed(),
-                            });
-                        } else {
-                            debug_assert!(false, "adopted error re-solve is infeasible");
-                        }
+                        // The owner's error was feasible under a prefix
+                        // the adoption checks proved equivalent for the
+                        // suffix; dropping it would turn a Fail into a Pass.
+                        let SatResult::Sat(model) = result else {
+                            panic!(
+                                "engine invariant violated: an adopted error is infeasible \
+                                 under the adopter's prefix"
+                            );
+                        };
+                        errors.push(SymError {
+                            kind: *kind,
+                            message: message.clone(),
+                            counterexample: Counterexample::from_model(&model, &inputs),
+                            path: 0,
+                            found_at: self.started.elapsed(),
+                        });
                         events.push(TraceEvent::Error {
                             kind: *kind,
                             message: message.clone(),
@@ -1349,6 +1362,33 @@ mod tests {
             ctx.check(&x.ule(&big), "trivially true");
         });
         assert!(report.passed());
+    }
+
+    /// An engine whose path constraints contradict each other, as a
+    /// solver slip would leave them: `x == 1` and `x == 2`.
+    fn contradictory_engine() -> (EngineState, TermId) {
+        let mut st = EngineState::new(100, Solver::new(), false);
+        let x = st.pool.var("x", Width::W8);
+        for value in [1, 2] {
+            let k = st.pool.constant(value, Width::W8);
+            let pin = st.pool.eq(x, k);
+            st.constraints.push(pin);
+        }
+        (st, x)
+    }
+
+    #[test]
+    #[should_panic(expected = "an erring path's constraints are infeasible")]
+    fn recording_an_error_on_an_infeasible_path_panics() {
+        let (mut st, _) = contradictory_engine();
+        st.record_error_here(ErrorKind::AssertionFailed, "dropped".to_string());
+    }
+
+    #[test]
+    #[should_panic(expected = "concretize on a path whose constraints are infeasible")]
+    fn concretizing_on_an_infeasible_path_panics() {
+        let (mut st, x) = contradictory_engine();
+        st.concretize(x, Width::W8);
     }
 
     #[test]

@@ -1,17 +1,28 @@
 //! The path explorer: copy-on-write snapshot forking over a worklist of
 //! suspended engine snapshots.
 //!
-//! Exploration runs on a pool of worker threads (see
-//! [`Explorer::workers`]). Every pending [`PathSnapshot`] is an
-//! independent unit of work: a worker pops one, *fast-forwards* the
-//! testbench through its forced prefix — solver-free, replaying the
-//! pinned concretizations from the snapshot's journal — and resumes live
-//! execution at the fork point, pushing newly captured snapshots back for
-//! any worker to steal. Workers keep private term pools and solvers but
-//! share one whole-query solver cache, so a feasibility query solved on
-//! any worker is a cache hit on every other. Per-worker results are
-//! merged into canonical (sequential depth-first) order, so the report is
-//! independent of scheduling.
+//! Every pending [`PathSnapshot`] is an independent unit of work: a
+//! worker pops one, *fast-forwards* the testbench through its forced
+//! prefix — solver-free, replaying the pinned concretizations from the
+//! snapshot's journal — and resumes live execution at the fork point,
+//! pushing newly captured snapshots back for any worker to steal.
+//!
+//! One path runner executes every testbench run, for three callers:
+//!
+//! - the *reference engine*: [`ExploreOrder::Exhaustive`] at one worker,
+//!   depth-first on the calling thread, every finished path folded
+//!   straight into the report. Every other order and worker count is
+//!   tested against its reports.
+//! - the *worker loop*: [`Explorer::workers`] workers drain one shared
+//!   work queue — at one worker on the calling thread, spawning nothing.
+//!   It runs `MergeEager` and `CoverageGuided` at every worker count and
+//!   `Exhaustive` at two or more. Workers keep private term pools and
+//!   solvers but share the whole [`CacheStack`], so a query or slice
+//!   solved on any worker is a cache hit on every other. Per-path records
+//!   are assembled into canonical (sequential depth-first) order, so the
+//!   report is independent of scheduling.
+//! - the *single-path runner* behind [`Explorer::replay`] and
+//!   [`Explorer::trace`].
 //!
 //! The original forked *re-execution* engine — prefixes re-solved from
 //! scratch — remains available via [`ForkStrategy::Reexec`] as the
@@ -19,7 +30,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
@@ -29,7 +40,7 @@ use std::time::{Duration, Instant};
 use symsc_smt::{CexCache, QueryCache, Solver};
 
 use crate::ctx::{EngineState, PathTerm, SymCtx};
-use crate::error::{ErrorKind, Report};
+use crate::error::{Counterexample, ErrorKind, Report};
 use crate::merge::{ExploreOrder, MergeShared, PathRecord};
 use crate::snapshot::PathSnapshot;
 use crate::stats::ExplorationStats;
@@ -81,7 +92,7 @@ pub enum ForkStrategy {
 ///
 /// The closure is executed once per path. With one worker, all paths share
 /// one term pool and one solver; with several, each worker keeps its own
-/// pool and solver but all share one whole-query cache.
+/// pool and solver but all share one solver cache stack.
 ///
 /// # Example
 ///
@@ -142,25 +153,6 @@ impl fmt::Debug for CacheStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The caches can hold tens of thousands of entries.
         f.debug_struct("CacheStack").finish_non_exhaustive()
-    }
-}
-
-/// The cache stack one exploration's solvers are built over. Parallel
-/// workers all clone the same handles, so a query or slice solved on any
-/// worker is a hit on every other — semantically invisible either way,
-/// since cached results are bit-for-bit what a fresh solve computes.
-#[derive(Clone)]
-struct SolverSetup {
-    query: Option<Arc<QueryCache>>,
-    cex: Option<Arc<CexCache>>,
-    model_reuse: bool,
-    incremental: bool,
-}
-
-impl SolverSetup {
-    fn build(&self) -> Solver {
-        Solver::with_stack(self.query.clone(), self.cex.clone(), self.model_reuse)
-            .with_incremental(self.incremental)
     }
 }
 
@@ -260,11 +252,12 @@ impl Explorer {
     }
 
     /// Selects the exploration order (default: exhaustive). See
-    /// [`ExploreOrder`]: `CoverageGuided` reorders the sequential
-    /// visitation toward unvisited fork-site directions, `MergeEager`
-    /// merges and subsumes paths at testbench-published join points
-    /// (`SymCtx::note_state`). Both report byte-identically to the
-    /// exhaustive oracle.
+    /// [`ExploreOrder`]: `CoverageGuided` has each worker prefer pending
+    /// snapshots that flip a fork site it has not yet seen decided
+    /// `false`, `MergeEager` merges and subsumes paths at
+    /// testbench-published join points (`SymCtx::note_state`). Both
+    /// report byte-identically to the exhaustive oracle at any worker
+    /// count.
     pub fn explore_order(mut self, order: ExploreOrder) -> Explorer {
         self.order = order;
         self
@@ -277,8 +270,9 @@ impl Explorer {
 
     /// Sets the number of worker threads. `0` (the default) uses
     /// [`std::thread::available_parallelism`]; `1` runs the exploration
-    /// sequentially on the calling thread, preserving the single-threaded
-    /// engine's exact behavior (shared pool, depth-first visitation).
+    /// on the calling thread with one term pool and one solver, spawning
+    /// no thread: the exhaustive order on the reference engine, the
+    /// others on a single-worker loop.
     pub fn workers(mut self, workers: usize) -> Explorer {
         self.workers = workers;
         self
@@ -296,17 +290,20 @@ impl Explorer {
             .unwrap_or(1)
     }
 
-    /// The exploration-wide cache stack, per this explorer's config: the
-    /// shared stack's layers if one is attached, fresh private ones
-    /// otherwise.
-    fn solver_setup(&self) -> SolverSetup {
-        let stack = self.caches.clone().unwrap_or_default();
-        SolverSetup {
-            query: self.query_cache.then_some(stack.query),
-            cex: self.solver_stack.then_some(stack.cex),
-            model_reuse: self.solver_stack,
-            incremental: self.incremental,
-        }
+    /// A fresh engine whose solver uses the layers of `caches` this
+    /// explorer's switches leave on. An exploration's solvers share the
+    /// attached stack, or a fresh private one.
+    fn engine(&self, caches: &CacheStack) -> Arc<Mutex<EngineState>> {
+        let solver = Solver::with_stack(
+            self.query_cache.then(|| Arc::clone(&caches.query)),
+            self.solver_stack.then(|| Arc::clone(&caches.cex)),
+        )
+        .with_incremental(self.incremental);
+        Arc::new(Mutex::new(EngineState::new(
+            self.max_path_decisions,
+            solver,
+            self.cow_enabled(),
+        )))
     }
 
     /// Explores all feasible paths of `testbench`.
@@ -326,367 +323,274 @@ impl Explorer {
     {
         let workers = self.resolved_workers();
         if workers <= 1 {
-            if self.order == ExploreOrder::MergeEager {
-                self.explore_merged_sequential(testbench)
-            } else {
-                self.explore_sequential(testbench)
-            }
-        } else {
-            self.explore_parallel(&testbench, workers)
+            return self.explore_mut(testbench);
         }
-    }
-
-    /// Explores all feasible paths of a testbench that mutates captured
-    /// state (e.g. collects observations into a `Vec`). Mutable captures
-    /// cannot be shared across worker threads, so this always runs
-    /// sequentially, like [`workers`](Self::workers)`(1)`.
-    pub fn explore_mut<F: FnMut(&SymCtx)>(&self, testbench: F) -> Report {
-        if self.order == ExploreOrder::MergeEager {
-            self.explore_merged_sequential(testbench)
-        } else {
-            self.explore_sequential(testbench)
-        }
-    }
-
-    /// The single-threaded engine: one pool, one solver, depth-first
-    /// visitation (coverage-guided under that order). This is the
-    /// reference semantics the parallel engine's merged reports are
-    /// defined against.
-    fn explore_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
-        install_quiet_hook();
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            self.cow_enabled(),
-        )));
-        let mut worklist: Vec<PathSnapshot> = vec![PathSnapshot::root()];
-        let start = Instant::now();
-        let mut completed = true;
-        let mut paths = 0u64;
-        let mut promotions = 0u64;
-        // CoverageGuided visits paths out of canonical order, so its
-        // report is assembled from per-path records like the parallel
-        // engine's — a pure function of the explored path set.
-        let canonical = self.order == ExploreOrder::CoverageGuided;
-        let mut records: Vec<PathRecord> = Vec::new();
-
-        loop {
-            let next = if self.order == ExploreOrder::CoverageGuided {
-                pick_coverage_guided(&mut worklist, &state, &mut promotions)
-            } else {
-                worklist.pop()
-            };
-            let Some(snapshot) = next else { break };
-            if paths >= self.max_paths {
-                completed = false;
-                break;
-            }
-            if let Some(t) = self.timeout {
-                if start.elapsed() >= t {
-                    completed = false;
-                    break;
-                }
-            }
-
-            let ctx = SymCtx::new(state.clone());
-            ctx.engine().begin_path(snapshot);
-            IN_EXPLORATION.with(|f| f.set(true));
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-            IN_EXPLORATION.with(|f| f.set(false));
-            paths += 1;
-
-            if let Err(payload) = outcome {
-                if payload.downcast_ref::<PathTerm>().is_none() {
-                    // A genuine model/testbench panic: the C++ analogue is
-                    // an abort or unhandled exception. Report it with a
-                    // counterexample for the current path.
-                    let message = panic_message(payload.as_ref());
-                    ctx.engine()
-                        .record_error_here(ErrorKind::ModelPanic, message);
-                }
-            }
-
-            let mut st = ctx.engine();
-            st.path_index += 1;
-            if canonical {
-                // Fold branch directions into the exploration-wide map
-                // (the scheduler's signal) while keeping the per-path
-                // record for canonical assembly.
-                let branches = st.take_path_branches();
-                for &(site, dir) in &branches {
-                    let entry = st.branches.entry(site).or_default();
-                    if dir {
-                        entry.taken += 1;
-                    } else {
-                        entry.not_taken += 1;
-                    }
-                }
-                records.push(PathRecord {
-                    taken: st.taken_so_far(),
-                    errors: std::mem::take(&mut st.errors),
-                    coverage: st.take_path_coverage(),
-                    branches,
-                });
-            } else {
-                st.end_path_coverage();
-                st.end_path_branches();
-            }
-            // Push pending prefixes (discovered this run) for the next
-            // pick.
-            let pending = std::mem::take(&mut st.pending);
-            drop(st);
-            worklist.extend(pending);
-        }
-
-        let st = lock_state(&state);
-        if st.budget_exhausted {
-            completed = false;
-        }
-        let time = start.elapsed();
-        if canonical {
-            let stats = ExplorationStats {
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                busy_time: time,
-                solver: st.solver.stats(),
-                fork_snapshots: st.fork_snapshots,
-                fast_forward_decisions: st.ff_decisions,
-                executed_paths: paths,
-                sched_promotions: promotions,
-                ..ExplorationStats::default()
-            };
-            return assemble_records(records, stats, completed);
-        }
-        Report {
-            errors: st.errors.clone(),
-            coverage: st.coverage.clone(),
-            stats: ExplorationStats {
-                paths,
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                busy_time: time,
-                solver: st.solver.stats(),
-                fork_snapshots: st.fork_snapshots,
-                fast_forward_decisions: st.ff_decisions,
-                branches: st.branches.clone(),
-                executed_paths: paths,
-                sched_promotions: promotions,
-                ..ExplorationStats::default()
-            },
-            completed,
-        }
-    }
-
-    /// The merging engine: like the sequential depth-first engine, but
-    /// paths arriving at a testbench-published join point
-    /// ([`SymCtx::note_state`]) adopt the finished subtree of the first
-    /// arrival instead of re-executing it, when the adoption soundness
-    /// checks pass (see [`crate::merge`]). Adopted subtrees contribute
-    /// *synthesized* path records, so the final report is byte-identical
-    /// to the exhaustive engine's; only `executed_paths` (and the solver
-    /// workload) shrinks.
-    ///
-    /// Visitation is depth-first: DFS guarantees a join owner's subtree is fully
-    /// drained before any path outside it reaches the join, so every
-    /// eligible arrival finds a complete subtree to adopt.
-    fn explore_merged_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
-        install_quiet_hook();
-        let shared = Arc::new(MergeShared::new());
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            self.cow_enabled(),
-        )));
-        lock_state(&state).merge = Some(shared.clone());
-        let mut worklist: Vec<PathSnapshot> = vec![PathSnapshot::root()];
-        shared.add_unit(&[]);
-        let start = Instant::now();
-        let mut completed = true;
-        let mut executed = 0u64;
-        let mut records: Vec<PathRecord> = Vec::new();
-
-        while let Some(snapshot) = worklist.pop() {
-            if executed >= self.max_paths {
-                completed = false;
-                break;
-            }
-            if let Some(t) = self.timeout {
-                if start.elapsed() >= t {
-                    completed = false;
-                    break;
-                }
-            }
-            let unit: Vec<bool> = snapshot.unit_prefix().to_vec();
-
-            let ctx = SymCtx::new(state.clone());
-            ctx.engine().begin_path(snapshot);
-            IN_EXPLORATION.with(|f| f.set(true));
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-            IN_EXPLORATION.with(|f| f.set(false));
-            executed += 1;
-
-            if let Err(payload) = outcome {
-                if payload.downcast_ref::<PathTerm>().is_none() {
-                    let message = panic_message(payload.as_ref());
-                    ctx.engine()
-                        .record_error_here(ErrorKind::ModelPanic, message);
-                }
-            }
-
-            let mut st = ctx.engine();
-            st.path_index += 1;
-            harvest_records(&mut st, &mut records);
-            // Unit accounting order matters: pending subtrees must be
-            // visible before this unit retires, or a concurrent arrival
-            // could see the owner subtree as drained while forks of it
-            // are still queued. (Trivially safe sequentially; kept
-            // identical to the parallel discipline.)
-            let pending = std::mem::take(&mut st.pending);
-            drop(st);
-            for snapshot in &pending {
-                shared.add_unit(snapshot.unit_prefix());
-            }
-            shared.remove_unit(&unit);
-            worklist.extend(pending);
-        }
-
-        let st = lock_state(&state);
-        if st.budget_exhausted {
-            completed = false;
-        }
-        let counters = shared.counters();
-        let time = start.elapsed();
-        let stats = ExplorationStats {
-            instructions: st.pool.ops_created() + st.decisions,
-            decisions: st.decisions,
-            time,
-            solver_time: st.solver_time,
-            busy_time: time,
-            solver: st.solver.stats(),
-            fork_snapshots: st.fork_snapshots,
-            fast_forward_decisions: st.ff_decisions,
-            executed_paths: executed,
-            merged_paths: counters.merged_paths,
-            subsumed_paths: counters.subsumed_paths,
-            join_sites: counters.join_sites,
-            merge_rejects: counters.merge_rejects,
-            ..ExplorationStats::default()
-        };
-        assemble_records(records, stats, completed)
-    }
-
-    /// The parallel engine: a pool of `workers` threads drains the shared
-    /// prefix queue. Each worker keeps a private [`EngineState`] (pool +
-    /// solver) and all workers share one whole-query cache; the per-path
-    /// results are merged into canonical depth-first order afterwards, so
-    /// the report does not depend on scheduling.
-    fn explore_parallel<F>(&self, testbench: &F, workers: usize) -> Report
-    where
-        F: Fn(&SymCtx) + Sync,
-    {
-        install_quiet_hook();
-        let start = Instant::now();
-        let setup = self.solver_setup();
-        let queue = WorkQueue::new(vec![PathSnapshot::root()]);
-        let limits = SharedLimits {
-            paths_started: AtomicU64::new(0),
-            max_paths: self.max_paths,
-            deadline: self.timeout.map(|t| start + t),
-            truncated: AtomicBool::new(false),
-        };
-        // Parallel MergeEager: workers share one merge state. An arrival
-        // only adopts while the owner subtree is fully drained, so a
-        // subtree still being executed elsewhere is simply executed again
-        // here — verdicts stay byte-identical, only `executed_paths`
-        // becomes scheduling-dependent.
-        let merge = (self.order == ExploreOrder::MergeEager).then(|| Arc::new(MergeShared::new()));
-        if let Some(shared) = &merge {
-            shared.add_unit(&[]);
-        }
-
-        let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let setup = setup.clone();
-                let merge = merge.clone();
-                let queue = &queue;
-                let limits = &limits;
-                handles.push(
-                    scope.spawn(move || self.run_worker(queue, limits, testbench, setup, merge)),
-                );
-            }
+        let shared = Workers::new(self);
+        let outputs = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| shared.run(&testbench)))
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("exploration worker panicked"))
                 .collect()
         });
-
-        self.merge_outputs(outputs, &limits, start.elapsed(), merge.as_deref())
+        shared.finish(outputs)
     }
 
-    /// One worker's loop: pop a prefix, re-execute, harvest the path
-    /// record, feed newly forked prefixes back to the queue.
-    fn run_worker<F>(
+    /// Explores all feasible paths of a testbench that mutates captured
+    /// state (e.g. collects observations into a `Vec`). Mutable captures
+    /// cannot be shared across worker threads, so this always runs on the
+    /// calling thread, exactly as [`workers`](Self::workers)`(1)` does.
+    pub fn explore_mut<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
+        if self.order == ExploreOrder::Exhaustive {
+            return self.explore_sequential(testbench);
+        }
+        let shared = Workers::new(self);
+        let output = shared.run(&mut testbench);
+        shared.finish(vec![output])
+    }
+
+    /// The reference engine: exhaustive depth-first visitation on the
+    /// calling thread, one pool and one solver, every finished path
+    /// folded straight into the report. Every other order and worker
+    /// count is tested against its reports.
+    fn explore_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
+        let state = self.engine(&self.caches.clone().unwrap_or_default());
+        let start = Instant::now();
+        let limits = Limits::new(self, start);
+        let mut worklist = vec![PathSnapshot::root()];
+        let mut paths = 0u64;
+        while let Some(snapshot) = worklist.pop() {
+            if !limits.claim() {
+                break;
+            }
+            let mut st = run_path(&state, snapshot, &mut testbench);
+            paths += 1;
+            st.end_path_coverage();
+            st.end_path_branches();
+            worklist.append(&mut st.pending);
+        }
+
+        let st = lock_state(&state);
+        let time = start.elapsed();
+        Report {
+            errors: st.errors.clone(),
+            coverage: st.coverage.clone(),
+            stats: ExplorationStats {
+                paths,
+                time,
+                busy_time: time,
+                branches: st.branches.clone(),
+                executed_paths: paths,
+                ..engine_stats(&st)
+            },
+            completed: !limits.truncated() && !st.budget_exhausted,
+        }
+    }
+
+    /// Replays a testbench *concretely* on a counterexample: every
+    /// `symbolic` input resolves to its recorded value, so exactly one
+    /// path executes and no solver is involved. This is the paper's
+    /// "compile the bytecode into a machine-native executable and attach a
+    /// debugger" step — the error reproduces deterministically.
+    ///
+    /// The returned report covers that single path (the reproduced errors
+    /// carry the replayed input values as their counterexample). Replay
+    /// runs on the calling thread; the worker setting does not apply.
+    pub fn replay<F: FnMut(&SymCtx)>(
         &self,
-        queue: &WorkQueue,
-        limits: &SharedLimits,
-        testbench: &F,
-        setup: SolverSetup,
-        merge: Option<Arc<MergeShared>>,
-    ) -> WorkerOutput
-    where
-        F: Fn(&SymCtx) + Sync,
-    {
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            setup.build(),
-            self.cow_enabled(),
-        )));
-        lock_state(&state).merge = merge.clone();
+        counterexample: &Counterexample,
+        testbench: F,
+    ) -> Report {
+        self.run_single(|st| st.replay = Some(counterexample.to_map()), testbench)
+    }
+
+    /// Runs a testbench *concolically* on a concrete assignment: inputs
+    /// stay symbolic (so fork sites keep the structural fingerprints the
+    /// exploration would compute), but every decision is evaluated under
+    /// the assignment instead of solved. Exactly one path executes, no
+    /// solver is involved, and — unlike [`replay`](Self::replay), which
+    /// constant-folds the inputs and therefore records no fork sites —
+    /// the report's `stats.branches` holds real branch coverage, keyed by
+    /// the *same* fingerprints symbolic exploration uses.
+    ///
+    /// This is the coverage-guided fuzzer's execution mode: it makes a
+    /// concrete run's coverage directly comparable (and mergeable) with a
+    /// symbolic exploration's.
+    pub fn trace<F: FnMut(&SymCtx)>(&self, assignment: &Counterexample, testbench: F) -> Report {
+        self.run_single(|st| st.trace = Some(assignment.to_map()), testbench)
+    }
+
+    /// The single-path runner behind [`replay`](Self::replay) and
+    /// [`trace`](Self::trace): one path from the root, on a fresh engine
+    /// whose inputs `pin` fixes. Neither mode asks the solver anything, so
+    /// that engine's solver has no cache layers.
+    fn run_single<F: FnMut(&SymCtx)>(
+        &self,
+        pin: impl FnOnce(&mut EngineState),
+        mut testbench: F,
+    ) -> Report {
+        let mut engine = EngineState::new(self.max_path_decisions, Solver::without_cache(), false);
+        pin(&mut engine);
+        let state = Arc::new(Mutex::new(engine));
+        let start = Instant::now();
+        let mut st = run_path(&state, PathSnapshot::root(), &mut testbench);
+        st.end_path_coverage();
+        st.end_path_branches();
+        let time = start.elapsed();
+        let counters = engine_stats(&st);
+        Report {
+            errors: std::mem::take(&mut st.errors),
+            coverage: std::mem::take(&mut st.coverage),
+            stats: ExplorationStats {
+                paths: 1,
+                time,
+                busy_time: time,
+                branches: std::mem::take(&mut st.branches),
+                executed_paths: 1,
+                ..counters
+            },
+            completed: true,
+        }
+    }
+}
+
+/// Runs `testbench` once, from `snapshot`, on the engine behind `state` —
+/// the one place a testbench runs. Path termination unwinds to here; any
+/// other panic is the model's, reported as an [`ErrorKind::ModelPanic`]
+/// with the path's counterexample (the C++ analogue is an abort or an
+/// unhandled exception). Returns the engine, locked, for the caller to
+/// harvest the finished path.
+fn run_path<'s, F: FnMut(&SymCtx)>(
+    state: &'s Arc<Mutex<EngineState>>,
+    snapshot: PathSnapshot,
+    testbench: &mut F,
+) -> MutexGuard<'s, EngineState> {
+    install_quiet_hook();
+    let ctx = SymCtx::new(Arc::clone(state));
+    ctx.engine().begin_path(snapshot);
+    IN_EXPLORATION.with(|f| f.set(true));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
+    IN_EXPLORATION.with(|f| f.set(false));
+    let mut st = lock_state(state);
+    if let Err(payload) = outcome {
+        if payload.downcast_ref::<PathTerm>().is_none() {
+            st.record_error_here(ErrorKind::ModelPanic, panic_message(payload.as_ref()));
+        }
+    }
+    st.path_index += 1;
+    st
+}
+
+/// The counters a finished engine contributes to its exploration's
+/// stats; callers fill in the path counts and times.
+fn engine_stats(st: &EngineState) -> ExplorationStats {
+    ExplorationStats {
+        instructions: st.pool.ops_created() + st.decisions,
+        decisions: st.decisions,
+        solver_time: st.solver_time,
+        solver: st.solver.stats(),
+        fork_snapshots: st.fork_snapshots,
+        fast_forward_decisions: st.ff_decisions,
+        ..ExplorationStats::default()
+    }
+}
+
+/// What the workers of one worker-loop exploration share: the queue of
+/// pending snapshots, the budgets, the cache stack and, under
+/// `MergeEager`, the merge state.
+struct Workers<'e> {
+    explorer: &'e Explorer,
+    caches: CacheStack,
+    queue: WorkQueue,
+    limits: Limits,
+    /// The workers' one merge state under `MergeEager`. An arrival only
+    /// adopts while the owner subtree is fully drained, so with several
+    /// workers a subtree still being executed elsewhere is simply
+    /// executed again — verdicts stay byte-identical, only
+    /// `executed_paths` becomes scheduling-dependent.
+    merge: Option<Arc<MergeShared>>,
+    start: Instant,
+}
+
+/// One worker's contribution: its path records, its engine's counters
+/// (with its executed paths, busy time and promotions) and whether a
+/// path exhausted its decision budget.
+struct WorkerOutput {
+    records: Vec<PathRecord>,
+    stats: ExplorationStats,
+    budget_exhausted: bool,
+}
+
+impl<'e> Workers<'e> {
+    fn new(explorer: &'e Explorer) -> Workers<'e> {
+        let start = Instant::now();
+        let merge = (explorer.order == ExploreOrder::MergeEager).then(|| {
+            let shared = Arc::new(MergeShared::new());
+            shared.add_unit(&[]);
+            shared
+        });
+        Workers {
+            explorer,
+            caches: explorer.caches.clone().unwrap_or_default(),
+            queue: WorkQueue::new(vec![PathSnapshot::root()]),
+            limits: Limits::new(explorer, start),
+            merge,
+            start,
+        }
+    }
+
+    /// The worker loop: pop a snapshot, run it on this worker's private
+    /// engine, harvest the path records, feed the forked snapshots back
+    /// to the queue — until the queue drains or a budget stops it.
+    fn run<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> WorkerOutput {
+        // A worker unwinding mid-path would leave the others waiting for
+        // its forks forever; halting makes them stop instead.
+        let _halt = HaltOnUnwind(&self.queue);
+        let state = self.explorer.engine(&self.caches);
+        lock_state(&state).merge = self.merge.clone();
+        let guided = self.explorer.order == ExploreOrder::CoverageGuided;
+        // CoverageGuided's signal: the fork sites this worker's paths
+        // have decided `false`.
+        let mut decided_false: HashSet<u128> = HashSet::new();
         let mut records = Vec::new();
         let mut executed = 0u64;
+        let mut promotions = 0u64;
         let mut busy_time = Duration::ZERO;
 
-        while let Some(snapshot) = queue.pop() {
+        loop {
+            let unvisited = |snapshot: &PathSnapshot| {
+                snapshot
+                    .flip_site
+                    .is_some_and(|site| !decided_false.contains(&site))
+            };
+            let prefer = guided.then_some(&unvisited as &dyn Fn(&PathSnapshot) -> bool);
+            let Some((snapshot, promoted)) = self.queue.pop(prefer) else {
+                break;
+            };
+            promotions += u64::from(promoted);
             let busy_since = Instant::now();
-            let over_budget =
-                limits.paths_started.fetch_add(1, AtomicOrdering::SeqCst) >= limits.max_paths;
-            let past_deadline = limits
-                .deadline
-                .is_some_and(|deadline| Instant::now() >= deadline);
-            if over_budget || past_deadline {
-                limits.truncated.store(true, AtomicOrdering::SeqCst);
-                queue.halt();
-                queue.complete(Vec::new());
+            if !self.limits.claim() {
+                self.queue.halt();
+                self.queue.complete(Vec::new());
                 break;
             }
             let unit: Vec<bool> = snapshot.unit_prefix().to_vec();
 
-            let ctx = SymCtx::new(state.clone());
-            ctx.engine().begin_path(snapshot);
-            IN_EXPLORATION.with(|f| f.set(true));
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-            IN_EXPLORATION.with(|f| f.set(false));
+            let mut st = run_path(&state, snapshot, &mut testbench);
             executed += 1;
-
-            if let Err(payload) = outcome {
-                if payload.downcast_ref::<PathTerm>().is_none() {
-                    let message = panic_message(payload.as_ref());
-                    ctx.engine()
-                        .record_error_here(ErrorKind::ModelPanic, message);
-                }
-            }
-
-            let mut st = ctx.engine();
-            st.path_index += 1;
+            let first = records.len();
             harvest_records(&mut st, &mut records);
             let pending = std::mem::take(&mut st.pending);
             drop(st);
-            if let Some(shared) = &merge {
+            if guided {
+                for record in &records[first..] {
+                    let sites = record.branches.iter().filter(|&&(_, dir)| !dir);
+                    decided_false.extend(sites.map(|&(site, _)| site));
+                }
+            }
+            if let Some(shared) = &self.merge {
                 // Publish the forks' units before retiring this one, so
                 // the subtree never looks drained while work remains.
                 for snapshot in &pending {
@@ -694,60 +598,38 @@ impl Explorer {
                 }
                 shared.remove_unit(&unit);
             }
-            queue.complete(pending);
+            self.queue.complete(pending);
             busy_time += busy_since.elapsed();
         }
 
         let st = lock_state(&state);
         WorkerOutput {
             records,
-            decisions: st.decisions,
-            pool_ops: st.pool.ops_created(),
-            solver_time: st.solver_time,
-            busy_time,
-            solver: st.solver.stats(),
-            fork_snapshots: st.fork_snapshots,
-            ff_decisions: st.ff_decisions,
+            stats: ExplorationStats {
+                busy_time,
+                executed_paths: executed,
+                sched_promotions: promotions,
+                ..engine_stats(&st)
+            },
             budget_exhausted: st.budget_exhausted,
-            executed,
         }
     }
 
-    /// Merges per-worker results into a report in canonical order: path
-    /// records sort by their decision vectors (taken-true before
-    /// taken-false), which is exactly the order the sequential depth-first
-    /// engine visits paths in. Error path indices are renumbered to that
-    /// order and coverage bins are re-counted, so the merged report is a
-    /// pure function of the explored path set.
-    fn merge_outputs(
-        &self,
-        outputs: Vec<WorkerOutput>,
-        limits: &SharedLimits,
-        time: Duration,
-        merge: Option<&MergeShared>,
-    ) -> Report {
-        let mut completed = !limits.truncated.load(AtomicOrdering::SeqCst);
+    /// Sums the workers' counters and assembles their path records into
+    /// the canonical report.
+    fn finish(self, outputs: Vec<WorkerOutput>) -> Report {
+        let mut completed = !self.limits.truncated();
         let mut records = Vec::new();
         let mut stats = ExplorationStats {
-            time,
+            time: self.start.elapsed(),
             ..ExplorationStats::default()
         };
         for output in outputs {
             records.extend(output.records);
-            stats.decisions += output.decisions;
-            stats.instructions += output.pool_ops;
-            stats.solver_time += output.solver_time;
-            stats.busy_time += output.busy_time;
-            stats.solver.merge(&output.solver);
-            stats.fork_snapshots += output.fork_snapshots;
-            stats.fast_forward_decisions += output.ff_decisions;
-            stats.executed_paths += output.executed;
-            if output.budget_exhausted {
-                completed = false;
-            }
+            stats.add_worker(&output.stats);
+            completed &= !output.budget_exhausted;
         }
-        stats.instructions += stats.decisions;
-        if let Some(shared) = merge {
+        if let Some(shared) = &self.merge {
             let counters = shared.counters();
             stats.merged_paths = counters.merged_paths;
             stats.subsumed_paths = counters.subsumed_paths;
@@ -824,191 +706,43 @@ fn harvest_records(st: &mut EngineState, records: &mut Vec<PathRecord>) {
     }
 }
 
-/// The coverage-guided sequential pick: prefer the deepest pending
-/// snapshot whose flipped fork direction is still unvisited in the
-/// exploration-wide branch map; fall back to plain depth-first. A
-/// reordering heuristic only — the visited path *set* (and hence the
-/// report) is unchanged.
-fn pick_coverage_guided(
-    worklist: &mut Vec<PathSnapshot>,
-    state: &Arc<Mutex<EngineState>>,
-    promotions: &mut u64,
-) -> Option<PathSnapshot> {
-    if worklist.is_empty() {
-        return None;
-    }
-    let pick = {
-        let st = lock_state(state);
-        worklist.iter().rposition(|snapshot| {
-            snapshot
-                .flip_site
-                .is_some_and(|site| st.branches.get(&site).is_none_or(|cov| cov.not_taken == 0))
-        })
-    };
-    match pick {
-        Some(index) if index + 1 != worklist.len() => {
-            *promotions += 1;
-            Some(worklist.remove(index))
-        }
-        _ => worklist.pop(),
-    }
-}
-
-impl Explorer {
-    /// Replays a testbench *concretely* on a counterexample: every
-    /// `symbolic` input resolves to its recorded value, so exactly one
-    /// path executes and no solver is involved. This is the paper's
-    /// "compile the bytecode into a machine-native executable and attach a
-    /// debugger" step — the error reproduces deterministically.
-    ///
-    /// The returned report covers that single path (the reproduced errors
-    /// carry the replayed input values as their counterexample). Replay is
-    /// always sequential; the worker setting does not apply.
-    pub fn replay<F: FnMut(&SymCtx)>(
-        &self,
-        counterexample: &crate::error::Counterexample,
-        mut testbench: F,
-    ) -> Report {
-        install_quiet_hook();
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            false,
-        )));
-        lock_state(&state).replay = Some(counterexample.to_map());
-        let start = Instant::now();
-
-        let ctx = SymCtx::new(state.clone());
-        ctx.engine().begin_path(PathSnapshot::root());
-        IN_EXPLORATION.with(|f| f.set(true));
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-        IN_EXPLORATION.with(|f| f.set(false));
-        if let Err(payload) = outcome {
-            if payload.downcast_ref::<PathTerm>().is_none() {
-                let message = panic_message(payload.as_ref());
-                ctx.engine()
-                    .record_error_here(ErrorKind::ModelPanic, message);
-            }
-        }
-
-        let mut st = lock_state(&state);
-        st.end_path_coverage();
-        st.end_path_branches();
-        let st = &*st;
-        let time = start.elapsed();
-        Report {
-            errors: st.errors.clone(),
-            coverage: st.coverage.clone(),
-            stats: ExplorationStats {
-                paths: 1,
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                busy_time: time,
-                solver: st.solver.stats(),
-                fork_snapshots: 0,
-                fast_forward_decisions: 0,
-                branches: st.branches.clone(),
-                executed_paths: 1,
-                ..ExplorationStats::default()
-            },
-            completed: true,
-        }
-    }
-
-    /// Runs a testbench *concolically* on a concrete assignment: inputs
-    /// stay symbolic (so fork sites keep the structural fingerprints the
-    /// exploration would compute), but every decision is evaluated under
-    /// the assignment instead of solved. Exactly one path executes, no
-    /// solver is involved, and — unlike [`replay`](Self::replay), which
-    /// constant-folds the inputs and therefore records no fork sites —
-    /// the report's `stats.branches` holds real branch coverage, keyed by
-    /// the *same* fingerprints symbolic exploration uses.
-    ///
-    /// This is the coverage-guided fuzzer's execution mode: it makes a
-    /// concrete run's coverage directly comparable (and mergeable) with a
-    /// symbolic exploration's.
-    pub fn trace<F: FnMut(&SymCtx)>(
-        &self,
-        assignment: &crate::error::Counterexample,
-        mut testbench: F,
-    ) -> Report {
-        install_quiet_hook();
-        let state = Arc::new(Mutex::new(EngineState::new(
-            self.max_path_decisions,
-            self.solver_setup().build(),
-            false,
-        )));
-        lock_state(&state).trace = Some(assignment.to_map());
-        let start = Instant::now();
-
-        let ctx = SymCtx::new(state.clone());
-        ctx.engine().begin_path(PathSnapshot::root());
-        IN_EXPLORATION.with(|f| f.set(true));
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| testbench(&ctx)));
-        IN_EXPLORATION.with(|f| f.set(false));
-        if let Err(payload) = outcome {
-            if payload.downcast_ref::<PathTerm>().is_none() {
-                let message = panic_message(payload.as_ref());
-                ctx.engine()
-                    .record_error_here(ErrorKind::ModelPanic, message);
-            }
-        }
-
-        let mut st = lock_state(&state);
-        st.end_path_coverage();
-        st.end_path_branches();
-        let st = &*st;
-        let time = start.elapsed();
-        Report {
-            errors: st.errors.clone(),
-            coverage: st.coverage.clone(),
-            stats: ExplorationStats {
-                paths: 1,
-                instructions: st.pool.ops_created() + st.decisions,
-                decisions: st.decisions,
-                time,
-                solver_time: st.solver_time,
-                busy_time: time,
-                solver: st.solver.stats(),
-                fork_snapshots: 0,
-                fast_forward_decisions: 0,
-                branches: st.branches.clone(),
-                executed_paths: 1,
-                ..ExplorationStats::default()
-            },
-            completed: true,
-        }
-    }
-}
-
-/// Exploration-wide budgets shared by all workers.
-struct SharedLimits {
+/// An exploration's path budget and deadline, shared by its workers.
+struct Limits {
     /// Paths claimed so far (including the claim that trips the budget).
-    paths_started: AtomicU64,
+    claimed: AtomicU64,
     max_paths: u64,
     deadline: Option<Instant>,
-    /// Set when a worker stopped the exploration early (budget/deadline).
+    /// Set when a claim was refused: the exploration stopped early.
     truncated: AtomicBool,
 }
 
-/// A worker's complete contribution: its path records plus the counters of
-/// its private engine state.
-struct WorkerOutput {
-    records: Vec<PathRecord>,
-    decisions: u64,
-    pool_ops: u64,
-    solver_time: Duration,
-    /// Time spent executing paths, excluding waits on the queue.
-    busy_time: Duration,
-    solver: symsc_smt::SolverStats,
-    fork_snapshots: u64,
-    ff_decisions: u64,
-    budget_exhausted: bool,
-    /// Testbench runs actually performed (>= `records.len()` only when a
-    /// run was absorbed at a join point and synthesized several records).
-    executed: u64,
+impl Limits {
+    fn new(explorer: &Explorer, start: Instant) -> Limits {
+        Limits {
+            claimed: AtomicU64::new(0),
+            max_paths: explorer.max_paths,
+            deadline: explorer.timeout.map(|t| start + t),
+            truncated: AtomicBool::new(false),
+        }
+    }
+
+    /// Claims one more path. Refused — and the exploration marked
+    /// truncated — once the path budget or the deadline is spent.
+    fn claim(&self) -> bool {
+        let over_budget = self.claimed.fetch_add(1, AtomicOrdering::SeqCst) >= self.max_paths;
+        let past_deadline = self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline);
+        if over_budget || past_deadline {
+            self.truncated.store(true, AtomicOrdering::SeqCst);
+            return false;
+        }
+        true
+    }
+
+    fn truncated(&self) -> bool {
+        self.truncated.load(AtomicOrdering::SeqCst)
+    }
 }
 
 /// The shared work queue of pending path snapshots — the work-stealing
@@ -1018,7 +752,7 @@ struct WorkerOutput {
 /// `in_flight` counts snapshots popped but not yet completed: the queue is
 /// only *drained* when it is empty **and** nothing is in flight, because a
 /// running path may still fork new snapshots. `halt` wakes everyone up for
-/// an early exit (path budget or timeout).
+/// an early exit (path budget, timeout, or a worker unwinding).
 struct WorkQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
@@ -1047,17 +781,28 @@ impl WorkQueue {
     }
 
     /// Claims the next snapshot, blocking while other workers might still
-    /// fork new ones. Returns `None` once the queue has fully drained (or
-    /// was halted).
-    fn pop(&self) -> Option<PathSnapshot> {
+    /// fork new ones: the newest one (depth-first), unless `prefer` — the
+    /// coverage-guided pick — accepts an older one, in which case the
+    /// newest snapshot it accepts is promoted over the top. A reordering
+    /// only: the visited path *set* (and hence the report) is unchanged.
+    /// Returns the snapshot and whether it was promoted, or `None` once
+    /// the queue has fully drained (or was halted).
+    fn pop(&self, prefer: Option<&dyn Fn(&PathSnapshot) -> bool>) -> Option<(PathSnapshot, bool)> {
         let mut st = self.lock();
         loop {
             if st.halted {
                 return None;
             }
-            if let Some(snapshot) = st.queue.pop() {
+            let promoted = prefer
+                .and_then(|accept| st.queue.iter().rposition(accept))
+                .filter(|&index| index + 1 < st.queue.len());
+            let next = match promoted {
+                Some(index) => Some(st.queue.remove(index)),
+                None => st.queue.pop(),
+            };
+            if let Some(snapshot) = next {
                 st.in_flight += 1;
-                return Some(snapshot);
+                return Some((snapshot, promoted.is_some()));
             }
             if st.in_flight == 0 {
                 return None;
@@ -1081,6 +826,17 @@ impl WorkQueue {
         let mut st = self.lock();
         st.halted = true;
         self.ready.notify_all();
+    }
+}
+
+/// Halts the queue when its worker unwinds.
+struct HaltOnUnwind<'q>(&'q WorkQueue);
+
+impl Drop for HaltOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.halt();
+        }
     }
 }
 
@@ -1477,6 +1233,50 @@ mod parallel_tests {
     }
 
     #[test]
+    fn a_worker_unwinding_mid_path_halts_the_queue() {
+        let queue = WorkQueue::new(vec![PathSnapshot::root()]);
+        std::thread::scope(|scope| {
+            let crashed = scope.spawn(|| {
+                let _halt = HaltOnUnwind(&queue);
+                let _claimed = queue.pop(None);
+                panic!("a worker unwinds with its path in flight");
+            });
+            assert!(crashed.join().is_err());
+        });
+        // The crashed claim never completes: without the halt, this pop
+        // would wait for it forever.
+        assert!(queue.pop(None).is_none());
+    }
+
+    #[test]
+    fn one_worker_runs_every_path_on_the_calling_thread() {
+        // Kill-matrix cells already run on pool threads: a one-worker
+        // exploration must never start threads of its own, in any order.
+        let caller = std::thread::current().id();
+        for order in [
+            ExploreOrder::Exhaustive,
+            ExploreOrder::MergeEager,
+            ExploreOrder::CoverageGuided,
+        ] {
+            let threads = Mutex::new(Vec::new());
+            let report = Explorer::new()
+                .workers(1)
+                .explore_order(order)
+                .explore(|ctx| {
+                    threads.lock().unwrap().push(std::thread::current().id());
+                    ladder(ctx);
+                });
+            let threads = threads.into_inner().unwrap();
+            assert_eq!(report.stats.paths, 16, "{order:?}");
+            assert_eq!(threads.len() as u64, report.stats.executed_paths);
+            assert!(
+                threads.iter().all(|&id| id == caller),
+                "{order:?}: a path ran off the calling thread"
+            );
+        }
+    }
+
+    #[test]
     fn explore_mut_supports_mutable_captures() {
         let mut seen = Vec::new();
         let report = Explorer::new().explore_mut(|ctx| {
@@ -1530,6 +1330,42 @@ mod replay_tests {
             replayed.stats.solver.queries, replayed.stats.solver.trivial,
             "no real solver work during replay"
         );
+    }
+
+    /// Forks, checks, concretizes, covers and panics, depending on `x`.
+    fn busy_bench(ctx: &SymCtx) {
+        let x = ctx.symbolic("x", Width::W8);
+        ctx.assume(&x.ult(&ctx.word(200, Width::W8)));
+        if ctx.decide(&x.ult(&ctx.word(100, Width::W8))) {
+            ctx.cover("low");
+        }
+        ctx.check(&x.eq(&ctx.word(42, Width::W8)).not(), "x is not 42");
+        if x.concretize() == 7 {
+            panic!("boom on 7");
+        }
+    }
+
+    #[test]
+    fn replay_and_trace_never_ask_the_solver() {
+        // Why the single-path runner's solver needs no cache stack: on
+        // every input — passing, failing a check, panicking, violating
+        // the assumption — neither mode makes a single query.
+        let explorer = Explorer::new();
+        for (x, errors) in [(3u64, 0), (7, 1), (42, 1), (150, 0), (250, 0)] {
+            let input = crate::error::Counterexample::from_pairs([("x", x)]);
+            for (mode, report) in [
+                ("replay", explorer.replay(&input, busy_bench)),
+                ("trace", explorer.trace(&input, busy_bench)),
+            ] {
+                assert_eq!(report.errors.len(), errors, "{mode} of x = {x}");
+                assert_eq!(report.stats.paths, 1);
+                assert_eq!(
+                    report.stats.solver.queries, 0,
+                    "{mode} of x = {x}: {}",
+                    report.stats
+                );
+            }
+        }
     }
 
     #[test]

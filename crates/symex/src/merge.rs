@@ -63,18 +63,19 @@ pub enum ExploreOrder {
     #[default]
     Exhaustive,
     /// Prioritize pending snapshots whose fork site has an unvisited
-    /// `false` direction — KLEE-style coverage-first scheduling. A pure
-    /// visitation order: the explored path set (and the report) is
-    /// unchanged. Only meaningful on a sequential exploration: with more
-    /// workers, the pool claims paths greedily.
+    /// `false` direction — KLEE-style coverage-first scheduling. Each
+    /// worker picks by the fork sites its own paths have decided, so at
+    /// one worker the order is deterministic and with several it depends
+    /// on scheduling. A pure visitation order: the explored path set (and
+    /// the report) is unchanged at any worker count.
     CoverageGuided,
     /// Merge and subsume paths at testbench-published join points (see
     /// the [module docs](self)). Reports stay byte-identical to
     /// [`Exhaustive`](ExploreOrder::Exhaustive); `stats.paths` still
     /// counts *represented* paths, while `stats.executed_paths` counts
-    /// the (much smaller) number physically executed. Sequential runs
-    /// are forced depth-first so every join owner completes its subtree
-    /// before any sibling arrives.
+    /// the (much smaller) number physically executed. At one worker the
+    /// visitation is depth-first, so every join owner completes its
+    /// subtree before any sibling arrives.
     MergeEager,
 }
 

@@ -53,8 +53,10 @@ pub struct ExplorationStats {
     /// Wall-clock time spent inside the SMT solver, summed over the
     /// engine's threads.
     pub solver_time: Duration,
-    /// Time the engine's threads spent executing paths, summed over the
-    /// threads: `time` itself for a single-threaded exploration.
+    /// Time the engine spent executing paths, summed over its workers and
+    /// excluding waits on the work queue. The reference engine
+    /// (exhaustive order at one worker) and replay and trace report
+    /// `time` itself.
     pub busy_time: Duration,
     /// Raw statistics from the SMT layer.
     pub solver: SolverStats,
@@ -87,11 +89,28 @@ pub struct ExplorationStats {
     /// back to normal execution.
     pub merge_rejects: u64,
     /// Pending snapshots promoted out of depth-first order by the
-    /// coverage-guided scheduler (sequential runs only).
+    /// coverage-guided scheduler, summed over the workers. Deterministic
+    /// at one worker; with several it depends on scheduling, as
+    /// `executed_paths` does under a parallel `MergeEager` run.
     pub sched_promotions: u64,
 }
 
 impl ExplorationStats {
+    /// Adds one worker's counters into an exploration's totals. Path
+    /// counts, the branch map, merge counters and wall time are the
+    /// exploration's own and are left alone.
+    pub(crate) fn add_worker(&mut self, worker: &ExplorationStats) {
+        self.instructions += worker.instructions;
+        self.decisions += worker.decisions;
+        self.solver_time += worker.solver_time;
+        self.busy_time += worker.busy_time;
+        self.solver.merge(&worker.solver);
+        self.fork_snapshots += worker.fork_snapshots;
+        self.fast_forward_decisions += worker.fast_forward_decisions;
+        self.executed_paths += worker.executed_paths;
+        self.sched_promotions += worker.sched_promotions;
+    }
+
     /// Fraction of the engine's busy time spent in the solver, in percent
     /// — the paper's "Solver" column. Both times are summed over worker
     /// threads, so the share stays within 100 % at any worker count. Zero

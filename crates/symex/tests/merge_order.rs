@@ -1,8 +1,8 @@
 //! Integration: exploration orders are pure optimizations.
 //!
 //! `MergeEager` adopts finished join-point subtrees instead of
-//! re-executing them and `CoverageGuided` reorders the sequential
-//! visitation; for both, everything the exhaustive engine reports —
+//! re-executing them and `CoverageGuided` reorders the visitation; for
+//! both, everything the exhaustive engine reports —
 //! path count, errors with counterexamples, coverage bins, branch maps —
 //! must stay byte-identical. Only the *work* counters (executed paths,
 //! decisions, solver traffic) may differ.

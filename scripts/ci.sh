@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full offline CI gate: formatting, lints, build, tier-1 tests, and
+# The full offline CI gate: formatting, lints, build, the workspace tests and
 # (unless skipped) the exploration smokes plus the perf-regression bench
 # gate.
 #
@@ -8,7 +8,7 @@
 # able to run this end to end.
 #
 # Usage: scripts/ci.sh [--skip-smokes]
-#   --skip-smokes  stop after the tier-1 tests; used by the Actions gate
+#   --skip-smokes  stop after the workspace tests; used by the Actions gate
 #                  job, which runs the benchmark package, the smokes and
 #                  the bench gate as their own jobs so each runs exactly
 #                  once per workflow (locally, plain `scripts/ci.sh`
@@ -35,8 +35,12 @@ echo "==> cargo build --release"
 # root-package build is what the tier-1 gate itself uses.
 cargo build --offline --release --workspace
 
-echo "==> cargo test (tier-1)"
-cargo test --offline --release --workspace -q
+echo "==> cargo test (every crate, debug assertions on)"
+# The dev profile (opt-level = 1 in the root Cargo.toml) keeps debug
+# assertions and overflow checks on, so the engine's internal checks run
+# under every crate's unit and property tests. The release build above
+# stays for the smokes and the bench gate.
+cargo test --offline --workspace -q
 
 if [[ "$skip_smokes" -eq 1 ]]; then
   echo "CI gate passed (smokes skipped)."

@@ -473,6 +473,7 @@ pub const ROWS: [Row; 5] = [
             ("subsumed_paths", |s| s.subsumed_paths),
             ("join_sites", |s| s.join_sites),
             ("sched_promotions", |s| s.sched_promotions),
+            ("merge_rejects", |s| s.merge_rejects),
         ],
         live: &[
             Live {

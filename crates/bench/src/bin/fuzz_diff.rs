@@ -29,11 +29,12 @@ use std::time::Instant;
 
 use symsc_fuzz::exchange::{gateway_probe, masking_probe};
 use symsc_fuzz::{
-    confirm_by_replay, confirm_by_trace, dictionary, scripted_bench, seeds_from_symbolic, Fuzzer,
+    confirm_by_replay, confirm_by_trace, dictionary, seeds_from_symbolic, Fuzzer, InputOutcome,
+    Lane,
 };
 use symsc_plic::config::InjectedFault;
 use symsc_plic::{PlicConfig, PlicVariant};
-use symsc_symex::{Explorer, Report};
+use symsc_symex::Explorer;
 use symsysc_core::cli::emit_only;
 use symsysc_core::Emission;
 
@@ -41,20 +42,6 @@ use symsysc_core::Emission;
 const SEED: u64 = 0xD1FF;
 /// The execution budget of the baseline campaign and of the IF6 hunt.
 const EXECS: u64 = 256;
-
-/// Coverage points of an exploration report, in the fuzzer's key space.
-fn coverage_points(report: &Report) -> BTreeSet<(u128, bool)> {
-    let mut points = BTreeSet::new();
-    for (site, cov) in &report.stats.branches {
-        if cov.taken > 0 {
-            points.insert((*site, true));
-        }
-        if cov.not_taken > 0 {
-            points.insert((*site, false));
-        }
-    }
-    points
-}
 
 fn main() {
     let emit = emit_only(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -113,8 +100,8 @@ fn main() {
     ] {
         let report = Explorer::new()
             .max_paths(512)
-            .explore(scripted_bench(config, pins));
-        let points = coverage_points(&report);
+            .explore(Lane::Tlm.bench(config, pins));
+        let points = InputOutcome::from(&report).coverage;
         println!(
             "symbolic probe {name}: {} paths, {} coverage points",
             report.stats.paths,
@@ -139,7 +126,7 @@ fn main() {
 
     // 3a. Symbolic → fuzz: gateway models against IF1 kill on exec 1.
     let if1 = config.fault(InjectedFault::If1OffByOneGateway);
-    let seeds = seeds_from_symbolic(if1, &gateway_probe(), 64);
+    let seeds = seeds_from_symbolic(Lane::Tlm, if1, &gateway_probe(), 64);
     let seeded = Fuzzer::new(if1)
         .seed(SEED)
         .seeds(seeds.clone())

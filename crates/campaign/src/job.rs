@@ -330,6 +330,8 @@ mod tests {
         assert_eq!(jobs.len(), 3 + 1 + 4 * 7);
         for job in &jobs {
             assert!(job.deps.iter().all(|&d| d < job.id));
+            // A fuzz lane reads its seed sets in job-id order.
+            assert!(job.deps.windows(2).all(|w| w[0] < w[1]));
         }
         // The same shape always derives the identical plan.
         assert_eq!(jobs, plan(3, 2, 4));

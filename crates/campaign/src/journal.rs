@@ -14,104 +14,60 @@
 //! as a set, so the order never influences the final report.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::Path;
 
 use crate::job::{JobId, JobResult};
-use crate::wire::{from_hex, to_hex};
-
-/// Journal format version (major; readers reject anything else).
-const VERSION: &str = "v1";
+use crate::wire::{from_hex, read_records, to_hex, RecordFile};
 
 /// An open journal being appended to by a running campaign.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    log: RecordFile,
 }
 
 impl Journal {
     /// Creates a fresh journal with the version/fingerprint header.
     pub fn create(path: &Path, fingerprint: u64) -> std::io::Result<Journal> {
-        let mut file = File::create(path)?;
-        writeln!(
-            file,
-            "symsc-campaign-journal {VERSION} fp={fingerprint:016x}"
-        )?;
-        Ok(Journal { file })
+        let log = RecordFile::create(path, "journal", fingerprint)?;
+        Ok(Journal { log })
     }
 
-    /// Reopens an existing journal for appending (header already
-    /// validated by [`read_journal`]).
-    pub fn open_append(path: &Path) -> std::io::Result<Journal> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Journal { file })
+    /// Reopens an existing journal for appending, validating the header
+    /// against the campaign fingerprint and truncating a torn final line.
+    pub fn open_append(path: &Path, fingerprint: u64) -> Result<Journal, String> {
+        let log = RecordFile::open_append(path, "journal", fingerprint)?;
+        Ok(Journal { log })
     }
 
-    /// Appends one completed job. The single `write(2)` per line is the
-    /// checkpoint boundary a kill can land on.
+    /// Appends one completed job: the checkpoint boundary a kill can
+    /// land on.
     pub fn append_done(&mut self, id: JobId, result: &JobResult) -> std::io::Result<()> {
-        let line = format!("done {id} {}\n", to_hex(&result.encode()));
-        self.file.write_all(line.as_bytes())
+        self.log
+            .append(&format!("done {id} {}", to_hex(&result.encode())))
     }
 }
 
 /// Reads a journal: validates the header against `fingerprint` and
 /// returns the completed results by job id. A torn final line (the kill
-/// landed mid-append) is tolerated and dropped; any other malformation
-/// is an error.
+/// landed mid-append) is dropped; any other malformation is an error.
 pub fn read_journal(path: &Path, fingerprint: u64) -> Result<BTreeMap<JobId, JobResult>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let ends_complete = text.ends_with('\n');
-    let mut lines = text.lines().peekable();
-    let header = lines.next().ok_or("empty journal")?;
-    let mut parts = header.split(' ');
-    if parts.next() != Some("symsc-campaign-journal") {
-        return Err(format!("not a campaign journal: header {header:?}"));
-    }
-    let version = parts.next().unwrap_or_default();
-    if version != VERSION {
-        return Err(format!(
-            "journal version {version:?} is not supported (want {VERSION})"
-        ));
-    }
-    let expected = format!("fp={fingerprint:016x}");
-    let fp = parts.next().unwrap_or_default();
-    if fp != expected {
-        return Err(format!(
-            "journal belongs to a different campaign ({fp}, want {expected})"
-        ));
-    }
     let mut done = BTreeMap::new();
-    while let Some(line) = lines.next() {
-        if line.is_empty() {
-            continue;
-        }
-        let last = lines.peek().is_none();
-        let parse = || -> Result<(JobId, JobResult), String> {
-            let fields: Vec<&str> = line.split(' ').collect();
-            let [tag, id, hex] = fields.as_slice() else {
-                return Err(format!("malformed journal line {line:?}"));
-            };
-            if *tag != "done" {
-                return Err(format!("unknown journal record {tag:?}"));
-            }
-            let id: JobId = id.parse().map_err(|_| format!("bad job id {id:?}"))?;
-            let payload = from_hex(hex).map_err(|e| e.to_string())?;
-            let result = JobResult::decode(&payload).map_err(|e| e.to_string())?;
-            Ok((id, result))
+    read_records(path, "journal", fingerprint, |_, line| {
+        let fields: Vec<&str> = line.split(' ').collect();
+        let [tag, id, hex] = fields.as_slice() else {
+            return Err(format!("malformed journal line {line:?}"));
         };
-        match parse() {
-            Ok((id, result)) => {
-                if done.insert(id, result).is_some() {
-                    return Err(format!("job {line:?} journaled twice"));
-                }
-            }
-            // A torn tail is the expected shape of a mid-append kill.
-            Err(_) if last && !ends_complete => break,
-            Err(e) => return Err(e),
+        if *tag != "done" {
+            return Err(format!("unknown journal record {tag:?}"));
         }
-    }
+        let id: JobId = id.parse().map_err(|_| format!("bad job id {id:?}"))?;
+        let payload = from_hex(hex).map_err(|e| e.to_string())?;
+        let result = JobResult::decode(&payload).map_err(|e| e.to_string())?;
+        if done.insert(id, result).is_some() {
+            return Err(format!("job {line:?} journaled twice"));
+        }
+        Ok(())
+    })?;
     Ok(done)
 }
 

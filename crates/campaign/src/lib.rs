@@ -5,10 +5,11 @@
 //! registry (`symsc-mutate`), the coverage-guided differential fuzzer
 //! and the symbolic↔fuzz seed exchange (`symsc-fuzz`). A *campaign* fans
 //! the testbench × mutant × fuzz-lane cross product into a dependency
-//! DAG of jobs, executes it on a sharded work-stealing queue where
-//! symbolic and fuzz workers steal from each other, and streams probe
-//! seeds and fuzz findings between the two engines *while the campaign
-//! runs* ([`SeedChannel`]).
+//! DAG of jobs and executes it on a sharded work-stealing queue where
+//! symbolic and fuzz workers steal from each other. Probe seeds and fuzz
+//! findings flow between the two engines *while the campaign runs*: a
+//! job reads its dependencies' results from the [`WorkQueue`], which
+//! holds every completed job's result, journal-spliced ones included.
 //!
 //! Two properties make this production-grade rather than a scatter of
 //! scripts:
@@ -27,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod exchange;
 pub mod job;
 pub mod journal;
 pub mod orchestrator;
@@ -37,7 +37,6 @@ pub mod spec;
 pub mod store;
 pub mod wire;
 
-pub use exchange::SeedChannel;
 pub use job::{plan, Job, JobId, JobKind, JobResult, WireFinding};
 pub use journal::{read_journal, Journal};
 pub use orchestrator::{

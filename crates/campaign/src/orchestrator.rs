@@ -21,15 +21,15 @@
 //! work and the store at-least-once (deduplicated on read).
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-use symsc_fuzz::{confirm_by_replay, confirm_by_trace, dictionary, minimize, Fuzzer};
+use symsc_fuzz::{
+    baseline_lane, confirm_by_replay, confirm_by_trace, mutant_lane, FuzzMatrixParams,
+};
 use symsc_plic::Mutation;
 use symsc_testbench::{run_test, SuiteParams};
 use symsysc_core::Verifier;
 
-use crate::exchange::SeedChannel;
 use crate::job::{plan, Job, JobId, JobKind, JobResult, WireFinding};
 use crate::journal::{read_journal, Journal};
 use crate::queue::{QueueStats, WorkQueue};
@@ -95,11 +95,6 @@ pub struct CampaignOutcome {
     pub total: u64,
     /// Scheduling counters of this run.
     pub queue: QueueStats,
-    /// Seeds published symbolic → fuzz while this process ran (includes
-    /// journal replays republished on resume).
-    pub seeds_from_symbolic: u64,
-    /// Findings handed fuzz → symbolic while this process ran.
-    pub findings_to_symbolic: u64,
     /// The final report (`None` when halted).
     pub report: Option<CampaignReport>,
 }
@@ -155,8 +150,7 @@ pub fn resume(
     let fingerprint = spec.fingerprint();
     let done = read_journal(&dir.join(JOURNAL_FILE), fingerprint)?;
     let store = Store::open_append(&dir.join(STORE_FILE), fingerprint)?;
-    let journal = Journal::open_append(&dir.join(JOURNAL_FILE))
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    let journal = Journal::open_append(&dir.join(JOURNAL_FILE), fingerprint)?;
     let shape = plan_shape(&resolved);
     let mut completed: Vec<Option<JobResult>> = vec![None; shape];
     for (id, result) in done {
@@ -305,13 +299,6 @@ fn execute(
     if let Some(budget) = options.halt_after {
         queue.halt_after(budget);
     }
-    let channel = SeedChannel::new();
-    // Re-publish journaled probe seeds: their consumers may run fresh.
-    for (id, result) in completed.iter().enumerate() {
-        if let Some(JobResult::Probe { seeds }) = result {
-            channel.publish(id, seeds.clone());
-        }
-    }
     let test_names: Vec<&str> = spec.tests.iter().map(|t| t.name()).collect();
     let journal = Mutex::new(journal);
     let store = Mutex::new(store);
@@ -321,17 +308,13 @@ fn execute(
         for worker in 0..workers {
             let queue = &queue;
             let jobs = &jobs;
-            let channel = &channel;
             let journal = &journal;
             let store = &store;
             let failure = &failure;
             let test_names = &test_names;
             scope.spawn(move || {
                 while let Some(id) = queue.pull(worker) {
-                    let result = run_job(resolved, jobs, id, queue, channel);
-                    if let JobResult::Probe { seeds } = &result {
-                        channel.publish(id, seeds.clone());
-                    }
+                    let result = run_job(resolved, jobs, id, queue);
                     // Store records first, the journal checkpoint last:
                     // a kill between the two re-runs the job on resume
                     // (store appends are deduplicated on read).
@@ -366,16 +349,12 @@ fn execute(
         return Err(e);
     }
     let stats = queue.stats();
-    let seeds = channel.seeds_from_symbolic.load(Ordering::Relaxed);
-    let findings = channel.findings_to_symbolic.load(Ordering::Relaxed);
     if queue.halted() {
         return Ok(CampaignOutcome {
             halted: true,
             done: queue.completed_jobs(),
             total: jobs.len() as u64,
             queue: stats,
-            seeds_from_symbolic: seeds,
-            findings_to_symbolic: findings,
             report: None,
         });
     }
@@ -390,8 +369,6 @@ fn execute(
         done,
         total: jobs.len() as u64,
         queue: stats,
-        seeds_from_symbolic: seeds,
-        findings_to_symbolic: findings,
         report: Some(report),
     })
 }
@@ -440,13 +417,7 @@ fn persist(
 
 /// Executes one job. Every branch is a pure function of the spec (plus
 /// dependency results, which are themselves pure), never of scheduling.
-fn run_job(
-    resolved: &ResolvedSpec,
-    jobs: &[Job],
-    id: JobId,
-    queue: &WorkQueue,
-    channel: &SeedChannel,
-) -> JobResult {
+fn run_job(resolved: &ResolvedSpec, jobs: &[Job], id: JobId, queue: &WorkQueue) -> JobResult {
     let spec = &resolved.spec;
     let config = resolved.config;
     match &jobs[id].kind {
@@ -479,56 +450,34 @@ fn run_job(
                 seeds: resolved.probes[*probe].run(mutated),
             }
         }
-        JobKind::Fuzz { mutant: None } => {
-            // The corpus-building lane: dictionary-seeded campaign on the
-            // unmutated model, exporting dictionary + minimized corpus as
-            // the shared seed set (the fuzz-matrix procedure).
-            let dict = dictionary(&config);
-            let report = Fuzzer::new(config)
-                .seed(spec.seed)
-                .max_execs(spec.baseline_execs)
-                .batch(spec.batch)
-                .seeds(dict.clone())
-                .run();
-            let mut shared = dict;
-            let mut seen: std::collections::BTreeSet<Vec<u8>> = shared.iter().cloned().collect();
-            for entry in minimize(config, &report.corpus) {
-                if seen.insert(entry.clone()) {
-                    shared.push(entry);
-                }
-            }
-            JobResult::Fuzz {
-                execs: report.execs,
-                corpus: shared,
-                coverage_points: report.coverage.len() as u64,
-                findings: wire_findings(&report.findings),
-            }
-        }
-        JobKind::Fuzz { mutant: Some(m) } => {
-            // Seeds: the baseline's shared corpus (dep 0) plus every
-            // probe seed streamed through the exchange (deps 1..).
-            let deps = &jobs[id].deps;
-            let JobResult::Fuzz { corpus: shared, .. } = queue.result(deps[0]) else {
-                unreachable!("fuzz lane dep 0 is the baseline fuzz job");
+        JobKind::Fuzz { mutant } => {
+            // One worker per fuzz job: the queue runs jobs side by side.
+            let params = FuzzMatrixParams {
+                seed: spec.seed,
+                workers: 1,
+                baseline_execs: spec.baseline_execs,
+                mutant_execs: spec.fuzz_execs,
+                batch: spec.batch,
             };
-            let mut seeds = shared.clone();
-            let mut seen: std::collections::BTreeSet<Vec<u8>> = seeds.iter().cloned().collect();
-            for seed in channel.collect(&deps[1..]) {
-                if seen.insert(seed.clone()) {
-                    seeds.push(seed);
+            let (report, corpus) = match mutant {
+                // The baseline lane exports the shared seed set.
+                None => baseline_lane(config, &params),
+                // Seed sets: the baseline's shared set (dep 0), then each
+                // probe's seeds (deps 1..), in job-id order.
+                Some(m) => {
+                    let sets = jobs[id].deps.iter().map(|&dep| match queue.result(dep) {
+                        JobResult::Fuzz { corpus, .. } => &corpus[..],
+                        JobResult::Probe { seeds } => &seeds[..],
+                        other => unreachable!("fuzz lane dep {dep} holds {other:?}"),
+                    });
+                    let report = mutant_lane(config, *m, &resolved.mutants[*m], sets, &params);
+                    let corpus = report.corpus.clone();
+                    (report, corpus)
                 }
-            }
-            let mutated = config.mutate(resolved.mutants[*m].op());
-            let report = Fuzzer::new(mutated)
-                .seed(spec.seed.wrapping_add(0x9E37 * (*m as u64 + 1)))
-                .max_execs(spec.fuzz_execs)
-                .batch(spec.batch)
-                .seeds(seeds)
-                .stop_on_finding(true)
-                .run();
+            };
             JobResult::Fuzz {
                 execs: report.execs,
-                corpus: report.corpus,
+                corpus,
                 coverage_points: report.coverage.len() as u64,
                 findings: wire_findings(&report.findings),
             }
@@ -539,7 +488,6 @@ fn run_job(
             let JobResult::Fuzz { findings, .. } = queue.result(jobs[id].deps[0]) else {
                 unreachable!("confirm dep 0 is the mutant's fuzz lane");
             };
-            channel.note_findings(findings.len() as u64);
             let mutated = config.mutate(resolved.mutants[*mutant].op());
             let mut confirmed_trace = 0;
             let mut confirmed_replay = 0;

@@ -255,8 +255,7 @@ mod tests {
         assert_eq!(resolved.probes[1].max_paths, 16);
         assert_eq!(resolved.probes[2].max_paths, 16);
         assert_eq!(resolved.probes[3].max_paths, 16);
-        use symsc_fuzz::ProbeLane;
-        assert_eq!(resolved.probes[3].lane, ProbeLane::Cross);
+        assert_eq!(resolved.probes[3].lane, symsc_fuzz::Lane::Cross);
     }
 
     #[test]

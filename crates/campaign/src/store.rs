@@ -3,7 +3,8 @@
 //!
 //! One line per record, written as jobs complete and fsync-free (a plain
 //! `write(2)` per line — a killed process loses at most the line being
-//! written, never corrupts earlier ones). Byte inputs are stored in the
+//! written, never corrupts earlier ones: the torn line is dropped on read
+//! and truncated before the next append). Byte inputs are stored in the
 //! replay serialization format — the canonical `symsc_fuzz::Program`
 //! byte encoding, hex-armored — so every `seed`/`corpus`/`cex` record
 //! replays directly through `Explorer::replay`/`trace`.
@@ -15,21 +16,15 @@
 //! pure function of the spec.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::job::WireFinding;
-use crate::wire::{from_hex, to_hex, Dec, Enc};
-
-/// Store format version (major; readers reject anything else).
-const VERSION: &str = "v1";
+use crate::wire::{from_hex, read_records, to_hex, Dec, Enc, RecordFile};
 
 /// An open store being appended to by a running campaign.
 #[derive(Debug)]
 pub struct Store {
-    file: File,
-    path: PathBuf,
+    log: RecordFile,
 }
 
 /// The deduplicated contents of a store file.
@@ -49,42 +44,25 @@ impl Store {
     /// Creates a fresh store (truncating any previous file) with the
     /// version/fingerprint header.
     pub fn create(path: &Path, fingerprint: u64) -> std::io::Result<Store> {
-        let mut file = File::create(path)?;
-        writeln!(file, "symsc-campaign-store {VERSION} fp={fingerprint:016x}")?;
-        Ok(Store {
-            file,
-            path: path.to_path_buf(),
-        })
+        let log = RecordFile::create(path, "store", fingerprint)?;
+        Ok(Store { log })
     }
 
     /// Reopens an existing store for appending, validating the header
-    /// against the campaign fingerprint.
+    /// against the campaign fingerprint and truncating a torn final line.
     pub fn open_append(path: &Path, fingerprint: u64) -> Result<Store, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        check_header(text.lines().next(), fingerprint, "store")?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(Store {
-            file,
-            path: path.to_path_buf(),
-        })
-    }
-
-    fn line(&mut self, line: &str) -> std::io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")
+        let log = RecordFile::open_append(path, "store", fingerprint)?;
+        Ok(Store { log })
     }
 
     /// Appends one exchanged probe seed for `mutant`.
     pub fn append_seed(&mut self, mutant: &str, bytes: &[u8]) -> std::io::Result<()> {
-        self.line(&format!("seed {mutant} {}", to_hex(bytes)))
+        self.log.append(&format!("seed {mutant} {}", to_hex(bytes)))
     }
 
     /// Appends one admitted corpus entry for lane `name`.
     pub fn append_corpus(&mut self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-        self.line(&format!("corpus {name} {}", to_hex(bytes)))
+        self.log.append(&format!("corpus {name} {}", to_hex(bytes)))
     }
 
     /// Appends one counterexample for `mutant`.
@@ -96,7 +74,7 @@ impl Store {
         let mut e = Enc::new();
         e.str(&finding.message);
         e.bytes(&finding.input);
-        self.line(&format!(
+        self.log.append(&format!(
             "cex {mutant} {} {}",
             crate::job::kind_to_u8(finding.kind),
             to_hex(&e.finish())
@@ -105,50 +83,17 @@ impl Store {
 
     /// Appends the coverage-point count of lane `name`.
     pub fn append_coverage(&mut self, name: &str, points: u64) -> std::io::Result<()> {
-        self.line(&format!("coverage {name} {points}"))
-    }
-
-    /// The store's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        self.log.append(&format!("coverage {name} {points}"))
     }
 }
 
-fn check_header(line: Option<&str>, fingerprint: u64, what: &str) -> Result<(), String> {
-    let line = line.ok_or_else(|| format!("empty {what} file"))?;
-    let mut parts = line.split(' ');
-    let magic = parts.next().unwrap_or_default();
-    let version = parts.next().unwrap_or_default();
-    let fp = parts.next().unwrap_or_default();
-    if magic != format!("symsc-campaign-{what}") {
-        return Err(format!("not a campaign {what}: header {line:?}"));
-    }
-    if version != VERSION {
-        return Err(format!(
-            "{what} version {version:?} is not supported (want {VERSION})"
-        ));
-    }
-    let expected = format!("fp={fingerprint:016x}");
-    if fp != expected {
-        return Err(format!(
-            "{what} belongs to a different campaign ({fp}, want {expected})"
-        ));
-    }
-    Ok(())
-}
-
-/// Reads and deduplicates a store file, validating its header.
+/// Reads and deduplicates a store file, validating its header. A torn
+/// final line (the kill landed mid-append) is dropped.
 pub fn read_store(path: &Path, fingerprint: u64) -> Result<StoreContents, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    check_header(lines.next(), fingerprint, "store")?;
     let mut contents = StoreContents::default();
-    for (no, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
+    read_records(path, "store", fingerprint, |no, line| {
         let fields: Vec<&str> = line.split(' ').collect();
-        let fail = |why: &str| format!("store line {}: {why}: {line:?}", no + 2);
+        let fail = |why: &str| format!("store line {no}: {why}: {line:?}");
         match fields.as_slice() {
             ["seed", mutant, hex] => {
                 let bytes = from_hex(hex).map_err(|e| fail(&e.to_string()))?;
@@ -186,7 +131,8 @@ pub fn read_store(path: &Path, fingerprint: u64) -> Result<StoreContents, String
             }
             _ => return Err(fail("unknown record")),
         }
-    }
+        Ok(())
+    })?;
     Ok(contents)
 }
 
@@ -195,7 +141,7 @@ mod tests {
     use super::*;
     use symsc_symex::ErrorKind;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("symsc_campaign_store_tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)

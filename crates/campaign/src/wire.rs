@@ -9,8 +9,18 @@
 //! optional anything. Records travel inside line-oriented files as
 //! lowercase hex, so a journal stays greppable and diff-able while the
 //! payload stays byte-exact.
+//!
+//! Both files are [`RecordFile`]s: a header line pinning the format
+//! version and the campaign fingerprint, then one record per
+//! newline-terminated line.
 
 use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
+use std::path::Path;
+
+/// Record-file format version (major; readers reject anything else).
+const VERSION: &str = "v1";
 
 /// A decode failure (truncated or malformed payload).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -149,6 +159,92 @@ pub fn from_hex(text: &str) -> Result<Vec<u8>, WireError> {
         .collect()
 }
 
+/// An append-only line-record file opened for appending: the journal or
+/// the store (`what` names which, in its header and in errors).
+///
+/// A kill can land mid-append, so an unterminated final line is a torn
+/// record: [`read_records`] drops it, and [`RecordFile::open_append`]
+/// truncates it before appending, or the next record would fuse with the
+/// torn bytes into one malformed interior line.
+#[derive(Debug)]
+pub struct RecordFile {
+    file: File,
+}
+
+impl RecordFile {
+    /// Creates a fresh file (truncating any previous one) holding only the
+    /// version/fingerprint header.
+    pub fn create(path: &Path, what: &str, fingerprint: u64) -> std::io::Result<RecordFile> {
+        let mut file = File::create(path)?;
+        let header = format!("symsc-campaign-{what} {VERSION} fp={fingerprint:016x}\n");
+        file.write_all(header.as_bytes())?;
+        Ok(RecordFile { file })
+    }
+
+    /// Reopens an existing file for appending: checks its header and
+    /// truncates a torn final record.
+    pub fn open_append(path: &Path, what: &str, fingerprint: u64) -> Result<RecordFile, String> {
+        let fail = |e: std::io::Error| format!("{}: {e}", path.display());
+        let text = std::fs::read_to_string(path).map_err(fail)?;
+        complete_records(&text, what, fingerprint)?;
+        let file = OpenOptions::new().append(true).open(path).map_err(fail)?;
+        let intact = text.rfind('\n').map_or(0, |end| end + 1);
+        file.set_len(intact as u64).map_err(fail)?;
+        Ok(RecordFile { file })
+    }
+
+    /// Appends one record. The record and its newline go out in one
+    /// `write(2)`, the boundary a kill can land on.
+    pub fn append(&mut self, record: &str) -> std::io::Result<()> {
+        self.file.write_all(format!("{record}\n").as_bytes())
+    }
+}
+
+/// Reads the record file at `path`: checks its header, then hands each
+/// complete record to `visit` with its 1-based line number. A torn final
+/// record is dropped; `visit` rejects any other malformation.
+pub fn read_records(
+    path: &Path,
+    what: &str,
+    fingerprint: u64,
+    mut visit: impl FnMut(usize, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let records = complete_records(&text, what, fingerprint)?;
+    for (no, line) in records.lines().enumerate() {
+        if !line.is_empty() {
+            visit(no + 2, line)?;
+        }
+    }
+    Ok(())
+}
+
+/// Checks the header line of a record file's text and returns its
+/// newline-terminated records.
+fn complete_records<'t>(text: &'t str, what: &str, fingerprint: u64) -> Result<&'t str, String> {
+    let Some((header, records)) = text.split_once('\n') else {
+        return Err(format!("{what} file has no complete header line"));
+    };
+    let mut parts = header.split(' ');
+    if parts.next() != Some(format!("symsc-campaign-{what}").as_str()) {
+        return Err(format!("not a campaign {what}: header {header:?}"));
+    }
+    let version = parts.next().unwrap_or_default();
+    if version != VERSION {
+        return Err(format!(
+            "{what} version {version:?} is not supported (want {VERSION})"
+        ));
+    }
+    let expected = format!("fp={fingerprint:016x}");
+    let fp = parts.next().unwrap_or_default();
+    if fp != expected {
+        return Err(format!(
+            "{what} belongs to a different campaign ({fp}, want {expected})"
+        ));
+    }
+    Ok(&records[..records.rfind('\n').map_or(0, |end| end + 1)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +273,37 @@ mod tests {
         assert_eq!(from_hex(&hex).unwrap(), payload);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+    }
+
+    #[test]
+    fn a_torn_record_is_dropped_and_truncated_before_the_next_append() {
+        let dir = std::env::temp_dir().join("symsc_campaign_wire_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn.log");
+        RecordFile::create(&path, "store", 5)
+            .unwrap()
+            .append("a 1")
+            .unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("b 2");
+        std::fs::write(&path, &text).unwrap();
+        let read = |path: &Path| {
+            let mut lines = Vec::new();
+            read_records(path, "store", 5, |no, line| {
+                lines.push(format!("{no}:{line}"));
+                Ok(())
+            })
+            .map(|()| lines)
+        };
+        assert_eq!(read(&path).unwrap(), ["2:a 1"]);
+        RecordFile::open_append(&path, "store", 5)
+            .unwrap()
+            .append("c 3")
+            .unwrap();
+        assert_eq!(read(&path).unwrap(), ["2:a 1", "3:c 3"]);
+        assert!(read_records(&path, "journal", 5, |_, _| Ok(())).is_err());
+        std::fs::write(&path, "").unwrap();
+        assert!(RecordFile::open_append(&path, "store", 5).is_err());
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //! mid-run and resumed produces final reports **byte-identical** to an
 //! uninterrupted run — at 1, 2 and 8 workers.
 
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 use symsc_campaign::{
-    read_store, resume, start, status, CampaignSpec, RunOptions, REPORT_JSON, REPORT_TEXT,
+    read_journal, read_store, resume, start, status, CampaignSpec, RunOptions, JOURNAL_FILE,
+    REPORT_JSON, REPORT_TEXT, STORE_FILE,
 };
 
 /// A trimmed smoke spec so the whole matrix of runs stays test-sized.
@@ -36,7 +38,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn reports(dir: &std::path::Path) -> (String, String) {
+fn reports(dir: &Path) -> (String, String) {
     (
         std::fs::read_to_string(dir.join(REPORT_JSON)).unwrap(),
         std::fs::read_to_string(dir.join(REPORT_TEXT)).unwrap(),
@@ -153,4 +155,59 @@ fn starting_over_an_existing_campaign_is_refused_and_resume_is_idempotent() {
     assert!(view.finished);
     assert_eq!(view.done, view.total);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Appends `bytes` to `path` as a process killed mid-append leaves them.
+fn tear(path: &Path, bytes: &str) {
+    let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+    file.write_all(bytes.as_bytes()).unwrap();
+}
+
+#[test]
+fn torn_records_are_dropped_and_resumed_campaigns_stay_readable() {
+    let spec = micro_spec();
+    let fingerprint = spec.fingerprint();
+    let one = |halt_after| RunOptions {
+        workers: 1,
+        halt_after,
+    };
+    let reference_dir = fresh_dir("torn_reference");
+    let outcome = start(&reference_dir, &spec, &one(None), &|_| {}).unwrap();
+    let reference_store = read_store(&reference_dir.join(STORE_FILE), fingerprint).unwrap();
+
+    // Killed twice, each time mid-append to both files: first a store
+    // record that lost its newline and a journal record cut inside its
+    // payload, then a store record cut inside its hex.
+    let dir = fresh_dir("torn");
+    let third = outcome.total / 3;
+    assert!(
+        start(&dir, &spec, &one(Some(third)), &|_| {})
+            .unwrap()
+            .halted
+    );
+    tear(&dir.join(STORE_FILE), "seed IF1 0a0b");
+    tear(&dir.join(JOURNAL_FILE), "done 11 0a");
+    assert_eq!(status(&dir).unwrap().done, third);
+    assert!(resume(&dir, &one(Some(third)), &|_| {}).unwrap().halted);
+    assert_eq!(status(&dir).unwrap().done, 2 * third);
+    tear(&dir.join(STORE_FILE), "corpus fuzz/IF1 0a0");
+    assert_eq!(status(&dir).unwrap().done, 2 * third);
+
+    let resumed = resume(&dir, &one(None), &|_| {}).unwrap();
+    assert!(!resumed.halted);
+    assert!(status(&dir).unwrap().finished);
+    assert_eq!(
+        read_journal(&dir.join(JOURNAL_FILE), fingerprint)
+            .unwrap()
+            .len() as u64,
+        outcome.total
+    );
+    assert_eq!(reports(&dir), reports(&reference_dir));
+    assert_eq!(
+        read_store(&dir.join(STORE_FILE), fingerprint).unwrap(),
+        reference_store,
+        "the torn records must not reach the store's contents"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&reference_dir).unwrap();
 }

@@ -1,11 +1,11 @@
-//! The cross-level fuzz lane: the cycle-level PLIC as a second
-//! [`InputRunner`](crate::engine::InputRunner), differentially checked
-//! against the *fixed TLM model* instead of the concrete reference.
+//! The cross-level fuzz lane ([`Lane::Cross`]): the cycle-level PLIC as
+//! a second [`InputRunner`](crate::engine::InputRunner), differentially
+//! checked against the *fixed TLM model* instead of the concrete
+//! reference.
 //!
-//! The lane reuses the byte grammar and operation selectors of the TLM
-//! lane verbatim ([`crate::harness::op`], same 6-byte slots, same
-//! `op{i}_kind`/`op{i}_a`/`op{i}_b` variables), so corpus machinery,
-//! probe scripts and counterexample round-trips work unchanged. The
+//! The lane reuses the slot decoder and operation selectors of the TLM
+//! lane verbatim ([`crate::harness::op`]), so corpus machinery, probe
+//! scripts and counterexample round-trips work unchanged. The
 //! configuration's mutation is carried by the **cycle-level side**; the
 //! TLM oracle runs with the mutation stripped — a fuzz campaign over a
 //! mutated config therefore hunts for concrete inputs on which the
@@ -14,31 +14,15 @@
 
 use symsc_plic::PlicConfig;
 use symsc_rtl::CrossChecker;
-use symsc_symex::{Explorer, SymCtx, Width};
+use symsc_symex::{SymCtx, Width};
 
-use crate::engine::{trace_input, InputOutcome};
-use crate::grammar::{Program, OP_KINDS};
-use crate::harness::{op, pin_mod, OpPin};
+use crate::engine::InputOutcome;
+use crate::grammar::OP_KINDS;
+use crate::harness::op;
+use crate::lane::{decode_slot, pin_mod, Lane, OpPin};
 
-/// The cross-level differential testbench over `len` fully symbolic
-/// operation slots.
-pub fn cycle_differential_bench(
-    config: PlicConfig,
-    len: usize,
-) -> impl Fn(&SymCtx) + Send + Sync + 'static {
-    scripted_cycle_bench(config, vec![OpPin::free(); len])
-}
-
-/// The cross-level differential testbench with per-slot pinning (the
-/// cycle lane's analog of [`crate::harness::scripted_bench`]).
-pub fn scripted_cycle_bench(
-    config: PlicConfig,
-    pins: Vec<OpPin>,
-) -> impl Fn(&SymCtx) + Send + Sync + 'static {
-    move |ctx: &SymCtx| run_cycle_program(ctx, config, &pins)
-}
-
-fn run_cycle_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
+/// The cross-level differential testbench, one operation slot per pin.
+pub(crate) fn run_cycle_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
     let sources = config.sources;
     let bitmap_words = config.bitmap_words() as u32;
 
@@ -49,20 +33,7 @@ fn run_cycle_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
     let mut x = CrossChecker::new(ctx, tlm_config, config);
 
     for (i, pin) in pins.iter().enumerate() {
-        let kind_w = ctx.symbolic(&format!("op{i}_kind"), Width::W8);
-        let a_w = ctx.symbolic(&format!("op{i}_a"), Width::W32);
-        let b_w = ctx.symbolic(&format!("op{i}_b"), Width::W8);
-        if let Some(k) = pin.kind {
-            ctx.assume(&kind_w.eq(&ctx.word(u64::from(k), Width::W8)));
-        }
-        if let Some(a) = pin.a {
-            ctx.assume(&a_w.eq(&ctx.word32(a)));
-        }
-        if let Some(b) = pin.b {
-            ctx.assume(&b_w.eq(&ctx.word(u64::from(b), Width::W8)));
-        }
-
-        let (_, kind) = pin_mod(ctx, &kind_w.zero_ext(Width::W32), u32::from(OP_KINDS));
+        let (kind, a_w, b_w) = decode_slot(ctx, i, pin, OP_KINDS);
         match kind {
             // Same id range as the TLM lane (`0..=sources+1`); the TLM
             // decode rejects invalid ids as a no-op, and the paired
@@ -118,39 +89,14 @@ fn run_cycle_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
 /// its coverage and errors — the cycle lane's
 /// [`InputRunner`](crate::engine::InputRunner).
 pub fn run_cycle_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
-    trace_input(config, bytes, cycle_differential_bench)
-}
-
-/// Harvests fuzz seeds from a bounded symbolic exploration of a
-/// cross-level probe: every distinct counterexample model (a concrete
-/// input on which the mutated cycle model diverges from the clean TLM
-/// model) is encoded as a byte input. The cycle-lane analog of
-/// [`crate::exchange::seeds_from_symbolic`], and like it explored on one
-/// worker, so a budget-cut probe returns the same seeds on every run.
-pub fn seeds_from_cycle_symbolic(
-    config: PlicConfig,
-    pins: &[OpPin],
-    max_paths: u64,
-) -> Vec<Vec<u8>> {
-    let report = Explorer::new()
-        .workers(1)
-        .max_paths(max_paths)
-        .explore(scripted_cycle_bench(config, pins.to_vec()));
-    let mut seen: std::collections::BTreeSet<Vec<u8>> = std::collections::BTreeSet::new();
-    let mut out = Vec::new();
-    for error in report.distinct_errors() {
-        let bytes = Program::from_assignment(&error.counterexample, pins.len()).encode();
-        if seen.insert(bytes.clone()) {
-            out.push(bytes);
-        }
-    }
-    out
+    InputOutcome::from(&Lane::Cross.trace(config, bytes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Fuzzer;
+    use crate::exchange::{masking_probe, seeds_from_symbolic};
     use symsc_plic::{MutationOp, PlicVariant};
 
     fn scaled() -> PlicConfig {
@@ -256,7 +202,7 @@ mod tests {
     fn a_cross_probe_exports_seeds_against_a_threshold_mutant() {
         use symsc_plic::ThresholdCmp;
         let mutated = scaled().mutate(MutationOp::ThresholdCompare(ThresholdCmp::OrEqual));
-        let seeds = seeds_from_cycle_symbolic(mutated, &crate::exchange::masking_probe(3), 64);
+        let seeds = seeds_from_symbolic(Lane::Cross, mutated, &masking_probe(3), 64);
         assert!(
             !seeds.is_empty(),
             "exploration must find the boundary model"
@@ -266,8 +212,6 @@ mod tests {
             .any(|s| !run_cycle_input(mutated, s).errors.is_empty());
         assert!(killed, "an exported seed must reproduce the divergence");
         // The same probe on the unmutated model exports nothing.
-        assert!(
-            seeds_from_cycle_symbolic(scaled(), &crate::exchange::masking_probe(3), 64).is_empty()
-        );
+        assert!(seeds_from_symbolic(Lane::Cross, scaled(), &masking_probe(3), 64).is_empty());
     }
 }

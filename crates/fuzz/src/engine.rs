@@ -25,10 +25,10 @@ use std::sync::Mutex;
 
 use symsc_plic::PlicConfig;
 use symsc_rng::Rng;
-use symsc_symex::{ErrorKind, Explorer, SymCtx};
+use symsc_symex::{ErrorKind, Report};
 
-use crate::grammar::{Program, MAX_OPS, OP_BYTES};
-use crate::harness::differential_bench;
+use crate::grammar::{MAX_OPS, OP_BYTES};
+use crate::lane::Lane;
 
 /// A branch-coverage point: one structural fork-site fingerprint plus the
 /// direction taken — the same key symbolic branch coverage uses.
@@ -58,37 +58,32 @@ pub struct InputOutcome {
     pub errors: Vec<(ErrorKind, String)>,
 }
 
-/// Executes one fuzz input as a concolic trace of the differential
-/// harness and collects its coverage and errors.
-pub fn run_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
-    trace_input(config, bytes, differential_bench)
+impl From<&Report> for InputOutcome {
+    /// The coverage and errors of an executed report, in the fuzzer's
+    /// key space.
+    fn from(report: &Report) -> InputOutcome {
+        let mut coverage = BTreeSet::new();
+        for (site, cov) in &report.stats.branches {
+            if cov.taken > 0 {
+                coverage.insert((*site, true));
+            }
+            if cov.not_taken > 0 {
+                coverage.insert((*site, false));
+            }
+        }
+        let errors = report
+            .errors
+            .iter()
+            .map(|e| (e.kind, e.message.clone()))
+            .collect();
+        InputOutcome { coverage, errors }
+    }
 }
 
-/// The body of every lane's runner: decodes `bytes`, traces the testbench
-/// `bench` builds for the decoded program's length, and collects the
-/// trace's coverage and errors.
-pub(crate) fn trace_input<F: FnMut(&SymCtx)>(
-    config: PlicConfig,
-    bytes: &[u8],
-    bench: impl FnOnce(PlicConfig, usize) -> F,
-) -> InputOutcome {
-    let program = Program::decode(bytes);
-    let report = Explorer::new().trace(&program.to_assignment(), bench(config, program.len()));
-    let mut coverage = BTreeSet::new();
-    for (site, cov) in &report.stats.branches {
-        if cov.taken > 0 {
-            coverage.insert((*site, true));
-        }
-        if cov.not_taken > 0 {
-            coverage.insert((*site, false));
-        }
-    }
-    let errors = report
-        .errors
-        .iter()
-        .map(|e| (e.kind, e.message.clone()))
-        .collect();
-    InputOutcome { coverage, errors }
+/// Executes one fuzz input as a concolic trace of the TLM lane's
+/// differential testbench and collects its coverage and errors.
+pub fn run_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
+    InputOutcome::from(&Lane::Tlm.trace(config, bytes))
 }
 
 /// The result of a fuzzing campaign.
@@ -114,8 +109,9 @@ impl FuzzReport {
 }
 
 /// The execution engine behind a campaign: decodes one byte string and
-/// reports its coverage and errors. [`run_input`] (the TLM differential
-/// harness) is the default; the firmware lane substitutes its own.
+/// reports its coverage and errors. Each [`Lane`] has one: [`run_input`]
+/// (the default), [`run_cycle_input`](crate::cycle::run_cycle_input) and
+/// [`run_firmware_input`](crate::firmware::run_firmware_input).
 pub type InputRunner = fn(PlicConfig, &[u8]) -> InputOutcome;
 
 /// A configured fuzzing campaign (builder-style).
@@ -192,9 +188,9 @@ impl Fuzzer {
         self
     }
 
-    /// Substitutes the input runner (default: the TLM differential
-    /// harness, [`run_input`]). The mutation/coverage machinery is
-    /// runner-agnostic — the firmware lane plugs in here.
+    /// Substitutes the input runner (default: the TLM lane's
+    /// [`run_input`]). The mutation/coverage machinery is
+    /// runner-agnostic — the other lanes plug in here.
     pub fn runner(mut self, runner: InputRunner) -> Fuzzer {
         self.runner = runner;
         self

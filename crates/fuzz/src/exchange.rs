@@ -4,45 +4,48 @@
 //! model are lossless encodings of one another ([`crate::grammar`]), the
 //! two engines can trade work in both directions:
 //!
-//! * **symbolic → fuzz**: bounded symbolic exploration of a *probe* — the
-//!   differential harness with most slots pinned ([`OpPin`]) so the fork
-//!   space stays tractable — yields counterexample models, which encode
-//!   directly into fuzz seeds ([`seeds_from_symbolic`]). Replayed as
-//!   round 0 of a campaign they kill on the first execution.
+//! * **symbolic → fuzz**: bounded symbolic exploration of a *probe* — a
+//!   lane's differential testbench with most slots pinned ([`OpPin`]) so
+//!   the fork space stays tractable — yields counterexample models, which
+//!   encode directly into fuzz seeds ([`seeds_from_symbolic`]). Replayed
+//!   as round 0 of a campaign they kill on the first execution.
 //! * **fuzz → symbolic**: a fuzz-found divergence is re-executed through
 //!   `symsc-symex` — as a concolic trace ([`confirm_by_trace`], same
 //!   fork-site fingerprints as exploration) or as a constant-folded
 //!   replay ([`confirm_by_replay`]) — for independent path confirmation.
 
-use std::collections::BTreeSet;
-
 use symsc_plic::PlicConfig;
 use symsc_symex::{Explorer, Report};
 
 use crate::grammar::Program;
-use crate::harness::{differential_bench, op, scripted_bench, OpPin};
+use crate::harness::op;
+use crate::lane::{Lane, OpPin};
+use crate::matrix::merge_seeds;
 
 /// Harvests fuzz seeds from a bounded symbolic exploration of the probe
-/// described by `pins`: every distinct counterexample model is encoded
-/// as a byte input. Deduplicated, in discovery order.
+/// described by `pins` on `lane`'s testbench: every distinct
+/// counterexample model is encoded as a byte input. Deduplicated, in
+/// discovery order.
 ///
 /// The exploration runs on one worker, so which paths fit `max_paths`
 /// is the depth-first prefix, not a scheduling outcome. Callers that want
 /// parallelism run several probes at once (the campaign's job queue).
-pub fn seeds_from_symbolic(config: PlicConfig, pins: &[OpPin], max_paths: u64) -> Vec<Vec<u8>> {
+pub fn seeds_from_symbolic(
+    lane: Lane,
+    config: PlicConfig,
+    pins: &[OpPin],
+    max_paths: u64,
+) -> Vec<Vec<u8>> {
     let report = Explorer::new()
         .workers(1)
         .max_paths(max_paths)
-        .explore(scripted_bench(config, pins.to_vec()));
-    let mut seen: BTreeSet<Vec<u8>> = BTreeSet::new();
-    let mut out = Vec::new();
-    for error in report.distinct_errors() {
-        let bytes = Program::from_assignment(&error.counterexample, pins.len()).encode();
-        if seen.insert(bytes.clone()) {
-            out.push(bytes);
-        }
-    }
-    out
+        .explore(lane.bench(config, pins.to_vec()));
+    let seeds: Vec<Vec<u8>> = report
+        .distinct_errors()
+        .iter()
+        .map(|error| Program::from_assignment(&error.counterexample, pins.len()).encode())
+        .collect();
+    merge_seeds([&seeds[..]])
 }
 
 /// Probe: a single fully symbolic trigger. Exercises the gateway's id
@@ -52,48 +55,26 @@ pub fn gateway_probe() -> Vec<OpPin> {
     vec![OpPin::kind(op::TRIGGER)]
 }
 
-/// Which differential harness a probe's bounded exploration (and the
-/// fuzz lane its seeds feed) runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProbeLane {
-    /// The TLM model against the concrete [`ReferencePlic`] oracle
-    /// ([`crate::harness`]).
-    ///
-    /// [`ReferencePlic`]: symsc_plic::reference::ReferencePlic
-    Tlm,
-    /// The cycle-level model against the fixed TLM oracle
-    /// ([`crate::cycle`]); the configuration's mutation rides the
-    /// cycle-level side.
-    Cross,
-}
-
-/// A named symbolic probe: a pin script plus the path budget its bounded
-/// exploration runs under. The campaign orchestrator schedules one probe
-/// job per `(probe, mutant)` pair and streams the resulting seeds into
-/// that mutant's fuzz lane — the streaming lift of
-/// [`seeds_from_symbolic`].
+/// A named symbolic probe: a lane, a pin script and the path budget its
+/// bounded exploration runs under. The campaign orchestrator schedules
+/// one probe job per `(probe, mutant)` pair, and that mutant's fuzz job
+/// replays the resulting seeds.
 #[derive(Clone, Debug)]
 pub struct Probe {
     /// Stable probe name (journaled; part of the campaign spec).
     pub name: String,
-    /// The pin script handed to [`scripted_bench`] (or its cross-level
-    /// analog).
+    /// The pin script handed to the lane's [`Lane::bench`].
     pub pins: Vec<OpPin>,
     /// Path budget of the bounded exploration.
     pub max_paths: u64,
-    /// The differential harness the probe explores.
-    pub lane: ProbeLane,
+    /// The differential lane the probe explores.
+    pub lane: Lane,
 }
 
 impl Probe {
     /// Runs the probe against `config` and returns the exported seeds.
     pub fn run(&self, config: PlicConfig) -> Vec<Vec<u8>> {
-        match self.lane {
-            ProbeLane::Tlm => seeds_from_symbolic(config, &self.pins, self.max_paths),
-            ProbeLane::Cross => {
-                crate::cycle::seeds_from_cycle_symbolic(config, &self.pins, self.max_paths)
-            }
-        }
+        seeds_from_symbolic(self.lane, config, &self.pins, self.max_paths)
     }
 }
 
@@ -107,25 +88,25 @@ pub fn probe_registry(config: &PlicConfig) -> Vec<Probe> {
             name: "gateway".to_string(),
             pins: gateway_probe(),
             max_paths: 64,
-            lane: ProbeLane::Tlm,
+            lane: Lane::Tlm,
         },
         Probe {
             name: "masking_3".to_string(),
             pins: masking_probe(3),
             max_paths: 400,
-            lane: ProbeLane::Tlm,
+            lane: Lane::Tlm,
         },
         Probe {
             name: format!("masking_{}", config.sources / 2),
             pins: masking_probe(config.sources / 2),
             max_paths: 400,
-            lane: ProbeLane::Tlm,
+            lane: Lane::Tlm,
         },
         Probe {
             name: "cross_3".to_string(),
             pins: masking_probe(3),
             max_paths: 96,
-            lane: ProbeLane::Cross,
+            lane: Lane::Cross,
         },
     ]
 }
@@ -157,11 +138,7 @@ pub fn masking_probe(irq: u32) -> Vec<OpPin> {
 /// the engine re-derives the divergence on the exact fork-site path the
 /// fuzzer covered (zero solver queries).
 pub fn confirm_by_trace(config: PlicConfig, bytes: &[u8]) -> Report {
-    let program = Program::decode(bytes);
-    Explorer::new().trace(
-        &program.to_assignment(),
-        differential_bench(config, program.len()),
-    )
+    Lane::Tlm.trace(config, bytes)
 }
 
 /// Confirms a fuzz finding by constant-folded replay (the PR-0 replay
@@ -170,7 +147,7 @@ pub fn confirm_by_replay(config: PlicConfig, bytes: &[u8]) -> Report {
     let program = Program::decode(bytes);
     Explorer::new().replay(
         &program.to_assignment(),
-        differential_bench(config, program.len()),
+        Lane::Tlm.bench(config, vec![OpPin::free(); program.len()]),
     )
 }
 
@@ -188,7 +165,7 @@ mod tests {
     #[test]
     fn symbolic_gateway_model_becomes_an_instant_fuzz_kill() {
         let mutated = scaled().fault(InjectedFault::If1OffByOneGateway);
-        let seeds = seeds_from_symbolic(mutated, &gateway_probe(), 64);
+        let seeds = seeds_from_symbolic(Lane::Tlm, mutated, &gateway_probe(), 64);
         assert!(!seeds.is_empty(), "exploration must find the OOB model");
         let report = Fuzzer::new(mutated)
             .seed(1)
@@ -203,7 +180,7 @@ mod tests {
     #[test]
     fn symbolic_masking_model_kills_the_threshold_mutant() {
         let mutated = scaled().fault(InjectedFault::If6ThresholdOffByOne);
-        let seeds = seeds_from_symbolic(mutated, &masking_probe(3), 400);
+        let seeds = seeds_from_symbolic(Lane::Tlm, mutated, &masking_probe(3), 400);
         assert!(
             !seeds.is_empty(),
             "exploration must find the boundary model"
@@ -218,15 +195,18 @@ mod tests {
         // masking probe's 81, and every tenth path diverges: the seeds
         // must come from the same 16 paths on every run.
         let mutated = scaled().fault(InjectedFault::If6ThresholdOffByOne);
-        let first = seeds_from_symbolic(mutated, &masking_probe(3), 16);
+        let first = seeds_from_symbolic(Lane::Tlm, mutated, &masking_probe(3), 16);
         assert!(!first.is_empty(), "the budget reaches a diverging path");
-        assert_eq!(seeds_from_symbolic(mutated, &masking_probe(3), 16), first);
+        assert_eq!(
+            seeds_from_symbolic(Lane::Tlm, mutated, &masking_probe(3), 16),
+            first
+        );
     }
 
     #[test]
     fn probes_are_clean_on_the_fixed_model() {
-        assert!(seeds_from_symbolic(scaled(), &gateway_probe(), 64).is_empty());
-        assert!(seeds_from_symbolic(scaled(), &masking_probe(3), 400).is_empty());
+        assert!(seeds_from_symbolic(Lane::Tlm, scaled(), &gateway_probe(), 64).is_empty());
+        assert!(seeds_from_symbolic(Lane::Tlm, scaled(), &masking_probe(3), 400).is_empty());
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! The firmware fuzz lane: byte strings decode into *environment
-//! schedules* — interrupt arrivals, priority/threshold/enable pokes and
-//! clock ticks — injected around a fixed RV32I service driver running on
-//! the symbolic ISS, with the same binary executing on the
+//! The firmware fuzz lane ([`Lane::Firmware`]): byte strings decode into
+//! *environment schedules* — interrupt arrivals, priority/threshold/enable
+//! pokes and clock ticks — injected around a fixed RV32I service driver
+//! running on the symbolic ISS, with the same binary executing on the
 //! [`RefMachine`](symsc_firmware::RefMachine) golden model as the
 //! differential oracle.
 //!
-//! The stimulus grammar reuses the byte layout of
-//! [`Program`](crate::grammar::Program) (6-byte slots,
-//! `op{i}_kind`/`op{i}_a`/`op{i}_b` variables), so corpus machinery, seed
-//! exchange and counterexample round-trips work unchanged; only the
-//! *interpretation* differs. Each slot is applied at
+//! The stimulus grammar reuses the slot decoder of the other lanes
+//! (`decode_slot` over [`FW_OP_KINDS`] selectors), so corpus
+//! machinery, seed exchange and counterexample round-trips work
+//! unchanged; only the *interpretation* differs. Each slot is applied at
 //! a driver park boundary: the DUV's simulated time is advanced one
 //! clock so scheduled deliveries land, both harts resume, and their step
 //! outcomes must agree. After the whole schedule, the differential
@@ -28,8 +27,8 @@ use symsc_plic::PlicConfig;
 use symsc_symex::{SymCtx, Width};
 use symsc_tlm::{BlockingTransport, GenericPayload};
 
-use crate::engine::{trace_input, InputOutcome};
-use crate::harness::pin_mod;
+use crate::engine::InputOutcome;
+use crate::lane::{decode_slot, pin_mod, Lane, OpPin};
 
 /// Operation selectors of the firmware schedule (`kind % FW_OP_KINDS`).
 pub mod fwop {
@@ -54,16 +53,6 @@ pub const FW_SERVICES: u32 = 3;
 /// Instruction budget per resume (generous; the driver is loop-bounded).
 const FW_FUEL: u64 = 600;
 
-/// The firmware differential testbench over `len` symbolic schedule
-/// slots: the fixed service driver on the TLM-backed [`Soc`] versus the
-/// same binary on the golden [`RefMachine`].
-pub fn firmware_differential_bench(
-    config: PlicConfig,
-    len: usize,
-) -> impl Fn(&SymCtx) + Send + Sync + 'static {
-    move |ctx: &SymCtx| run_schedule(ctx, config, len)
-}
-
 fn resume_both(ctx: &SymCtx, duv: &mut Soc, gold: &mut RefMachine) {
     // Let any scheduled DUV delivery land before the harts resume (the
     // golden machine delivers eagerly, so only the DUV needs the clock).
@@ -78,7 +67,10 @@ fn resume_both(ctx: &SymCtx, duv: &mut Soc, gold: &mut RefMachine) {
     );
 }
 
-fn run_schedule(ctx: &SymCtx, config: PlicConfig, len: usize) {
+/// The firmware differential testbench: the fixed service driver on the
+/// TLM-backed [`Soc`] versus the same binary on the golden
+/// [`RefMachine`], one schedule slot per pin.
+pub(crate) fn run_schedule(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
     let program = service_driver(&enable_all_masks(&config), FW_SERVICES);
     let mut duv = Soc::new(ctx, config, program.clone());
     let mut gold = RefMachine::new(ctx, config.sources, program);
@@ -90,11 +82,8 @@ fn run_schedule(ctx: &SymCtx, config: PlicConfig, len: usize) {
     resume_both(ctx, &mut duv, &mut gold);
 
     let sources = config.sources;
-    for i in 0..len {
-        let kind_w = ctx.symbolic(&format!("op{i}_kind"), Width::W8);
-        let a_w = ctx.symbolic(&format!("op{i}_a"), Width::W32);
-        let b_w = ctx.symbolic(&format!("op{i}_b"), Width::W8);
-        let (_, kind) = pin_mod(ctx, &kind_w.zero_ext(Width::W32), u32::from(FW_OP_KINDS));
+    for (i, pin) in pins.iter().enumerate() {
+        let (kind, a_w, b_w) = decode_slot(ctx, i, pin, FW_OP_KINDS);
         match kind {
             fwop::TRIGGER => {
                 let (irq_t, irq) = pin_mod(ctx, &a_w, sources + 2);
@@ -161,7 +150,7 @@ fn run_schedule(ctx: &SymCtx, config: PlicConfig, len: usize) {
 /// coverage and errors — the firmware lane's
 /// [`InputRunner`](crate::engine::InputRunner).
 pub fn run_firmware_input(config: PlicConfig, bytes: &[u8]) -> InputOutcome {
-    trace_input(config, bytes, firmware_differential_bench)
+    InputOutcome::from(&Lane::Firmware.trace(config, bytes))
 }
 
 /// Handcrafted schedule seeds: protocol-shaped stimuli every campaign

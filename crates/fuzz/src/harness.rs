@@ -1,25 +1,6 @@
-//! The differential testbench: one decoded program, executed against the
-//! PLIC TLM model with the concrete [`ReferencePlic`] as oracle.
-//!
-//! The harness is an ordinary symbolic testbench closure — the same shape
-//! as the paper's T1–T5 — and is executed in three modes without any code
-//! change:
-//!
-//! * **concolic trace** (`Explorer::trace`): the fuzzer's execution mode.
-//!   Inputs stay symbolic terms, every `decide` is evaluated under the
-//!   fuzz input's variable assignment, and the `(fork-site fingerprint,
-//!   direction)` pairs recorded are *identical* to the ones full symbolic
-//!   exploration would record on the same path. That is what makes fuzz
-//!   coverage and symbolic branch coverage directly comparable.
-//! * **full exploration** (`Explorer::explore`): used by the seed
-//!   exchange to harvest counterexample models as fuzz seeds.
-//! * **replay** (`Explorer::replay`): used to confirm fuzz findings.
-//!
-//! Every operand is interpreted modulo its arm-specific range, so any
-//! byte string is a valid stimulus. Concrete values are pinned with the
-//! *enumerate* idiom (a `decide` equality chain over the reduced term):
-//! in trace mode the chain evaluates; under exploration it forks — either
-//! way the same term structure, hence the same fork-site fingerprints.
+//! The TLM lane's differential testbench: one decoded program, executed
+//! against the PLIC TLM model with the concrete [`ReferencePlic`] as
+//! oracle ([`Lane::Tlm`](crate::lane::Lane::Tlm)).
 
 use std::cell::Cell;
 use std::cell::RefCell;
@@ -33,6 +14,7 @@ use symsc_symex::{SymCtx, SymWord, Width};
 use symsc_tlm::{BlockingTransport, GenericPayload};
 
 use crate::grammar::OP_KINDS;
+use crate::lane::{decode_slot, pin_mod, OpPin};
 
 /// Operation selectors (`kind % OP_KINDS`), in the order the enumerate
 /// chain probes them.
@@ -57,44 +39,6 @@ pub mod op {
     pub const READ_PENDING: u32 = 7;
 }
 
-/// Per-slot constraints for the scripted variant: `Some` pins the
-/// variable to a concrete value with an `assume`, `None` leaves it fully
-/// symbolic. Used by the seed exchange to carve tractable scenario slices
-/// out of the full program space.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpPin {
-    /// Pin the operation selector.
-    pub kind: Option<u8>,
-    /// Pin the primary operand.
-    pub a: Option<u32>,
-    /// Pin the secondary operand.
-    pub b: Option<u8>,
-}
-
-impl OpPin {
-    /// A fully symbolic slot.
-    pub fn free() -> OpPin {
-        OpPin::default()
-    }
-
-    /// A slot with the operation selector pinned and both operands free.
-    pub fn kind(kind: u32) -> OpPin {
-        OpPin {
-            kind: Some(kind as u8),
-            ..OpPin::default()
-        }
-    }
-
-    /// A fully pinned slot.
-    pub fn fixed(kind: u32, a: u32, b: u8) -> OpPin {
-        OpPin {
-            kind: Some(kind as u8),
-            a: Some(a),
-            b: Some(b),
-        }
-    }
-}
-
 struct CountingTarget {
     rises: Rc<Cell<u32>>,
 }
@@ -103,36 +47,6 @@ impl InterruptTarget for CountingTarget {
     fn trigger_external_interrupt(&mut self) {
         self.rises.set(self.rises.get() + 1);
     }
-}
-
-/// The differential testbench over `len` fully symbolic operation slots.
-pub fn differential_bench(
-    config: PlicConfig,
-    len: usize,
-) -> impl Fn(&SymCtx) + Send + Sync + 'static {
-    scripted_bench(config, vec![OpPin::free(); len])
-}
-
-/// The differential testbench with per-slot pinning (see [`OpPin`]).
-pub fn scripted_bench(
-    config: PlicConfig,
-    pins: Vec<OpPin>,
-) -> impl Fn(&SymCtx) + Send + Sync + 'static {
-    move |ctx: &SymCtx| run_program(ctx, config, &pins)
-}
-
-/// Reduces `w` modulo `range` and pins a concrete value with an
-/// enumerate chain. Returns the *term* (for the model) and the *value*
-/// (for the oracle); on any single path the two agree.
-pub(crate) fn pin_mod(ctx: &SymCtx, w: &SymWord, range: u32) -> (SymWord, u32) {
-    debug_assert!(range >= 1);
-    let m = w.urem(&ctx.word32(range));
-    for k in 0..range.saturating_sub(1) {
-        if ctx.decide(&m.eq(&ctx.word32(k))) {
-            return (m, k);
-        }
-    }
-    (m, range - 1)
 }
 
 fn write_word(
@@ -159,7 +73,8 @@ fn read_word(
     (txn.word(0).clone(), txn.response.is_ok())
 }
 
-fn run_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
+/// The TLM lane's differential testbench, one operation slot per pin.
+pub(crate) fn run_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
     let sources = config.sources;
     let bitmap_words = config.bitmap_words() as u32;
 
@@ -189,20 +104,7 @@ fn run_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
     };
 
     for (i, pin) in pins.iter().enumerate() {
-        let kind_w = ctx.symbolic(&format!("op{i}_kind"), Width::W8);
-        let a_w = ctx.symbolic(&format!("op{i}_a"), Width::W32);
-        let b_w = ctx.symbolic(&format!("op{i}_b"), Width::W8);
-        if let Some(k) = pin.kind {
-            ctx.assume(&kind_w.eq(&ctx.word(u64::from(k), Width::W8)));
-        }
-        if let Some(a) = pin.a {
-            ctx.assume(&a_w.eq(&ctx.word32(a)));
-        }
-        if let Some(b) = pin.b {
-            ctx.assume(&b_w.eq(&ctx.word(u64::from(b), Width::W8)));
-        }
-
-        let (_, kind) = pin_mod(ctx, &kind_w.zero_ext(Width::W32), u32::from(OP_KINDS));
+        let (kind, a_w, b_w) = decode_slot(ctx, i, pin, OP_KINDS);
         match kind {
             op::SET_PRIORITY => {
                 let (irq_t, irq) = pin_mod(ctx, &a_w, sources + 2);
@@ -325,20 +227,15 @@ fn run_program(ctx: &SymCtx, config: PlicConfig, pins: &[OpPin]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grammar::Program;
+    use crate::lane::Lane;
     use symsc_plic::PlicVariant;
-    use symsc_symex::Explorer;
 
     fn scaled() -> PlicConfig {
         PlicConfig::fe310_scaled().variant(PlicVariant::Fixed)
     }
 
     fn trace(config: PlicConfig, bytes: &[u8]) -> symsc_symex::Report {
-        let program = Program::decode(bytes);
-        Explorer::new().trace(
-            &program.to_assignment(),
-            differential_bench(config, program.len()),
-        )
+        Lane::Tlm.trace(config, bytes)
     }
 
     /// arm irq 3 (prio 5), trigger it, step, claim, complete, step.

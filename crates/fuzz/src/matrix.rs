@@ -4,19 +4,25 @@
 //! The procedure mirrors the symbolic kill matrix of `symsc-mutate` so
 //! the two columns are comparable mutant-by-mutant:
 //!
-//! 1. a baseline campaign runs against the *unmutated* configuration —
+//! 1. the [`baseline_lane`] runs against the *unmutated* configuration —
 //!    it must stay finding-free and its corpus, minimized, becomes the
 //!    shared seed set;
-//! 2. each mutant gets its own campaign that replays the shared corpus
-//!    first (round 0) and then runs seeded havoc rounds until the first
-//!    finding or the budget;
+//! 2. each mutant gets its own [`mutant_lane`] that replays the shared
+//!    corpus first (round 0) and then runs seeded havoc rounds until the
+//!    first finding or the budget;
 //! 3. a mutant is *killed* when its campaign reports any divergence from
 //!    the reference model (or any engine error, e.g. the IF1 overflow).
+//!
+//! The campaign orchestrator runs the same two lanes as jobs, and adds
+//! its probes' seeds after the shared set.
+
+use std::collections::BTreeSet;
 
 use symsc_mutate::Mutant;
 use symsc_plic::{Mutation, PlicConfig};
 
-use crate::engine::Fuzzer;
+use crate::corpus::dictionary;
+use crate::engine::{FuzzReport, Fuzzer};
 use crate::minimize::minimize;
 
 /// Tunables of a fuzz kill-matrix run.
@@ -107,6 +113,56 @@ impl FuzzMatrix {
     }
 }
 
+/// The baseline lane: a dictionary-seeded campaign on the unmutated
+/// `config`. Returns its report and the shared seed set: the dictionary
+/// *verbatim*, then the minimized corpus, deduplicated. (Minimization
+/// preserves coverage, not behavior, so it may replace a protocol-shaped
+/// killer with a coverage-equivalent but harmless havoc entry.)
+pub fn baseline_lane(config: PlicConfig, params: &FuzzMatrixParams) -> (FuzzReport, Vec<Vec<u8>>) {
+    let dictionary = dictionary(&config);
+    let report = Fuzzer::new(config)
+        .seed(params.seed)
+        .workers(params.workers)
+        .max_execs(params.baseline_execs)
+        .batch(params.batch)
+        .seeds(dictionary.clone())
+        .run();
+    let shared = merge_seeds([&dictionary[..], &minimize(config, &report.corpus)]);
+    (report, shared)
+}
+
+/// The mutant lane: the campaign against `mutant`, the `i`-th of its
+/// matrix, seeded with `params.seed + 0x9E37·(i+1)`. It replays the seed
+/// sets first, in order, keeping each input's first occurrence, and stops
+/// at the first finding.
+pub fn mutant_lane<'s>(
+    config: PlicConfig,
+    i: usize,
+    mutant: &Mutant,
+    seeds: impl IntoIterator<Item = &'s [Vec<u8>]>,
+    params: &FuzzMatrixParams,
+) -> FuzzReport {
+    Fuzzer::new(config.mutate(mutant.op()))
+        .seed(params.seed.wrapping_add(0x9E37 * (i as u64 + 1)))
+        .workers(params.workers)
+        .max_execs(params.mutant_execs)
+        .batch(params.batch)
+        .seeds(merge_seeds(seeds))
+        .stop_on_finding(true)
+        .run()
+}
+
+/// Concatenates seed sets in order, keeping each input's first
+/// occurrence.
+pub(crate) fn merge_seeds<'s>(sets: impl IntoIterator<Item = &'s [Vec<u8>]>) -> Vec<Vec<u8>> {
+    let mut seen = BTreeSet::new();
+    sets.into_iter()
+        .flatten()
+        .filter(|seed| seen.insert(*seed))
+        .cloned()
+        .collect()
+}
+
 /// Runs the fuzz kill matrix over `mutants` (see the module docs for the
 /// procedure). Deterministic for fixed `params.seed` at any
 /// `params.workers`.
@@ -115,38 +171,12 @@ pub fn run_fuzz_matrix(
     mutants: &[Mutant],
     params: FuzzMatrixParams,
 ) -> FuzzMatrix {
-    let dictionary = crate::corpus::dictionary(&config);
-    let baseline = Fuzzer::new(config)
-        .seed(params.seed)
-        .workers(params.workers)
-        .max_execs(params.baseline_execs)
-        .batch(params.batch)
-        .seeds(dictionary.clone())
-        .run();
-    // Per-mutant campaigns replay the dictionary *verbatim* plus the
-    // minimized havoc corpus: minimization preserves coverage, not
-    // behavior, so it may replace a protocol-shaped killer with a
-    // coverage-equivalent but harmless havoc entry.
-    let mut corpus = dictionary;
-    let mut seen: std::collections::BTreeSet<Vec<u8>> = corpus.iter().cloned().collect();
-    for entry in minimize(config, &baseline.corpus) {
-        if seen.insert(entry.clone()) {
-            corpus.push(entry);
-        }
-    }
-
+    let (baseline, corpus) = baseline_lane(config, &params);
     let rows = mutants
         .iter()
         .enumerate()
         .map(|(i, mutant)| {
-            let campaign = Fuzzer::new(config.mutate(mutant.op()))
-                .seed(params.seed.wrapping_add(0x9E37 * (i as u64 + 1)))
-                .workers(params.workers)
-                .max_execs(params.mutant_execs)
-                .batch(params.batch)
-                .seeds(corpus.clone())
-                .stop_on_finding(true)
-                .run();
+            let campaign = mutant_lane(config, i, mutant, [&corpus[..]], &params);
             let finding = campaign
                 .findings
                 .first()
@@ -175,8 +205,35 @@ pub fn run_fuzz_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::op;
     use symsc_mutate::presets;
     use symsc_plic::PlicVariant;
+
+    #[test]
+    fn the_mutant_lane_replays_its_seed_sets_in_order_first_occurrence_wins() {
+        let slot = |kind: u32, a: u8| vec![kind as u8, a, 0, 0, 0, 0];
+        let (step, claim, killer) = (slot(op::STEP, 0), slot(op::CLAIM, 0), slot(op::TRIGGER, 17));
+        // The shared set, then each probe's seeds in job-id order.
+        let sets = [
+            vec![step.clone(), claim.clone()],
+            vec![claim.clone(), killer.clone(), step.clone()],
+            vec![killer.clone()],
+        ];
+        let merged = merge_seeds(sets.iter().map(|s| &s[..]));
+        assert_eq!(merged, [step, claim, killer.clone()]);
+        // IF1's gateway overflow dies on the killer, replayed third.
+        let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
+        let params = FuzzMatrixParams::default();
+        let report = mutant_lane(
+            config,
+            0,
+            &presets()[0],
+            sets.iter().map(|s| &s[..]),
+            &params,
+        );
+        assert_eq!(report.findings[0].exec, 3);
+        assert_eq!(report.findings[0].input, killer);
+    }
 
     #[test]
     fn preset_matrix_kills_all_six_faults() {

@@ -1,14 +1,17 @@
-//! Pins what the TLM and cycle-level lanes report for a fixed set of
-//! inputs: the dictionary plus 256 seeded random programs, each run
-//! through `run_input` and `run_cycle_input` on the fixed scaled FE310
-//! and on a mutant of it (so there are errors to pin too). The digest
+//! Pins what the TLM, cycle-level and firmware lanes report for a fixed
+//! set of inputs: the dictionary plus 256 seeded random programs, each
+//! run through `run_input`, `run_cycle_input` and `run_firmware_input` on
+//! the fixed scaled FE310 and on a mutant of it (so there are errors to
+//! pin too). The digest
 //! covers every coverage point and every error of every outcome, in
 //! input order, so a change to term construction, evaluation or
 //! hash-consing that moved a single branch direction, fork-site
 //! fingerprint or finding shows here.
 
 use symsc_fuzz::grammar::{MAX_OPS, OP_BYTES};
-use symsc_fuzz::{dictionary, run_cycle_input, run_input, InputOutcome, InputRunner};
+use symsc_fuzz::{
+    dictionary, run_cycle_input, run_firmware_input, run_input, InputOutcome, InputRunner,
+};
 use symsc_plic::{MutationOp, PlicConfig, PlicVariant};
 use symsc_rng::Rng;
 
@@ -72,4 +75,13 @@ fn tlm_lane_outcomes_are_pinned() {
 #[test]
 fn cycle_lane_outcomes_are_pinned() {
     assert_eq!(digest(run_cycle_input), (15_676_746_236_509_296_864, 0, 17));
+}
+
+#[test]
+fn firmware_lane_outcomes_are_pinned() {
+    // No error on the fixed model: each would be a false positive.
+    assert_eq!(
+        digest(run_firmware_input),
+        (1_024_669_107_442_098_857, 0, 141)
+    );
 }

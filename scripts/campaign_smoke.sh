@@ -6,7 +6,10 @@
 # acceptance property (worker-count invariance and crash/resume
 # invariance in one comparison). A resumed campaign that re-executes
 # journaled jobs, loses store records, or lets scheduling leak into the
-# report fails the cmp.
+# report fails the cmp. The 2-worker pass also appends a torn record (a
+# fragment without its newline) to store.log and journal.log before it
+# resumes, as a kill mid-append leaves them, and `campaign status` must
+# read every resumed directory.
 #
 # Everything runs offline; the release binary is built if missing.
 #
@@ -46,8 +49,15 @@ for workers in 1 2 8; do
     exit 1
   fi
   ./target/release/campaign status --dir "$dir"
+  if [[ "$workers" -eq 2 ]]; then
+    echo "    appending a torn record to store.log and journal.log"
+    printf 'corpus fuzz/IF1 0a0' >> "$dir/store.log"
+    printf 'done 1 0a' >> "$dir/journal.log"
+    ./target/release/campaign status --dir "$dir"
+  fi
   ./target/release/campaign resume --dir "$dir" --workers "$workers" \
     --jsonl > /dev/null
+  ./target/release/campaign status --dir "$dir"
   cmp "$out/reference/report.json" "$dir/report.json"
   cmp "$out/reference/report.txt" "$dir/report.txt"
   echo "    byte-identical to the reference report"

@@ -82,8 +82,8 @@ fn main() {
         stack_lines.push(format!(
             "  {}: {} queries | {} cache hits | {} slices | {} slice hits | \
              {} subset-unsat | {} model reuse | {} focus skips | {} core calls \
-             | {:.1}% above core | {} conflicts | {} narrowed bits | \
-             {} cube escalations ({} cubes)",
+             ({} fresh, {} assumption) | {:.1}% above core | {} conflicts | \
+             {} narrowed bits | {} cube escalations ({} cubes)",
             test.name(),
             s.queries,
             s.cache_hits,
@@ -93,6 +93,8 @@ fn main() {
             s.model_reuse_hits,
             s.focus_skips,
             s.sat_core_calls,
+            s.sat_core_calls - s.incremental.assumption_solves,
+            s.incremental.assumption_solves,
             100.0 * s.above_core_rate(),
             s.sat_conflicts,
             s.incremental.narrowed_bits,

@@ -377,10 +377,12 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
     e.seconds("total", seconds);
 
     let solver = &matrix.solver;
+    let assumption = solver.incremental.assumption_solves;
     println!(
-        "solver: {} core calls, {} conflicts, {} whole-query hits, {} slice hits, \
-         {} subset-UNSAT hits",
+        "solver: {} core calls ({} fresh canonical, {assumption} retained-context), \
+         {} conflicts, {} whole-query hits, {} slice hits, {} subset-UNSAT hits",
         solver.sat_core_calls,
+        solver.sat_core_calls - assumption,
         solver.sat_conflicts,
         solver.cache_hits,
         solver.slice_hits,

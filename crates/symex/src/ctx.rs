@@ -592,7 +592,18 @@ impl EngineState {
             }
             Some(false) => {
                 // False branch witnessed; prefer true if it is feasible.
-                match self.check(Some(cond)) {
+                // Whether it is, is a verdict: with the incremental context
+                // on, a refuted true branch is settled there as an
+                // assumption solve, and only a feasible one pays for the
+                // canonical solve whose model the path adopts. The UNSAT
+                // verdict seeds the same whole-query and focus-slice keys
+                // the canonical solve would, so no later model can differ.
+                let verdict = if self.solver.incremental_enabled() && !self.check_feasible(cond) {
+                    SatResult::Unsat
+                } else {
+                    self.check(Some(cond))
+                };
+                match verdict {
                     SatResult::Sat(model) => {
                         self.push_fork(site);
                         self.adopt_model(&model);
@@ -1389,6 +1400,106 @@ mod tests {
     fn concretizing_on_an_infeasible_path_panics() {
         let (mut st, x) = contradictory_engine();
         st.concretize(x, Width::W8);
+    }
+
+    /// `x < 4` is assumed, so the model the path adopts refutes
+    /// `x == target` when `target` is 4 or more and merely misses it
+    /// otherwise: either way `decide` asks about a branch its witness
+    /// makes false. The trailing check's counterexample is a canonical
+    /// model solved after that decision.
+    fn witness_missed_bench(target: u64) -> impl Fn(&SymCtx) + Sync {
+        move |ctx| {
+            let x = ctx.symbolic("x", Width::W8);
+            ctx.assume(&x.ult(&ctx.word(4, Width::W8)));
+            if ctx.decide(&x.eq(&ctx.word(target, Width::W8))) {
+                ctx.cover("taken");
+            }
+            ctx.check(&x.ult(&ctx.word(3, Width::W8)), "x stays below 3");
+        }
+    }
+
+    /// Everything a report says, without its timings and work counters.
+    fn report_view(report: &crate::Report) -> String {
+        let mut view = format!(
+            "paths={} decisions={} completed={}\n",
+            report.stats.paths, report.stats.decisions, report.completed
+        );
+        for error in &report.errors {
+            view += &format!("{error}\n");
+        }
+        for (label, count) in &report.coverage {
+            view += &format!("cover {label}={count}\n");
+        }
+        for (site, bc) in &report.stats.branches {
+            view += &format!("branch {site:032x}={}/{}\n", bc.taken, bc.not_taken);
+        }
+        view
+    }
+
+    fn reports_with_context_on_and_off(target: u64) -> (crate::Report, crate::Report) {
+        let run = |incremental| {
+            Explorer::new()
+                .incremental(incremental)
+                .explore(witness_missed_bench(target))
+        };
+        (run(true), run(false))
+    }
+
+    /// Fresh canonical solves and retained-context (assumption) solves.
+    fn solves(st: &EngineState) -> (u64, u64) {
+        let stats = st.solver.stats();
+        let assumption = stats.incremental.assumption_solves;
+        (stats.sat_core_calls - assumption, assumption)
+    }
+
+    /// The bench's prefix on a bare engine: `x < 4` assumed, and the
+    /// condition `x == target`, which the adopted witness makes false.
+    fn witness_missed_engine(target: u64) -> (EngineState, TermId) {
+        let mut st = EngineState::new(100, Solver::new(), false);
+        let x = st.pool.var("x", Width::W8);
+        let four = st.pool.constant(4, Width::W8);
+        let below = st.pool.ult(x, four);
+        st.assume(below);
+        let k = st.pool.constant(target, Width::W8);
+        let cond = st.pool.eq(x, k);
+        assert_eq!(
+            st.env_value(cond),
+            Some(false),
+            "the witness misses x == {target}"
+        );
+        (st, cond)
+    }
+
+    #[test]
+    fn witness_refuted_branch_is_settled_by_an_assumption_solve() {
+        let (mut st, cond) = witness_missed_engine(200);
+        let (fresh, assumption) = solves(&st);
+        assert!(!st.decide(cond));
+        assert_eq!(
+            solves(&st),
+            (fresh, assumption + 1),
+            "no fresh canonical solve"
+        );
+        assert!(st.pending.is_empty(), "a refuted branch does not fork");
+
+        let (on, off) = reports_with_context_on_and_off(200);
+        assert_eq!(on.stats.paths, 1);
+        assert_eq!(on.errors.len(), 1);
+        assert_eq!(report_view(&on), report_view(&off));
+    }
+
+    #[test]
+    fn witness_missed_feasible_branch_still_forks() {
+        let (mut st, cond) = witness_missed_engine(2);
+        let (fresh, _) = solves(&st);
+        assert!(st.decide(cond));
+        assert_eq!(solves(&st).0, fresh + 1, "the adopted model is canonical");
+        assert_eq!(st.pending.len(), 1, "the false branch is queued");
+
+        let (on, off) = reports_with_context_on_and_off(2);
+        assert_eq!(on.stats.paths, 2);
+        assert_eq!(on.coverage.get("taken"), Some(&1));
+        assert_eq!(report_view(&on), report_view(&off));
     }
 
     #[test]

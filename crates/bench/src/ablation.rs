@@ -1,7 +1,7 @@
 //! The ablation harness behind the `ablation` bin: one table of rows,
 //! one runner, one emission.
 //!
-//! The engine's optimisations — the parallel explorer's shared query
+//! The engine's optimisations — the parallel explorer's shared solver
 //! cache, the solver's cache layers, the incremental per-path SAT
 //! context, copy-on-write forks, state merging and coverage-guided
 //! scheduling — may make a verdict faster but never change it. Each row
@@ -147,11 +147,11 @@ fn reduction(old: f64, new: f64) -> f64 {
     }
 }
 
-/// The accelerator-free engine: no whole-query cache, no solver cache
-/// layer, no incremental context. Every counter of a run on it is a pure
-/// function of the explored path set.
+/// The accelerator-free engine: no solver cache, no incremental context.
+/// Every counter of a run on it is a pure function of the explored path
+/// set.
 fn bare(e: Explorer) -> Explorer {
-    e.query_cache(false).solver_stack(false).incremental(false)
+    e.solver_stack(false).incremental(false)
 }
 
 const PATHS: Counter = ("paths", |s| s.paths);
@@ -183,9 +183,9 @@ const MERGE_WORKLOADS: &[&str] = &["merge@51", "merge_2hart@51"];
 
 /// The ablation table.
 pub const ROWS: [Row; 5] = [
-    // The parallel explorer. Its workers share one whole-query cache; COW
-    // forks never re-issue prefix probes, so re-execution is where that
-    // cache has cross-path work to absorb.
+    // The parallel explorer. Its workers share one solver cache; COW forks
+    // never re-issue prefix probes, so re-execution is where its
+    // whole-query memo has cross-path work to absorb.
     Row {
         name: "parallel",
         workloads: &[T1],
@@ -217,9 +217,10 @@ pub const ROWS: [Row; 5] = [
         }],
         floor: None,
     },
-    // The solver's cache layers: the counterexample cache and model-reuse
-    // witnesses against the flat whole-query cache. The incremental
-    // context is off in both, so this row ablates the cache layers alone.
+    // The solver's cache layers — whole-query and slice memoization,
+    // subset-UNSAT proofs and model-reuse witnesses — against the
+    // cache-free stack. The incremental context is off in both, so this
+    // row ablates the cache layers alone.
     Row {
         name: "solver_stack",
         workloads: T1_PAIR,

@@ -1,5 +1,5 @@
 //! The ablation harness: every engine optimisation that must never change
-//! a report — the parallel explorer's shared query cache, the solver's
+//! a report — the parallel explorer's shared solver cache, the solver's
 //! cache layers, the incremental SAT context, copy-on-write forks, state
 //! merging and coverage-guided scheduling — explored against its
 //! reference configuration at 1, 2 and 8 workers. The rows, their checks

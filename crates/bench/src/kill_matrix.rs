@@ -7,7 +7,7 @@
 //! router) and the cross-level equivalence tests X1–X3 (the TLM PLIC and
 //! the cycle-level model driven from one symbolic transaction stream,
 //! every mutant injected into each level in turn). Everything that
-//! differs between them is one [`SuiteSpec`] row of data.
+//! differs between them is one `SuiteSpec` row of data.
 //!
 //! Each suite runs against the paper's six fault presets plus the
 //! generated first-order mutant sweep (`--smoke`: a named slice of it)
@@ -428,7 +428,6 @@ fn reruns_identical<S: KillSuite>(config: PlicConfig, mutants: &[Mutant], tests:
                 .workers(workers)
                 .fork_strategy(fork)
                 .explore_order(order)
-                .query_cache(caches)
                 .solver_stack(caches)
         })
         .stable_view();

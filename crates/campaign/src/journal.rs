@@ -1,7 +1,7 @@
 //! The checkpoint journal: the crash-consistent record of completed jobs.
 //!
 //! One `done` line per completed job — job id plus the hex-armored
-//! [`JobResult`](crate::job::JobResult) payload — appended and
+//! [`JobResult`] payload — appended and
 //! OS-flushed *after* the job's store records. A killed campaign
 //! therefore restarts from exactly the set of jobs whose `done` lines
 //! made it to disk; a job cut down mid-append is simply re-run (its

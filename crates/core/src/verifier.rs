@@ -93,15 +93,10 @@ impl Verifier {
         self
     }
 
-    /// Toggles the solver's whole-query cache (for ablations).
-    pub fn query_cache(mut self, enabled: bool) -> Verifier {
-        self.explorer = self.explorer.query_cache(enabled);
-        self
-    }
-
-    /// Toggles the layered solver stack's cache layers (counterexample
-    /// cache and model-reuse witnesses; for ablations). Reports are
-    /// identical either way — only solve time and layer statistics change.
+    /// Toggles the solver's cache layers (whole-query and per-slice
+    /// memoization, subset-UNSAT proofs and model-reuse witnesses; for
+    /// ablations). Reports are identical either way — only solve time and
+    /// layer statistics change.
     pub fn solver_stack(mut self, enabled: bool) -> Verifier {
         self.explorer = self.explorer.solver_stack(enabled);
         self
@@ -109,9 +104,8 @@ impl Verifier {
 
     /// Builds the solvers over a shared [`CacheStack`], so verdicts
     /// another run over the same stack proved are cache hits here (the
-    /// kill matrix shares one stack across its cells). The layer switches
-    /// [`query_cache`](Self::query_cache) and
-    /// [`solver_stack`](Self::solver_stack) still win. Reports are
+    /// kill matrix shares one stack across its cells). The switch
+    /// [`solver_stack`](Self::solver_stack) still wins. Reports are
     /// identical either way.
     pub fn cache_stack(mut self, stack: &CacheStack) -> Verifier {
         self.explorer = self.explorer.cache_stack(stack);

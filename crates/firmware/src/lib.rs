@@ -15,7 +15,7 @@
 //!   an enable-mask mutant can expose. [`FirmwareId`] fills the columns
 //!   of `symsc_mutate`'s kill matrix: every generated PLIC mutant against
 //!   every firmware test.
-//! * [`reference`] — a [`ReferencePlic`](symsc_plic::ReferencePlic)-backed
+//! * [`reference`](mod@reference) — a [`ReferencePlic`](symsc_plic::ReferencePlic)-backed
 //!   bus model so the same driver binary can run on a golden machine,
 //!   the differential oracle for the firmware fuzz lane.
 

@@ -1,7 +1,7 @@
 //! The five firmware-in-the-loop tests F1–F5.
 //!
-//! Each test runs a bare-metal RV32I driver on the symbolic [`Cpu`]
-//! (`symsc_iss::Cpu`) against the TLM PLIC through the bus: symbolic
+//! Each test runs a bare-metal RV32I driver on the symbolic
+//! [`Cpu`](symsc_iss::Cpu) against the TLM PLIC through the bus: symbolic
 //! MMIO read results and symbolic interrupt-arrival timing fork the
 //! exploration through firmware branches *and* the peripheral's decode
 //! logic at once, and every check is phrased over driver-visible state —

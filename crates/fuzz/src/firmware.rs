@@ -2,7 +2,7 @@
 //! *environment schedules* — interrupt arrivals, priority/threshold/enable
 //! pokes and clock ticks — injected around a fixed RV32I service driver
 //! running on the symbolic ISS, with the same binary executing on the
-//! [`RefMachine`](symsc_firmware::RefMachine) golden model as the
+//! [`RefMachine`] golden model as the
 //! differential oracle.
 //!
 //! The stimulus grammar reuses the slot decoder of the other lanes

@@ -16,7 +16,7 @@
 //!
 //! The matrix also records each exploration's **symbolic branch coverage**
 //! (fork sites and directions, see
-//! [`ExplorationStats::branches`](symsc_symex::ExplorationStats)); the
+//! `symsc_symex::ExplorationStats::branches`); the
 //! [`KillMatrix::coverage_kill_correlation`] column quantifies how well a
 //! test's branch coverage predicts its kill count. On this suite the
 //! correlation is *negative*: the decode-interface tests T4/T5 fork the

@@ -1,11 +1,10 @@
-//! The slice-granular counterexample cache — the middle layer of the
-//! solver stack.
+//! The solver's one cache: the canonical result of every whole query and
+//! every independent *slice* (connected component of the constraint
+//! graph) the stack has decided, keyed on sorted structural fingerprints.
 //!
-//! Where the [`QueryCache`](crate::solver::QueryCache) memoizes *whole*
-//! queries, this cache stores the canonical result of every independent
-//! *slice* (connected component of the constraint graph) the SAT core has
-//! decided, and supports two kinds of cross-query reasoning over sorted
-//! fingerprint keys:
+//! The exact map memoizes both kinds of key. Slice keys alone
+//! ([`CexCache::insert`]) are also indexed for two kinds of cross-query
+//! reasoning:
 //!
 //! - **Subset-UNSAT**: if a cached UNSAT key is a subset of the current
 //!   slice, the slice is UNSAT — adding constraints never makes an
@@ -18,20 +17,21 @@
 //! Both directions are indexed by a key's smallest fingerprint: any subset
 //! of `K` must contain some element of `K`, and probing the index bucket
 //! of the *minimum* element of each candidate keeps buckets small while
-//! still finding every stored subset whose minimum is in `K`.
+//! still finding every stored subset whose minimum is in `K`. Whole keys
+//! stay out of the index: a multi-slice key only repeats its slices'
+//! facts, and it would crowd the bounded buckets.
 //!
-//! Like the query cache, entries are keyed on structural fingerprints, so
-//! one `CexCache` is shared across per-worker term pools. Exact-key hits
-//! return the canonical per-slice result the SAT core produced, which is
-//! what keeps sliced model stitching bit-for-bit deterministic at any
-//! worker count. Subset reasoning is only ever used where a verdict (not a
-//! canonical model) is needed.
+//! Entries are keyed on structural fingerprints, so one `CexCache` is
+//! shared across per-worker term pools. Exact-key hits return the
+//! canonical result the SAT core produced (a whole query's is the stitch
+//! of its slices'), which is what keeps sliced model stitching
+//! bit-for-bit deterministic at any worker count. Subset reasoning is only
+//! ever used where a verdict (not a canonical model) is needed.
 //!
 //! All shards are bounded with deterministic FIFO eviction; evictions only
 //! forget memoized answers, never change them.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::model::Model;
@@ -44,7 +44,7 @@ const DEFAULT_SHARD_CAPACITY: usize = 4096;
 /// further keys with the same minimum simply aren't subset-indexed.
 const INDEX_KEYS_PER_FP: usize = 8;
 
-/// Exact slice results with FIFO eviction order.
+/// Exact query and slice results with FIFO eviction order.
 #[derive(Debug, Default)]
 struct ExactShard {
     map: HashMap<Vec<u128>, SatResult>,
@@ -59,15 +59,15 @@ struct IndexShard {
     order: VecDeque<u128>,
 }
 
-/// A sharded, thread-safe, bounded cache of per-slice solver results with
-/// subset reasoning. See the module docs for the layering contract.
+/// A sharded, thread-safe, bounded cache of whole-query and per-slice
+/// solver results with subset reasoning over the slices. See the module
+/// docs for the layering contract.
 #[derive(Debug)]
 pub struct CexCache {
     exact: [Mutex<ExactShard>; SHARDS],
     unsat_index: [Mutex<IndexShard>; SHARDS],
     sat_index: [Mutex<IndexShard>; SHARDS],
     capacity: usize,
-    evictions: AtomicU64,
 }
 
 impl Default for CexCache {
@@ -112,7 +112,6 @@ impl CexCache {
             unsat_index: std::array::from_fn(|_| Mutex::new(IndexShard::default())),
             sat_index: std::array::from_fn(|_| Mutex::new(IndexShard::default())),
             capacity: per_shard.max(1),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -177,51 +176,53 @@ impl CexCache {
         out
     }
 
-    /// Stores the canonical result for `key` (sorted fingerprints) and
-    /// indexes it for subset reasoning. Returns the number of entries
-    /// evicted to make room.
+    /// Stores the canonical result of a whole query under `key` (sorted
+    /// fingerprints), unindexed. Returns the number of entries evicted to
+    /// make room.
+    pub(crate) fn insert_query(&self, key: Vec<u128>, result: SatResult) -> u64 {
+        let mut shard = lock(self.exact_shard(&key));
+        if shard.map.contains_key(&key) {
+            return 0;
+        }
+        let mut evicted = 0;
+        if shard.map.len() >= self.capacity {
+            if let Some(old) = shard.order.pop_front() {
+                shard.map.remove(&old);
+                evicted = 1;
+            }
+        }
+        shard.order.push_back(key.clone());
+        shard.map.insert(key, result);
+        evicted
+    }
+
+    /// Stores the canonical result of a slice under `key` (sorted
+    /// fingerprints) and indexes it for subset reasoning. Returns the
+    /// number of entries evicted to make room.
     pub fn insert(&self, key: Vec<u128>, result: SatResult) -> u64 {
-        let mut evicted = 0u64;
         let min_fp = match key.first() {
             Some(&fp) => fp,
             None => return 0,
         };
-        {
-            let mut shard = lock(self.exact_shard(&key));
-            if !shard.map.contains_key(&key) {
-                if shard.map.len() >= self.capacity {
-                    if let Some(old) = shard.order.pop_front() {
-                        shard.map.remove(&old);
-                        evicted += 1;
-                    }
-                }
-                shard.order.push_back(key.clone());
-                shard.map.insert(key.clone(), result.clone());
-            }
-        }
         let index = match result {
             SatResult::Sat(_) => &self.sat_index,
             SatResult::Unsat => &self.unsat_index,
         };
-        {
-            let mut shard = lock(Self::index_shard(index, min_fp));
-            if !shard.map.contains_key(&min_fp) {
-                if shard.map.len() >= self.capacity {
-                    if let Some(old) = shard.order.pop_front() {
-                        shard.map.remove(&old);
-                        evicted += 1;
-                    }
+        let mut evicted = self.insert_query(key.clone(), result);
+        let mut shard = lock(Self::index_shard(index, min_fp));
+        if !shard.map.contains_key(&min_fp) {
+            if shard.map.len() >= self.capacity {
+                if let Some(old) = shard.order.pop_front() {
+                    shard.map.remove(&old);
+                    evicted += 1;
                 }
-                shard.order.push_back(min_fp);
-                shard.map.insert(min_fp, Vec::new());
             }
-            let bucket = shard.map.get_mut(&min_fp).expect("bucket just ensured");
-            if bucket.len() < INDEX_KEYS_PER_FP && !bucket.contains(&key) {
-                bucket.push(key);
-            }
+            shard.order.push_back(min_fp);
+            shard.map.insert(min_fp, Vec::new());
         }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        let bucket = shard.map.get_mut(&min_fp).expect("bucket just ensured");
+        if bucket.len() < INDEX_KEYS_PER_FP && !bucket.contains(&key) {
+            bucket.push(key);
         }
         evicted
     }
@@ -234,11 +235,6 @@ impl CexCache {
     /// Whether the cache holds no exact entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total entries evicted since creation (exact + index buckets).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -295,12 +291,13 @@ mod tests {
         let cache = CexCache::with_capacity(2);
         // Keys engineered into one shard: the shard fold of a 1-element
         // key is fp % 16, so multiples of 16 collide.
-        cache.insert(vec![16], SatResult::Unsat);
-        cache.insert(vec![32], SatResult::Unsat);
-        cache.insert(vec![48], SatResult::Unsat); // evicts [16]
+        assert_eq!(cache.insert(vec![16], SatResult::Unsat), 0);
+        assert_eq!(cache.insert(vec![32], SatResult::Unsat), 0);
+        // Evicts the exact entry [16]; its index shard (16 % 16 = 0) is
+        // the one [32] and [48] map to as well, so a bucket goes too.
+        assert_eq!(cache.insert(vec![48], SatResult::Unsat), 2);
         assert_eq!(cache.lookup_exact(&[16]), None);
         assert_eq!(cache.lookup_exact(&[32]), Some(SatResult::Unsat));
         assert_eq!(cache.lookup_exact(&[48]), Some(SatResult::Unsat));
-        assert!(cache.evictions() > 0);
     }
 }

@@ -17,10 +17,10 @@
 //!    clause learning, phase saving, Luby restarts, learnt-clause reduction).
 //! 5. [`solver`] — the façade: [`Solver::check`] returns
 //!    [`SatResult::Sat`] with a [`Model`] or [`SatResult::Unsat`]. A layered
-//!    query-optimization stack (whole-query memoization, independence
-//!    slicing over variable-support sets, and the [`cex`] counterexample
-//!    cache with subset reasoning) answers most queries before the SAT
-//!    core runs, without changing any verdict or model.
+//!    query-optimization stack (independence slicing over variable-support
+//!    sets, and the one [`cex`] cache: whole-query and per-slice
+//!    memoization with subset reasoning over slices) answers most queries
+//!    before the SAT core runs, without changing any verdict or model.
 //!
 //! # Example
 //!
@@ -68,6 +68,6 @@ pub mod transcript;
 pub use cex::CexCache;
 pub use incremental::{IncrementalStats, SolverCtx};
 pub use model::Model;
-pub use solver::{QueryCache, SatResult, Solver, SolverStats};
+pub use solver::{SatResult, Solver, SolverStats};
 pub use term::{Support, Term, TermId, TermPool, Width};
 pub use transcript::TranscriptStore;

@@ -16,10 +16,10 @@
 //!
 //! # Storage
 //!
-//! Every clause lives in one flat arena of `u32` words: a [`HEADER`] of
+//! Every clause lives in one flat arena of `u32` words: a `HEADER` of
 //! three words (length and flags, then the `f64` activity as two words)
 //! followed by the literal codes. Watchers and reasons name a clause by
-//! its arena offset. A watcher of a binary clause carries the [`BINARY`]
+//! its arena offset. A watcher of a binary clause carries the `BINARY`
 //! tag and the clause's other literal as its blocker, so a binary
 //! implication never reads the arena. Literal values are a byte per
 //! literal code. After each learnt-database reduction the deleted clauses'
@@ -220,7 +220,7 @@ impl SatSolver {
     }
 
     /// Number of learnt clauses currently alive in the database (survivors
-    /// of [`reduce_db`](Self::reduce_db), not the cumulative count).
+    /// of `reduce_db`, not the cumulative count).
     pub fn num_learnt(&self) -> usize {
         self.learnts.len()
     }

@@ -6,7 +6,7 @@
 //! ```text
 //!   Solver::check / check_feasible
 //!     1. constant filtering + fingerprint canonicalization   (trivial)
-//!     2. whole-query memo cache                              (QueryCache)
+//!     2. whole-query memo: exact hit on the whole key        (CexCache)
 //!     3. independence slicing: partition into connected
 //!        components by variable support; focused feasibility
 //!        checks solve only the focus component               (slicing)
@@ -14,6 +14,9 @@
 //!        subset-UNSAT proof, cached-model witness            (CexCache)
 //!     5. bit-blast + CDCL                                    (SAT core)
 //! ```
+//!
+//! Layers 2 and 4 are one [`CexCache`]: whole keys and slice keys share
+//! its exact map, and only slice keys enter its subset index.
 //!
 //! # Determinism contract
 //!
@@ -29,15 +32,14 @@
 //!   an optional optimization but part of the decision procedure itself;
 //!   enabling or disabling the cache layers cannot change any model.
 //! - Cache hits (whole-query or per-slice) return exactly the canonical
-//!   result a fresh solve would compute, so shared caches are
+//!   result a fresh solve would compute, so a shared cache is
 //!   semantically invisible.
 //! - Subset-UNSAT proofs and reused-model witnesses can depend on cache
 //!   *contents* (which vary with timing across workers), so they are only
 //!   used where a verdict — never a model — is reported:
 //!   [`Solver::check_feasible`]. Verdicts are unique, hence pure.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::blast::Blaster;
@@ -82,9 +84,9 @@ pub struct SolverStats {
     pub sat: u64,
     /// Queries answered unsatisfiable.
     pub unsat: u64,
-    /// Queries answered from the whole-query cache.
+    /// Queries answered by an exact hit on the whole key.
     pub cache_hits: u64,
-    /// Non-trivial queries that missed the whole-query cache (zero when
+    /// Non-trivial queries that missed the whole-query memo (zero when
     /// the cache is disabled — misses are only counted when a cache was
     /// actually consulted).
     pub cache_misses: u64,
@@ -104,7 +106,7 @@ pub struct SolverStats {
     /// satisfiability was implied by the feasible base).
     pub focus_skips: u64,
     /// Cache-missed queries fully answered by the slice layers — i.e.
-    /// answered above the SAT core without a whole-query cache hit.
+    /// answered above the SAT core without a whole-query memo hit.
     pub sliced_hits: u64,
     /// Invocations of the bit-blast + CDCL core (one per solved slice).
     pub sat_core_calls: u64,
@@ -119,7 +121,7 @@ pub struct SolverStats {
     /// and incremental alike) — the work metric the incremental layer is
     /// meant to reduce.
     pub sat_conflicts: u64,
-    /// Entries evicted from the bounded caches by this solver's inserts.
+    /// Entries evicted from the bounded cache by this solver's inserts.
     pub evictions: u64,
     /// Implication queries issued through [`Solver::check_implied`]
     /// (subsumption probes from the state-merging engine).
@@ -163,7 +165,7 @@ impl SolverStats {
         self.queries - self.trivial
     }
 
-    /// Queries answered above the SAT core: whole-query cache hits plus
+    /// Queries answered above the SAT core: whole-query memo hits plus
     /// queries the slice layers answered outright.
     pub fn answered_above_core(&self) -> u64 {
         self.cache_hits + self.sliced_hits
@@ -179,133 +181,22 @@ impl SolverStats {
     }
 }
 
-const CACHE_SHARDS: usize = 16;
-/// Default per-shard capacity of the whole-query cache (16 shards).
-const DEFAULT_QUERY_SHARD_CAPACITY: usize = 4096;
-
-/// One bounded shard: the memo map plus FIFO insertion order.
-#[derive(Debug, Default)]
-struct QueryShard {
-    map: HashMap<Vec<u128>, SatResult>,
-    order: std::collections::VecDeque<Vec<u128>>,
-}
-
-/// A sharded, thread-safe, bounded memo cache of whole solver queries.
-///
-/// Keys are the sorted structural fingerprints of the constraint set
-/// ([`TermPool::fingerprint`]), so a key names the same logical query in
-/// *any* pool: one `QueryCache` can be shared between solvers working over
-/// different (per-worker) pools, which is exactly what the parallel
-/// explorer does via [`Solver::with_stack`].
-///
-/// Sharing is semantically transparent. Constraint sets are sliced and
-/// blasted in fingerprint order and the SAT core is deterministic, so the
-/// model a cache hit returns is bit-for-bit the model a fresh solve would
-/// have produced.
-///
-/// Each shard holds at most a fixed number of entries; when full, the
-/// oldest entry (FIFO) is evicted. Eviction order depends only on the
-/// sequence of inserts, and because cached results equal fresh solves,
-/// cache contents can never affect results — only speed.
-#[derive(Debug)]
-pub struct QueryCache {
-    shards: [Mutex<QueryShard>; CACHE_SHARDS],
-    capacity: usize,
-}
-
-impl Default for QueryCache {
-    fn default() -> QueryCache {
-        QueryCache::new()
-    }
-}
-
-impl QueryCache {
-    /// Creates an empty cache with the default per-shard capacity.
-    pub fn new() -> QueryCache {
-        QueryCache::with_capacity(DEFAULT_QUERY_SHARD_CAPACITY)
-    }
-
-    /// Creates an empty cache holding at most `per_shard` entries per
-    /// shard (FIFO eviction).
-    pub fn with_capacity(per_shard: usize) -> QueryCache {
-        QueryCache {
-            shards: std::array::from_fn(|_| Mutex::new(QueryShard::default())),
-            capacity: per_shard.max(1),
-        }
-    }
-
-    fn shard(&self, key: &[u128]) -> &Mutex<QueryShard> {
-        // Cheap deterministic fold of the key into a shard index. The
-        // fingerprints themselves are already well-mixed hashes.
-        let folded = key
-            .iter()
-            .fold(0u64, |acc, fp| acc.rotate_left(7) ^ (*fp as u64));
-        &self.shards[(folded as usize) % CACHE_SHARDS]
-    }
-
-    fn lock_shard(&self, key: &[u128]) -> MutexGuard<'_, QueryShard> {
-        // A panic while holding the guard cannot leave the map in an
-        // inconsistent state (plain HashMap ops), so poisoning is benign.
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks up a normalized key.
-    pub fn lookup(&self, key: &[u128]) -> Option<SatResult> {
-        self.lock_shard(key).map.get(key).cloned()
-    }
-
-    /// Stores a result under a normalized key, evicting the shard's
-    /// oldest entry if it is full. Returns the number of evictions (0/1).
-    pub fn insert(&self, key: Vec<u128>, result: SatResult) -> u64 {
-        let mut shard = self.lock_shard(&key);
-        if shard.map.contains_key(&key) {
-            return 0;
-        }
-        let mut evicted = 0;
-        if shard.map.len() >= self.capacity {
-            if let Some(old) = shard.order.pop_front() {
-                shard.map.remove(&old);
-                evicted = 1;
-            }
-        }
-        shard.order.push_back(key.clone());
-        shard.map.insert(key, result);
-        evicted
-    }
-
-    /// Number of cached queries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// How many cached subset models a feasibility check will evaluate as
 /// candidate witnesses before giving up and bit-blasting.
 const MODEL_REUSE_CANDIDATES: usize = 4;
 
 /// A stateless-per-query SMT solver with the layered query stack.
 ///
-/// Caches are keyed on sorted *structural fingerprints*, which identify a
-/// query independently of the pool that interned it. A solver can keep
-/// private caches ([`Solver::new`]) or share them with other solvers over
+/// The cache is keyed on sorted *structural fingerprints*, which identify
+/// a query independently of the pool that interned it. A solver can keep
+/// a private cache ([`Solver::new`]) or share one with other solvers over
 /// other pools ([`Solver::with_stack`]) — the parallel explorer shares one
-/// query cache and one counterexample cache across all workers so sibling
-/// paths stop re-solving identical queries and slices.
+/// cache across all workers so sibling paths stop re-solving identical
+/// queries and slices.
 #[derive(Debug)]
 pub struct Solver {
     stats: SolverStats,
-    cache: Option<Arc<QueryCache>>,
-    cex: Option<Arc<CexCache>>,
+    cache: Option<Arc<CexCache>>,
     incremental: bool,
     /// The current path's retained incremental context (see
     /// [`SolverCtx`]); dropped by [`begin_path`](Solver::begin_path) and
@@ -320,30 +211,25 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates a solver with the full stack and fresh private caches.
+    /// Creates a solver with the full stack and a fresh private cache.
     pub fn new() -> Solver {
-        Solver::with_stack(
-            Some(Arc::new(QueryCache::new())),
-            Some(Arc::new(CexCache::new())),
-        )
+        Solver::with_stack(Some(Arc::new(CexCache::new())))
     }
 
     /// Creates a solver with every cache layer disabled (ablation /
     /// benchmarks): all queries go through slicing straight to the core.
     pub fn without_cache() -> Solver {
-        Solver::with_stack(None, None)
+        Solver::with_stack(None)
     }
 
-    /// Creates a solver with an explicit layer configuration: `cache` is
-    /// the whole-query memo layer, `cex` the per-slice counterexample
-    /// cache, whose stored models also serve as cached-model witnesses in
-    /// [`check_feasible`](Solver::check_feasible). Any `Arc` may be shared
-    /// across solvers/threads.
-    pub fn with_stack(cache: Option<Arc<QueryCache>>, cex: Option<Arc<CexCache>>) -> Solver {
+    /// Creates a solver over `cache`, which memoizes whole queries and
+    /// slices and whose slice models also serve as cached-model witnesses
+    /// in [`check_feasible`](Solver::check_feasible); `None` disables
+    /// every cache layer. The `Arc` may be shared across solvers/threads.
+    pub fn with_stack(cache: Option<Arc<CexCache>>) -> Solver {
         Solver {
             stats: SolverStats::default(),
             cache,
-            cex,
             incremental: true,
             ctx: None,
         }
@@ -371,16 +257,6 @@ impl Solver {
     /// path-local — this is what keeps the parallel merge deterministic.
     pub fn begin_path(&mut self) {
         self.ctx = None;
-    }
-
-    /// The whole-query cache backing this solver, if enabled.
-    pub fn cache(&self) -> Option<&Arc<QueryCache>> {
-        self.cache.as_ref()
-    }
-
-    /// The counterexample cache backing this solver, if enabled.
-    pub fn cex_cache(&self) -> Option<&Arc<CexCache>> {
-        self.cex.as_ref()
     }
 
     /// Statistics accumulated so far.
@@ -432,7 +308,7 @@ impl Solver {
         let key: Vec<u128> = entries.iter().map(|&(fp, _)| fp).collect();
 
         if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.lookup(&key) {
+            if let Some(hit) = cache.lookup_exact(&key) {
                 self.stats.cache_hits += 1;
                 match hit {
                     SatResult::Sat(_) => self.stats.sat += 1,
@@ -454,7 +330,7 @@ impl Solver {
             SatResult::Unsat => self.stats.unsat += 1,
         }
         if let Some(cache) = &self.cache {
-            self.stats.evictions += cache.insert(key, result.clone());
+            self.stats.evictions += cache.insert_query(key, result.clone());
         }
         self.stats.solve_time += start.elapsed();
         result
@@ -514,7 +390,7 @@ impl Solver {
         let key: Vec<u128> = entries.iter().map(|&(fp, _)| fp).collect();
 
         if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.lookup(&key) {
+            if let Some(hit) = cache.lookup_exact(&key) {
                 self.stats.cache_hits += 1;
                 let sat = hit.is_sat();
                 if sat {
@@ -554,9 +430,9 @@ impl Solver {
         } else {
             self.stats.unsat += 1;
             // An UNSAT verdict is the whole query's canonical answer
-            // (no model involved), so it may seed the whole-query cache.
+            // (no model involved), so it may be memoized for the whole key.
             if let Some(cache) = &self.cache {
-                self.stats.evictions += cache.insert(key, SatResult::Unsat);
+                self.stats.evictions += cache.insert_query(key, SatResult::Unsat);
             }
         }
         self.stats.solve_time += start.elapsed();
@@ -703,10 +579,10 @@ impl Solver {
         let ordered: Vec<TermId> = entries.iter().map(|&(_, id)| id).collect();
         let result = self.blast_and_solve(pool, &ordered);
         self.stats.sat_core_time += t_core.elapsed();
-        if let Some(cex) = &self.cex {
+        if let Some(cache) = &self.cache {
             // The core's answer for this slice key is canonical: safe to
             // share across solvers and to stitch into future models.
-            self.stats.evictions += cex.insert(key, result.clone());
+            self.stats.evictions += cache.insert(key, result.clone());
         }
         result
     }
@@ -720,7 +596,7 @@ impl Solver {
         entries: &[(u128, TermId)],
         verdict_only: bool,
     ) -> Option<SatResult> {
-        let cex = self.cex.as_ref()?;
+        let cex = self.cache.as_ref()?;
         let key: Vec<u128> = entries.iter().map(|&(fp, _)| fp).collect();
         let t0 = Instant::now();
         if let Some(hit) = cex.lookup_exact(&key) {
@@ -757,7 +633,7 @@ impl Solver {
     /// the bit-blasted CNF from every earlier probe on this path.
     ///
     /// Sits below the cex layers, exactly where the fresh core sits. On
-    /// UNSAT, the focus slice's key is seeded into the caches: with the
+    /// UNSAT, the focus slice's key is seeded into the cache: with the
     /// base feasible (the caller's precondition) and the whole set UNSAT,
     /// the focus slice must itself be UNSAT — slices are
     /// variable-disjoint — and an UNSAT verdict is canonical. A SAT
@@ -810,9 +686,9 @@ impl Solver {
             Some(false) => {
                 self.stats.sat_core_calls += 1;
                 self.stats.incremental.assumption_solves += 1;
-                if let Some(cex) = &self.cex {
+                if let Some(cache) = &self.cache {
                     let key: Vec<u128> = slice_entries.iter().map(|&(fp, _)| fp).collect();
-                    self.stats.evictions += cex.insert(key, SatResult::Unsat);
+                    self.stats.evictions += cache.insert(key, SatResult::Unsat);
                 }
                 SatResult::Unsat
             }
@@ -1057,14 +933,13 @@ mod tests {
         // Build the same structural query in two unrelated pools; the
         // second solver must hit the entry the first one stored, and the
         // models must agree exactly.
-        let cache = Arc::new(QueryCache::new());
+        let cache = Arc::new(CexCache::new());
 
         let mut pool_a = TermPool::new();
         let xa = pool_a.var("x", Width::W16);
         let ka = pool_a.constant(1234, Width::W16);
         let ca = pool_a.eq(xa, ka);
-        let mut solver_a =
-            Solver::with_stack(Some(Arc::clone(&cache)), Some(Arc::new(CexCache::new())));
+        let mut solver_a = Solver::with_stack(Some(Arc::clone(&cache)));
         let ra = solver_a.check(&pool_a, &[ca]);
 
         let mut pool_b = TermPool::new();
@@ -1074,14 +949,52 @@ mod tests {
         let kb = pool_b.constant(1234, Width::W16);
         let xb = pool_b.var("x", Width::W16);
         let cb = pool_b.eq(xb, kb);
-        let mut solver_b =
-            Solver::with_stack(Some(Arc::clone(&cache)), Some(Arc::new(CexCache::new())));
+        let mut solver_b = Solver::with_stack(Some(Arc::clone(&cache)));
         let rb = solver_b.check(&pool_b, &[cb]);
 
         assert_eq!(ra, rb, "same structure, same verdict and model");
         assert_eq!(solver_a.stats().cache_misses, 1);
         assert_eq!(solver_b.stats().cache_hits, 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn whole_keys_share_the_exact_map_but_not_the_subset_index() {
+        let mut pool = TermPool::new();
+        let x = pool.var("x", Width::W8);
+        let y = pool.var("y", Width::W8);
+        let z = pool.var("z", Width::W8);
+        let k1 = pool.constant(7, Width::W8);
+        let k2 = pool.constant(200, Width::W8);
+        let cx = pool.eq(x, k1);
+        let cy = pool.eq(y, k2);
+        let cz = pool.ult(z, k1);
+
+        // A single-slice query's whole key is its slice key: one entry.
+        let single = Arc::new(CexCache::new());
+        assert!(Solver::with_stack(Some(Arc::clone(&single)))
+            .check(&pool, &[cx])
+            .is_sat());
+        assert_eq!(single.len(), 1);
+
+        // Two slices: both slice keys plus the whole key.
+        let cache = Arc::new(CexCache::new());
+        assert!(Solver::with_stack(Some(Arc::clone(&cache)))
+            .check(&pool, &[cx, cy])
+            .is_sat());
+        assert_eq!(cache.len(), 3);
+
+        // Only the slices are subset-indexed: a superset of the whole key
+        // finds the two one-variable slice models, never the stitched one.
+        let mut superset: Vec<u128> = [cx, cy, cz].iter().map(|&c| pool.fingerprint(c)).collect();
+        superset.sort_unstable();
+        let models = cache.subset_models(&superset, 8);
+        let mut names: Vec<Vec<String>> = models
+            .iter()
+            .map(|m| m.iter().map(|(name, _)| name.to_string()).collect())
+            .collect();
+        names.sort();
+        assert_eq!(names, [vec!["x".to_string()], vec!["y".to_string()]]);
     }
 
     #[test]
@@ -1241,7 +1154,7 @@ mod tests {
     #[test]
     fn slice_cache_hits_across_different_whole_queries() {
         // The x-slice repeats across two queries whose y-slices differ:
-        // the whole-query cache misses both times, but the slice layer
+        // the whole-query memo misses both times, but the slice layer
         // answers the x-slice from the counterexample cache.
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
@@ -1353,10 +1266,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_query_cache_evicts_fifo_and_counts() {
+    fn bounded_cache_evicts_fifo_and_counts() {
         let mut pool = TermPool::new();
         let x = pool.var("x", Width::W8);
-        let mut s = Solver::with_stack(Some(Arc::new(QueryCache::with_capacity(1))), None);
+        let mut s = Solver::with_stack(Some(Arc::new(CexCache::with_capacity(1))));
         // Enough distinct single-constraint queries to overflow every
         // 1-entry shard and force evictions.
         for v in 0..64 {

@@ -1,4 +1,5 @@
-//! Corpus-replay correctness suite for the solver's query cache.
+//! Corpus-replay correctness suite for the solver's whole-query memo (the
+//! exact map of its one `CexCache`).
 //!
 //! A seeded in-tree PRNG generates a corpus of constraint sets (random
 //! term trees compared against random bounds, so the corpus mixes sat and
@@ -13,7 +14,7 @@ use std::sync::Arc;
 
 use symsc_rng::Rng;
 use symsc_smt::eval::evaluate;
-use symsc_smt::{CexCache, QueryCache, SatResult, Solver, TermId, TermPool, Width};
+use symsc_smt::{CexCache, SatResult, Solver, TermId, TermPool, Width};
 
 const W: Width = Width::W8;
 const SEED: u64 = 0x5EED_CAC4E;
@@ -183,17 +184,16 @@ fn shared_cache_replays_across_term_pools() {
     // A second solver with a *different* pool but the same shared cache
     // must hit on every query: cache keys are structural fingerprints,
     // not pool-local term ids.
-    let cache = Arc::new(QueryCache::new());
+    let cache = Arc::new(CexCache::new());
     let mut pool_a = TermPool::new();
-    let mut solver_a =
-        Solver::with_stack(Some(Arc::clone(&cache)), Some(Arc::new(CexCache::new())));
+    let mut solver_a = Solver::with_stack(Some(Arc::clone(&cache)));
     let results_a = replay(&mut pool_a, &mut solver_a);
     let stats_a = solver_a.stats();
     assert_eq!(stats_a.cache_hits, 0);
     assert_eq!(stats_a.cache_misses, stats_a.queries - stats_a.trivial);
 
     let mut pool_b = TermPool::new();
-    let mut solver_b = Solver::with_stack(Some(cache), Some(Arc::new(CexCache::new())));
+    let mut solver_b = Solver::with_stack(Some(cache));
     let results_b = replay(&mut pool_b, &mut solver_b);
     let stats_b = solver_b.stats();
     assert_eq!(results_a, results_b);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use symsc_rng::Rng;
 use symsc_smt::eval::evaluate;
-use symsc_smt::{CexCache, QueryCache, SatResult, Solver, TermId, TermPool, Width};
+use symsc_smt::{CexCache, SatResult, Solver, TermId, TermPool, Width};
 
 const W: Width = Width::W8;
 const SEED: u64 = 0x51_1CE5;
@@ -180,10 +180,10 @@ fn layered_and_flat_agree_on_verdicts_and_models() {
 
 #[test]
 fn shared_stack_is_order_independent_across_solvers() {
-    // Eight "workers": solvers sharing one query cache + one cex cache,
-    // each replaying the corpus in a different seeded permutation. Every
-    // result must equal the flat baseline regardless of who populated
-    // which cache entry first.
+    // Eight "workers": solvers sharing one cache, each replaying the
+    // corpus in a different seeded permutation. Every result must equal
+    // the flat baseline regardless of who populated which cache entry
+    // first.
     let mut flat_pool = TermPool::new();
     let mut flat = Solver::without_cache();
     let sets = corpus();
@@ -192,8 +192,7 @@ fn shared_stack_is_order_independent_across_solvers() {
         .map(|(set, _)| solve_entry(&mut flat_pool, &mut flat, set))
         .collect();
 
-    let query = Arc::new(QueryCache::new());
-    let cex = Arc::new(CexCache::new());
+    let cache = Arc::new(CexCache::new());
     let mut rng = Rng::seed_from_u64(SEED ^ 0xFF);
     for worker in 0..8 {
         let mut order: Vec<usize> = (0..sets.len()).collect();
@@ -202,7 +201,7 @@ fn shared_stack_is_order_independent_across_solvers() {
             let j = rng.gen_range_inclusive(0, i as u64) as usize;
             order.swap(i, j);
         }
-        let mut solver = Solver::with_stack(Some(Arc::clone(&query)), Some(Arc::clone(&cex)));
+        let mut solver = Solver::with_stack(Some(Arc::clone(&cache)));
         for (i, result) in replay_in_order(&mut solver, &order) {
             assert_eq!(
                 baseline[i], result,

@@ -555,12 +555,7 @@ impl EngineState {
             if self.env_value(c) != Some(true) {
                 self.cur_env = None;
             }
-            self.constraints.push(c);
-            self.taken.push(dir);
-            self.path_branches.insert((site, dir));
-            self.record_event(TraceEvent::Decide { site, dir });
-            self.record_constraint(c);
-            return dir;
+            return self.take_branch(site, c, dir);
         }
 
         if self.fence_armed {
@@ -583,12 +578,7 @@ impl EngineState {
                 if self.check_feasible(not_cond) {
                     self.push_fork(site);
                 }
-                self.constraints.push(cond);
-                self.taken.push(true);
-                self.path_branches.insert((site, true));
-                self.record_event(TraceEvent::Decide { site, dir: true });
-                self.record_constraint(cond);
-                true
+                self.take_branch(site, cond, true)
             }
             Some(false) => {
                 // False branch witnessed; prefer true if it is feasible.
@@ -607,21 +597,9 @@ impl EngineState {
                     SatResult::Sat(model) => {
                         self.push_fork(site);
                         self.adopt_model(&model);
-                        self.constraints.push(cond);
-                        self.taken.push(true);
-                        self.path_branches.insert((site, true));
-                        self.record_event(TraceEvent::Decide { site, dir: true });
-                        self.record_constraint(cond);
-                        true
+                        self.take_branch(site, cond, true)
                     }
-                    SatResult::Unsat => {
-                        self.constraints.push(not_cond);
-                        self.taken.push(false);
-                        self.path_branches.insert((site, false));
-                        self.record_event(TraceEvent::Decide { site, dir: false });
-                        self.record_constraint(not_cond);
-                        false
-                    }
+                    SatResult::Unsat => self.take_branch(site, not_cond, false),
                 }
             }
             None => match self.check(Some(cond)) {
@@ -630,24 +608,24 @@ impl EngineState {
                         self.push_fork(site);
                     }
                     self.adopt_model(&model);
-                    self.constraints.push(cond);
-                    self.taken.push(true);
-                    self.path_branches.insert((site, true));
-                    self.record_event(TraceEvent::Decide { site, dir: true });
-                    self.record_constraint(cond);
-                    true
+                    self.take_branch(site, cond, true)
                 }
-                SatResult::Unsat => {
-                    // The path itself is feasible, so the negation must be.
-                    self.constraints.push(not_cond);
-                    self.taken.push(false);
-                    self.path_branches.insert((site, false));
-                    self.record_event(TraceEvent::Decide { site, dir: false });
-                    self.record_constraint(not_cond);
-                    false
-                }
+                // The path itself is feasible, so the negation must be.
+                SatResult::Unsat => self.take_branch(site, not_cond, false),
             },
         }
+    }
+
+    /// Takes direction `dir` at fork site `site`: pushes the branch's
+    /// constraint `c` onto the path and records the decision in the
+    /// path's branches and trace. Returns `dir`.
+    fn take_branch(&mut self, site: u128, c: TermId, dir: bool) -> bool {
+        self.constraints.push(c);
+        self.taken.push(dir);
+        self.path_branches.insert((site, dir));
+        self.record_event(TraceEvent::Decide { site, dir });
+        self.record_constraint(c);
+        dir
     }
 
     /// Adds an assumption; kills the path if it becomes infeasible.

@@ -1,7 +1,7 @@
 //! The path explorer: copy-on-write snapshot forking over a worklist of
 //! suspended engine snapshots.
 //!
-//! Every pending [`PathSnapshot`] is an independent unit of work: a
+//! Every pending `PathSnapshot` is an independent unit of work: a
 //! worker pops one, *fast-forwards* the testbench through its forced
 //! prefix — solver-free, replaying the pinned concretizations from the
 //! snapshot's journal — and resumes live execution at the fork point,
@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
-use symsc_smt::{CexCache, QueryCache, Solver};
+use symsc_smt::{CexCache, Solver};
 
 use crate::ctx::{EngineState, PathTerm, SymCtx};
 use crate::error::{Counterexample, ErrorKind, Report};
@@ -117,7 +117,6 @@ pub struct Explorer {
     max_paths: u64,
     max_path_decisions: u64,
     timeout: Option<Duration>,
-    query_cache: bool,
     solver_stack: bool,
     incremental: bool,
     fork: ForkStrategy,
@@ -126,9 +125,9 @@ pub struct Explorer {
     caches: Option<CacheStack>,
 }
 
-/// A solver cache stack — the whole-query cache plus the counterexample
-/// cache — that several explorations share (see
-/// [`Explorer::cache_stack`]). Cloning the handle shares the caches.
+/// A solver cache — the one [`CexCache`] memoizing whole queries and
+/// slices — that several explorations share (see
+/// [`Explorer::cache_stack`]). Cloning the handle shares the cache.
 ///
 /// Sharing is semantically invisible: keys are structural fingerprints
 /// that do not depend on any term pool, an exact hit returns the
@@ -138,8 +137,7 @@ pub struct Explorer {
 /// the same stack, without changing either report.
 #[derive(Clone, Default)]
 pub struct CacheStack {
-    query: Arc<QueryCache>,
-    cex: Arc<CexCache>,
+    cache: Arc<CexCache>,
 }
 
 impl CacheStack {
@@ -151,7 +149,7 @@ impl CacheStack {
 
 impl fmt::Debug for CacheStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The caches can hold tens of thousands of entries.
+        // The cache can hold tens of thousands of entries.
         f.debug_struct("CacheStack").finish_non_exhaustive()
     }
 }
@@ -164,14 +162,13 @@ impl Default for Explorer {
 
 impl Explorer {
     /// An explorer with default budgets (1 million paths, 100k decisions
-    /// per path, no timeout, query cache on, one worker per available
+    /// per path, no timeout, solver cache on, one worker per available
     /// hardware thread).
     pub fn new() -> Explorer {
         Explorer {
             max_paths: 1_000_000,
             max_path_decisions: 100_000,
             timeout: None,
-            query_cache: true,
             solver_stack: true,
             incremental: true,
             fork: ForkStrategy::CowSnapshot,
@@ -199,15 +196,10 @@ impl Explorer {
         self
     }
 
-    /// Disables the whole-query solver cache (ablation benchmarks).
-    pub fn query_cache(mut self, enabled: bool) -> Explorer {
-        self.query_cache = enabled;
-        self
-    }
-
-    /// Enables or disables the layered solver stack's cache layers — the
-    /// counterexample cache and cached-model feasibility witnesses
-    /// (default: on). Off reproduces the earlier flat-cache engine for
+    /// Enables or disables the solver's cache layers — whole-query and
+    /// per-slice memoization, subset-UNSAT proofs and cached-model
+    /// feasibility witnesses, all backed by one cache (default: on). Off
+    /// sends every query through slicing straight to the core, for
     /// ablation runs. Independence slicing itself is always on: it is part
     /// of the decision procedure (models are defined per slice), which is
     /// what keeps this switch — like the worker count — incapable of
@@ -219,11 +211,9 @@ impl Explorer {
 
     /// Builds the solvers over a shared [`CacheStack`] instead of a
     /// private one per exploration, so queries another exploration over
-    /// the same stack solved are cache hits here. The layer switches still
-    /// win: with [`query_cache`](Self::query_cache)`(false)` or
-    /// [`solver_stack`](Self::solver_stack)`(false)` that layer of the
-    /// shared stack is not used. Like the switches, sharing cannot change
-    /// any report.
+    /// the same stack solved are cache hits here. The switch still wins:
+    /// with [`solver_stack`](Self::solver_stack)`(false)` the shared stack
+    /// is not used. Like the switch, sharing cannot change any report.
     pub fn cache_stack(mut self, stack: &CacheStack) -> Explorer {
         self.caches = Some(stack.clone());
         self
@@ -290,15 +280,12 @@ impl Explorer {
             .unwrap_or(1)
     }
 
-    /// A fresh engine whose solver uses the layers of `caches` this
-    /// explorer's switches leave on. An exploration's solvers share the
+    /// A fresh engine whose solver uses the cache of `caches` unless this
+    /// explorer's switch turns it off. An exploration's solvers share the
     /// attached stack, or a fresh private one.
     fn engine(&self, caches: &CacheStack) -> Arc<Mutex<EngineState>> {
-        let solver = Solver::with_stack(
-            self.query_cache.then(|| Arc::clone(&caches.query)),
-            self.solver_stack.then(|| Arc::clone(&caches.cex)),
-        )
-        .with_incremental(self.incremental);
+        let solver = Solver::with_stack(self.solver_stack.then(|| Arc::clone(&caches.cache)))
+            .with_incremental(self.incremental);
         Arc::new(Mutex::new(EngineState::new(
             self.max_path_decisions,
             solver,
@@ -1069,7 +1056,7 @@ mod parallel_tests {
     }
 
     #[test]
-    fn parallel_workers_share_the_query_cache() {
+    fn parallel_workers_share_the_solver_cache() {
         // Under the re-execution oracle every worker re-solves
         // structurally identical prefix queries; with a shared cache at
         // least some must hit. (The copy-on-write engine eliminates those
@@ -1127,7 +1114,6 @@ mod parallel_tests {
         let stack = CacheStack::new();
         let off = Explorer::new()
             .workers(1)
-            .query_cache(false)
             .solver_stack(false)
             .cache_stack(&stack);
         off.explore(ladder);

@@ -354,8 +354,8 @@ fn t5_tlm_write_interface(ctx: &SymCtx, config: PlicConfig, params: SuiteParams)
 /// Builds the testbench closure for `test` — usable with
 /// [`Verifier::run`], [`Verifier::replay`] and the random baseline. The
 /// closure is `Fn + Send + Sync` (all captures are `Copy` configuration),
-/// so it can be explored by a multi-worker [`Explorer`]
-/// (`symsc_symex::Explorer`).
+/// so it can be explored by a multi-worker
+/// [`Explorer`](symsc_symex::Explorer).
 pub fn test_bench(
     test: TestId,
     config: PlicConfig,

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
-# The full offline CI gate: formatting, lints, build, the workspace tests and
-# (unless skipped) the exploration smokes plus the perf-regression bench
-# gate.
+# The full offline CI gate: formatting, lints, build, the workspace tests,
+# the API docs and (unless skipped) the exploration smokes plus the
+# perf-regression bench gate.
 #
 # Everything runs with `--offline` — the workspace has no crates.io
 # dependencies, so a cold container with only the Rust toolchain must be
 # able to run this end to end.
 #
 # Usage: scripts/ci.sh [--skip-smokes]
-#   --skip-smokes  stop after the workspace tests; used by the Actions gate
-#                  job, which runs the benchmark package, the smokes and
-#                  the bench gate as their own jobs so each runs exactly
-#                  once per workflow (locally, plain `scripts/ci.sh`
-#                  runs it all)
+#   --skip-smokes  stop after the workspace tests and docs; used by the
+#                  Actions gate job, which runs the benchmark package, the
+#                  smokes and the bench gate as their own jobs so each
+#                  runs exactly once per workflow (locally, plain
+#                  `scripts/ci.sh` runs it all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,6 +41,11 @@ echo "==> cargo test (every crate, debug assertions on)"
 # under every crate's unit and property tests. The release build above
 # stays for the smokes and the bench gate.
 cargo test --offline --workspace -q
+
+echo "==> cargo doc (deny warnings)"
+# Broken intra-doc links (a renamed or deleted item, a link to a private
+# one) fail here rather than rot silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 if [[ "$skip_smokes" -eq 1 ]]; then
   echo "CI gate passed (smokes skipped)."

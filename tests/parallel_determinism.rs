@@ -147,19 +147,16 @@ fn parallel_t1_pins_the_same_counterexample() {
     assert_eq!(format!("{seq_cex}"), format!("{par_cex}"));
 }
 
-/// A reduced kill matrix at one worker with both solver cache layers off,
-/// which leaves its cells nothing to share through the runner's cache
-/// stack: the reference that shows the sharing is invisible.
+/// A reduced kill matrix at one worker with the solver cache off, which
+/// leaves its cells nothing to share through the runner's cache stack:
+/// the reference that shows the sharing is invisible.
 fn run_unshared<S: KillSuite>(
     config: PlicConfig,
     mutants: &[Mutant],
     tests: &[S],
 ) -> KillMatrix<S> {
     run_kill_matrix_with(config, mutants, tests, |name| {
-        Verifier::new(name)
-            .workers(1)
-            .query_cache(false)
-            .solver_stack(false)
+        Verifier::new(name).workers(1).solver_stack(false)
     })
 }
 

@@ -3,10 +3,10 @@
 //!
 //! The engine's optimisations — the parallel explorer's shared solver
 //! cache, the solver's cache layers, the incremental per-path SAT
-//! context, copy-on-write forks, state merging and coverage-guided
-//! scheduling — may make a verdict faster but never change it. Each row
-//! of [`ROWS`] explores its workloads under a reference configuration and
-//! the configurations it ablates, and holds them to three bars:
+//! context and copy-on-write forks — may make a verdict faster but never
+//! change it. Each row of [`ROWS`] explores its workloads under a
+//! reference configuration and the configurations it ablates, and holds
+//! them to three bars:
 //!
 //! 1. **Report identity**: every configuration renders the reference's
 //!    stable view at 1, 2 and 8 workers, and so does the shipped
@@ -28,13 +28,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use symsc_plic::PlicConfig;
-use symsc_symex::{ExplorationStats, ExploreOrder, Explorer, ForkStrategy, Report, SymCtx};
+use symsc_symex::{ExplorationStats, Explorer, ForkStrategy, Report, SymCtx};
 use symsysc_core::Emission;
 
-use crate::workloads::{
-    bench_config, claim_ladder, fe310_2hart_config, fe310_full_config, merge_pattern,
-    subsumption_pattern, t1_cross_pattern, t1_pattern,
-};
+use crate::workloads::{bench_config, claim_ladder, t1_cross_pattern, t1_pattern};
 
 /// The worker counts every configuration is explored at.
 const WORKERS: [usize; 3] = [1, 2, 8];
@@ -92,9 +89,6 @@ pub struct Row {
     name: &'static str,
     /// What it explores.
     workloads: &'static [Workload],
-    /// Whether the compared view includes `decisions`. Merged exploration
-    /// legitimately skips the decides of the subtrees it adopts.
-    decisions: bool,
     /// The reference configuration first, then those compared with it.
     configs: &'static [Config],
     /// The work counters recorded for every configuration.
@@ -178,18 +172,14 @@ const T1_PAIR: &[Workload] = &[
     },
 ];
 
-/// The fenced cross-product workloads the merge floor applies to.
-const MERGE_WORKLOADS: &[&str] = &["merge@51", "merge_2hart@51"];
-
 /// The ablation table.
-pub const ROWS: [Row; 5] = [
+pub const ROWS: [Row; 4] = [
     // The parallel explorer. Its workers share one solver cache; COW forks
     // never re-issue prefix probes, so re-execution is where its
     // whole-query memo has cross-path work to absorb.
     Row {
         name: "parallel",
         workloads: &[T1],
-        decisions: true,
         configs: &[
             Config {
                 name: "default",
@@ -224,7 +214,6 @@ pub const ROWS: [Row; 5] = [
     Row {
         name: "solver_stack",
         workloads: T1_PAIR,
-        decisions: true,
         configs: &[
             Config {
                 name: "layered",
@@ -283,7 +272,6 @@ pub const ROWS: [Row; 5] = [
     Row {
         name: "incremental",
         workloads: T1_PAIR,
-        decisions: true,
         configs: &[
             Config {
                 name: "incremental",
@@ -383,7 +371,6 @@ pub const ROWS: [Row; 5] = [
                 bench: |c| Box::new(claim_ladder(c)),
             },
         ],
-        decisions: true,
         configs: &[
             Config {
                 name: "reexec",
@@ -431,121 +418,18 @@ pub const ROWS: [Row; 5] = [
             measure: |r| r.at("reexec", 1).seconds / r.at("cow", 1).seconds.max(1e-9),
         }),
     },
-    // State merging and coverage-guided scheduling against the exhaustive
-    // oracle, on the full 51-source FE310 and its two-HART variant.
-    Row {
-        name: "path_merge",
-        workloads: &[
-            Workload {
-                name: "merge@51",
-                config: fe310_full_config,
-                bench: |c| Box::new(merge_pattern(c)),
-            },
-            Workload {
-                name: "merge_2hart@51",
-                config: fe310_2hart_config,
-                bench: |c| Box::new(merge_pattern(c)),
-            },
-            Workload {
-                name: "subsumption@51",
-                config: fe310_full_config,
-                bench: |c| Box::new(subsumption_pattern(c)),
-            },
-        ],
-        decisions: false,
-        configs: &[
-            Config {
-                name: "exhaustive",
-                explorer: |e| e.explore_order(ExploreOrder::Exhaustive),
-            },
-            Config {
-                name: "merge_eager",
-                explorer: |e| e.explore_order(ExploreOrder::MergeEager),
-            },
-            Config {
-                name: "coverage_guided",
-                explorer: |e| e.explore_order(ExploreOrder::CoverageGuided),
-            },
-        ],
-        counters: &[
-            PATHS,
-            ("executed_paths", |s| s.executed_paths),
-            ("merged_paths", |s| s.merged_paths),
-            ("subsumed_paths", |s| s.subsumed_paths),
-            ("join_sites", |s| s.join_sites),
-            ("sched_promotions", |s| s.sched_promotions),
-            ("merge_rejects", |s| s.merge_rejects),
-        ],
-        live: &[
-            Live {
-                what: "merge-free exhaustive oracle",
-                workloads: &[],
-                holds: |r| {
-                    let oracle = r.seq("exhaustive");
-                    oracle.executed_paths == oracle.paths
-                        && oracle.merged_paths == 0
-                        && oracle.subsumed_paths == 0
-                },
-            },
-            Live {
-                what: "join site under MergeEager",
-                workloads: &[],
-                holds: |r| r.seq("merge_eager").join_sites > 0,
-            },
-            Live {
-                what: "subtree adoption under MergeEager",
-                workloads: &[],
-                holds: |r| {
-                    let merged = r.seq("merge_eager");
-                    merged.merged_paths + merged.subsumed_paths > 0
-                },
-            },
-            // The fenced arrivals are closure-disjoint: the implication
-            // query firing there means the cheap check broke.
-            Live {
-                what: "disjoint-prefix adoption without the implication query",
-                workloads: MERGE_WORKLOADS,
-                holds: |r| r.seq("merge_eager").subsumed_paths == 0,
-            },
-            Live {
-                what: "adoption through the implication query",
-                workloads: &["subsumption@51"],
-                holds: |r| r.seq("merge_eager").subsumed_paths > 0,
-            },
-            // The delay ladder leaves unvisited fork sites behind the
-            // first path; the single-ladder subsumption shape does not.
-            Live {
-                what: "coverage-guided promotion",
-                workloads: MERGE_WORKLOADS,
-                holds: |r| r.seq("coverage_guided").sched_promotions > 0,
-            },
-        ],
-        // Represented over executed paths under MergeEager.
-        floor: Some(Floor {
-            metric: "path_reduction",
-            at_least: 3.0,
-            workloads: MERGE_WORKLOADS,
-            measure: |r| {
-                let merged = r.seq("merge_eager");
-                merged.paths as f64 / merged.executed_paths.max(1) as f64
-            },
-        }),
-    },
 ];
 
 /// The scheduling-independent projection of a report that every
-/// configuration must match: paths, verdict, errors with their
-/// counterexamples, coverage bins and branch fingerprints, plus
-/// `decisions` when `decisions` is set.
-fn stable_view(report: &Report, decisions: bool) -> String {
+/// configuration must match: paths, decisions, verdict, errors with
+/// their counterexamples, coverage bins and branch fingerprints.
+fn stable_view(report: &Report) -> String {
     let mut out = String::new();
-    let _ = write!(out, "paths={}", report.stats.paths);
-    if decisions {
-        let _ = write!(out, " decisions={}", report.stats.decisions);
-    }
     let _ = writeln!(
         out,
-        " completed={} passed={}",
+        "paths={} decisions={} completed={} passed={}",
+        report.stats.paths,
+        report.stats.decisions,
         report.completed,
         report.passed()
     );
@@ -607,10 +491,10 @@ pub fn run(rows: &[Row]) -> Outcome {
             println!("[{name}] sources={}", config.sources);
             e.counter(format!("{name}/sources"), config.sources.into());
 
-            let reference = stable_view(&runs.runs[0][0].report, row.decisions);
+            let reference = stable_view(&runs.runs[0][0].report);
             for (c, at) in row.configs.iter().zip(&runs.runs) {
                 for (workers, run) in WORKERS.iter().zip(at) {
-                    if stable_view(&run.report, row.decisions) != reference {
+                    if stable_view(&run.report) != reference {
                         println!(
                             "MISMATCH [{name}]: {} differs from {} at {workers} workers",
                             c.name, row.configs[0].name
@@ -637,7 +521,7 @@ pub fn run(rows: &[Row]) -> Outcome {
                 e.seconds(format!("{name}/{}", c.name), seq.seconds);
             }
             let default = explore(Explorer::new(), 1);
-            if stable_view(&default.report, row.decisions) != reference {
+            if stable_view(&default.report) != reference {
                 println!("MISMATCH [{name}]: the shipped default differs at 1 worker");
                 equivalent = false;
             }
@@ -722,7 +606,6 @@ mod tests {
         Row {
             name: "small",
             workloads: SMALL,
-            decisions: true,
             configs,
             counters: &[PATHS, QUERIES],
             live: &[],

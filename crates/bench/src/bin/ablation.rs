@@ -1,9 +1,9 @@
 //! The ablation harness: every engine optimisation that must never change
 //! a report — the parallel explorer's shared solver cache, the solver's
-//! cache layers, the incremental SAT context, copy-on-write forks, state
-//! merging and coverage-guided scheduling — explored against its
-//! reference configuration at 1, 2 and 8 workers. The rows, their checks
-//! and their floors are the table in [`symsc_bench::ablation`].
+//! cache layers, the incremental SAT context and copy-on-write forks —
+//! explored against its reference configuration at 1, 2 and 8 workers.
+//! The rows, their checks and their floors are the table in
+//! [`symsc_bench::ablation`].
 //!
 //! Exits 1 on any violation and 2 on a malformed command line. With
 //! `--emit FILE`, writes the run as JSON (the `BENCH_ablation.json`

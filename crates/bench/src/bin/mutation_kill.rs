@@ -14,13 +14,10 @@
 //! `BENCH_cross_check.json` trajectory datapoints). `--smoke` runs a
 //! reduced matrix for CI; `--workers N` runs N cells at a time, each
 //! explored on one thread (default: one per hardware thread — the matrix
-//! is identical either way); `--order eager|guided|exhaustive` picks the
-//! exploration order (merging and scheduling are pure optimizations, so
-//! the matrix content must be identical for any choice — the nightly
-//! full matrices run `--order eager` as the at-scale differential check).
+//! is identical either way).
 //!
-//! Usage: `mutation_kill [--smoke] [--workers N] [--order ORDER]
-//!                       [--suite tlm|firmware|cross] [--emit FILE]`
+//! Usage: `mutation_kill [--smoke] [--workers N] [--suite tlm|firmware|cross]
+//!                       [--emit FILE]`
 
 use symsc_bench::kill_matrix::{run, Options};
 

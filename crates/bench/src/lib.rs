@@ -13,9 +13,7 @@
 //!   against its reference configuration at 1, 2 and 8 workers, from
 //!   one table ([`ablation`]): the parallel explorer's shared query
 //!   cache, the solver's cache layers, the incremental per-path SAT
-//!   context, copy-on-write forks (vs. the re-execution oracle), and
-//!   state merging with coverage-guided scheduling on the full
-//!   51-source FE310 (vs. the exhaustive oracle).
+//!   context and copy-on-write forks (vs. the re-execution oracle).
 //! * `mutation_kill` — the symbolic mutation-testing kill matrix
 //!   ([`kill_matrix`]): the register-level TLM suite by default,
 //!   `--suite firmware` for the ISS-hosted firmware drivers, `--suite

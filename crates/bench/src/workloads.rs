@@ -7,7 +7,7 @@
 
 use symsc_pk::Kernel;
 use symsc_plic::{Plic, PlicConfig, PlicVariant};
-use symsc_symex::{StateDigest, SymCtx, Width};
+use symsc_symex::{SymCtx, Width};
 use symsc_tlm::{BlockingTransport, GenericPayload};
 
 /// The PLIC claim/complete register address used by the workloads.
@@ -20,23 +20,6 @@ pub fn bench_config(sources: u32) -> PlicConfig {
     cfg.sources = sources;
     cfg.max_priority = 7;
     cfg
-}
-
-/// The full FE310 configuration from the paper's evaluation — 51
-/// interrupt sources, 32 priority levels — on the fixed model. This is
-/// the scale target of the path-merging ablation: exhaustive exploration
-/// of the cross-product workloads is affordable here only because the
-/// merge engine collapses the stimulus dimension.
-pub fn fe310_full_config() -> PlicConfig {
-    PlicConfig::fe310().variant(PlicVariant::Fixed)
-}
-
-/// The two-HART variant of the full FE310: same 51 sources and 32
-/// priority levels, but two threshold/claim contexts and two external
-/// interrupt lines. Exercises the per-HART state arrays (and their
-/// structural digests) at full scale.
-pub fn fe310_2hart_config() -> PlicConfig {
-    fe310_full_config().harts(2)
 }
 
 /// The T1-pattern testbench (the paper's basic-interaction test): a
@@ -105,92 +88,6 @@ pub fn t1_cross_pattern(cfg: PlicConfig) -> impl Fn(&SymCtx) + Send + Sync {
             }
         }
         t1(ctx);
-    }
-}
-
-/// The T1 pattern behind a published join point: a stimulus-only delay
-/// ladder (the [`CROSS_DELAY_BINS`] bins of [`t1_cross_pattern`]), then a
-/// [`SymCtx::note_state`] fence publishing the DUV's structural digest,
-/// then the full symbolic trigger/claim suffix. The delay never touches
-/// the peripheral, so every bin arrives at the fence with the *same*
-/// kernel and PLIC marks and the merging engine adopts the id-ladder
-/// subtree instead of re-executing it per bin: exhaustive exploration
-/// walks `CROSS_DELAY_BINS x sources` paths, merged exploration executes
-/// about `sources + CROSS_DELAY_BINS - 1` — the path-reduction headline
-/// of the ablation table's `path_merge` row.
-pub fn merge_pattern(cfg: PlicConfig) -> impl Fn(&SymCtx) + Send + Sync {
-    move |ctx: &SymCtx| {
-        let mut kernel = Kernel::new();
-        let mut plic = Plic::new(ctx, &mut kernel, cfg);
-        kernel.step();
-        plic.enable_all_sources(ctx);
-        for irq in 1..=cfg.sources {
-            plic.set_priority(ctx, irq, 1);
-        }
-
-        // Stimulus dimension: which delay bin was taken constrains
-        // `t_delay` only — the DUV state is bin-independent.
-        let delay = ctx.symbolic("t_delay", Width::W32);
-        ctx.assume(&delay.ult(&ctx.word32(CROSS_DELAY_BINS)));
-        for d in 0..CROSS_DELAY_BINS {
-            if ctx.decide(&delay.eq(&ctx.word32(d))) {
-                ctx.cover(&format!("delay{d}"));
-                break;
-            }
-        }
-
-        // The join: everything downstream depends only on this state.
-        let mut mark = StateDigest::new();
-        mark.push_u64(kernel.state_mark());
-        mark.push_u64(plic.state_mark());
-        ctx.note_state("duv", mark.finish());
-
-        // The adopted suffix: symbolic trigger, pending check, and the
-        // per-id claim ladder through the real TLM register.
-        let i = ctx.symbolic("i_interrupt", Width::W32);
-        ctx.assume(&i.uge(&ctx.word32(1)));
-        ctx.assume(&i.ule(&ctx.word32(cfg.sources)));
-        plic.trigger_interrupt(ctx, &mut kernel, &i);
-        kernel.step();
-        ctx.check(&plic.pending_bit_symbolic(&i), "pending after trigger");
-        for k in 1..=cfg.sources {
-            if ctx.decide(&i.eq(&ctx.word32(k))) {
-                let mut claim = GenericPayload::read(ctx, ctx.word32(CLAIM_ADDR), 4);
-                plic.b_transport(ctx, &mut kernel, &mut claim);
-                ctx.check_concrete(claim.response.is_ok(), "claim read succeeds");
-                ctx.check(&claim.word(0).eq(&i), "claimed id matches trigger");
-                break;
-            }
-        }
-    }
-}
-
-/// A join whose two arrivals pin the suffix variable with structurally
-/// *different but logically equivalent* constraints — a range form
-/// (`i <= 255`) on one arm and a mask form (`i & 0xFF == i`) on the
-/// other. The cheap syntactic diff check cannot match them, so adoption
-/// must go through the incremental-SAT mutual-implication query: the
-/// workload that keeps `subsumed_paths` live at bench scale.
-pub fn subsumption_pattern(cfg: PlicConfig) -> impl Fn(&SymCtx) + Send + Sync {
-    let sources = cfg.sources;
-    move |ctx: &SymCtx| {
-        let s = ctx.symbolic("s_mode", Width::W8);
-        let i = ctx.symbolic("i_claim", Width::W32);
-        if ctx.decide(&s.ule(&ctx.word(100, Width::W8))) {
-            ctx.assume(&i.ule(&ctx.word32(255)));
-            ctx.cover("range_form");
-        } else {
-            ctx.assume(&i.and(&ctx.word32(0xFF)).eq(&i));
-            ctx.cover("mask_form");
-        }
-        ctx.note_state("dev", 1);
-        for id in 0..sources {
-            if ctx.decide(&i.eq(&ctx.word32(id))) {
-                ctx.cover(&format!("claimed_{id}"));
-                return;
-            }
-        }
-        ctx.cover("id_big");
     }
 }
 

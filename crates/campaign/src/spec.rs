@@ -283,6 +283,13 @@ mod tests {
     }
 
     #[test]
+    fn the_smoke_fingerprint_is_pinned_across_builds() {
+        // The journal header pins this value, so a journal or store an
+        // older build wrote resumes only while the digest stays the same.
+        assert_eq!(CampaignSpec::smoke(1).fingerprint(), 0xde84_b6e1_e80b_eead);
+    }
+
+    #[test]
     fn full_spec_covers_the_registry() {
         let spec = CampaignSpec::full(1, 0);
         assert_eq!(spec.tests.len(), 5);

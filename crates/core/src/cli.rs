@@ -4,34 +4,11 @@
 
 use std::str::FromStr;
 
-use symsc_symex::ExploreOrder;
-
 /// Reads and parses the value that must follow `flag`.
 pub fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String> {
     let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
     raw.parse()
         .map_err(|_| format!("{flag}: malformed value {raw:?}"))
-}
-
-/// The `--order` spellings, shared by every harness that takes one.
-pub const ORDERS: [(&str, ExploreOrder); 3] = [
-    ("exhaustive", ExploreOrder::Exhaustive),
-    ("eager", ExploreOrder::MergeEager),
-    ("guided", ExploreOrder::CoverageGuided),
-];
-
-/// Reads the exploration order that must follow `flag`, with its
-/// spelling.
-pub fn order(
-    flag: &str,
-    args: &mut impl Iterator<Item = String>,
-) -> Result<(ExploreOrder, &'static str), String> {
-    let name: String = value(flag, args)?;
-    ORDERS
-        .iter()
-        .find(|(spelling, _)| *spelling == name)
-        .map(|&(spelling, order)| (order, spelling))
-        .ok_or_else(|| format!("unknown exploration order: {name:?}"))
 }
 
 /// Parses a command line whose only flag is `--emit FILE`: the path, if
@@ -67,18 +44,6 @@ mod tests {
         assert!(err.contains("--harts"), "{err}");
         let err = value::<u32>("--harts", &mut args(&[])).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
-    }
-
-    #[test]
-    fn every_order_spelling_round_trips() {
-        for (spelling, expected) in ORDERS {
-            assert_eq!(
-                order("--order", &mut args(&[spelling])),
-                Ok((expected, spelling))
-            );
-        }
-        assert!(order("--order", &mut args(&["random"])).is_err());
-        assert!(order("--order", &mut args(&[])).is_err());
     }
 
     #[test]

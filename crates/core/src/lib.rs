@@ -57,8 +57,8 @@ pub use verifier::{TestOutcome, Verifier};
 pub mod prelude {
     pub use symsc_pk::{Event, Kernel, NotifyKind, Process, ProcessCtx, SimTime, Suspend};
     pub use symsc_symex::{
-        Counterexample, ErrorKind, ExploreOrder, Explorer, ForkStrategy, Report, StateDigest,
-        SymArray, SymBool, SymCtx, SymWord, Width,
+        Counterexample, ErrorKind, Explorer, ForkStrategy, Report, SymArray, SymBool, SymCtx,
+        SymWord, Width,
     };
     pub use symsc_tlm::{
         Access, BlockingTransport, CheckMode, Command, GenericPayload, Region, RegisterBank,

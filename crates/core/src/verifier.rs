@@ -4,9 +4,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use symsc_symex::{
-    CacheStack, Counterexample, ExploreOrder, Explorer, ForkStrategy, Report, SymCtx,
-};
+use symsc_symex::{CacheStack, Counterexample, Explorer, ForkStrategy, Report, SymCtx};
 
 /// The result of running one named symbolic test.
 #[derive(Clone, Debug)]
@@ -127,17 +125,6 @@ impl Verifier {
     /// change.
     pub fn fork_strategy(mut self, fork: ForkStrategy) -> Verifier {
         self.explorer = self.explorer.fork_strategy(fork);
-        self
-    }
-
-    /// Selects the exploration order (default: exhaustive).
-    /// [`ExploreOrder::MergeEager`] adopts finished join-point subtrees
-    /// instead of re-executing them; [`ExploreOrder::CoverageGuided`]
-    /// steers each worker's visitation toward fork directions it has not
-    /// yet taken. Reports are identical either way, at any worker count —
-    /// only executed-path and merge/scheduler statistics change.
-    pub fn explore_order(mut self, order: ExploreOrder) -> Verifier {
-        self.explorer = self.explorer.explore_order(order);
         self
     }
 

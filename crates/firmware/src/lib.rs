@@ -9,7 +9,7 @@
 //! that gap:
 //!
 //! * [`soc`] — the miniature virtual prototype: symbolic CPU + router +
-//!   PLIC + scratch RAM under one kernel, with merge fences at `wfi`.
+//!   PLIC + scratch RAM under one kernel.
 //! * [`suite`] — the five firmware tests F1–F5 ([`FirmwareId`]), from a
 //!   plain claim/complete loop to a deliberately racy driver that only
 //!   an enable-mask mutant can expose. [`FirmwareId`] fills the columns

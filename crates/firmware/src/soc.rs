@@ -1,6 +1,6 @@
 //! The miniature virtual prototype the firmware suites run on: symbolic
 //! CPU + bus router + TLM PLIC + scratch RAM, co-simulated under one
-//! kernel, with merge fences published at every `wfi` park.
+//! kernel.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -9,7 +9,7 @@ use symsc_iss::{Cpu, StepOutcome};
 use symsc_pk::Kernel;
 use symsc_plic::config::{CLAIM_BASE, ENABLE_BASE, THRESHOLD_BASE};
 use symsc_plic::{InterruptTarget, Plic, PlicConfig};
-use symsc_symex::{StateDigest, SymCtx, SymWord};
+use symsc_symex::{SymCtx, SymWord};
 use symsc_tlm::{BlockingTransport, Command, GenericPayload, ResponseStatus, Router};
 
 /// Bus base of the PLIC aperture (the FE310 memory map).
@@ -79,17 +79,6 @@ impl SymRam {
     pub fn set_word(&mut self, index: usize, value: SymWord) {
         self.words[index] = value;
     }
-
-    /// Structural hash of the contents — the RAM's contribution to a
-    /// merge-fence state mark.
-    pub fn state_mark(&self) -> u64 {
-        let mut digest = StateDigest::new();
-        digest.push_u64(self.words.len() as u64);
-        for w in &self.words {
-            digest.push(w.fingerprint());
-        }
-        digest.finish()
-    }
 }
 
 impl BlockingTransport for SymRam {
@@ -114,8 +103,7 @@ impl BlockingTransport for SymRam {
 
 /// The firmware-in-the-loop platform: one symbolic RV32I hart, the TLM
 /// PLIC and a scratch RAM behind a [`Router`], co-simulated under one
-/// kernel. [`Soc::run`] is the co-simulation loop; every `wfi` park
-/// publishes a merge fence combining kernel, PLIC, CPU and RAM marks.
+/// kernel. [`Soc::run`] is the co-simulation loop.
 pub struct Soc {
     /// The simulation kernel.
     pub kernel: Kernel,
@@ -161,29 +149,10 @@ impl Soc {
         }
     }
 
-    /// Publishes the platform's structural state as a merge-fence mark:
-    /// kernel + PLIC + CPU + RAM digests under the `"fw"` tag. Suspended
-    /// paths that reconverge on all four become candidates for subtree
-    /// adoption under `ExploreOrder::MergeEager`; under the exhaustive
-    /// order the fence is one digest fold and changes nothing.
-    pub fn fence(&self, ctx: &SymCtx) {
-        let mut mark = StateDigest::new();
-        mark.push_u64(self.kernel.state_mark());
-        mark.push_u64(self.plic.borrow().state_mark());
-        mark.push_u64(self.cpu.state_mark());
-        mark.push_u64(self.ram.borrow().state_mark());
-        ctx.note_state("fw", mark.finish());
-    }
-
     /// Co-simulates up to `fuel` retired instructions, stepping the
-    /// kernel whenever the hart sleeps. A `wfi` park (nothing left to
-    /// wake the hart) publishes a merge fence before returning.
+    /// kernel whenever the hart sleeps.
     pub fn run(&mut self, ctx: &SymCtx, fuel: u64) -> StepOutcome {
-        let outcome = self.cpu.run(ctx, &mut self.kernel, &mut self.bus, fuel);
-        if outcome == StepOutcome::Wfi {
-            self.fence(ctx);
-        }
-        outcome
+        self.cpu.run(ctx, &mut self.kernel, &mut self.bus, fuel)
     }
 
     /// Reads log-buffer entry `slot` (driver-visible state for checks).

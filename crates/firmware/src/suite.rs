@@ -108,7 +108,6 @@ fn f1_claim_complete(ctx: &SymCtx, config: PlicConfig) {
         &valid.implies(&fired),
         "delivery within one clock of the trigger",
     );
-    soc.fence(ctx);
 
     let outcome = soc.run(ctx, FUEL);
     let done = ctx.lit(outcome == StepOutcome::Halted);
@@ -190,7 +189,6 @@ fn f2_threshold_mask(ctx: &SymCtx, config: PlicConfig) {
         "unmasked interrupt wakes the driver",
     );
     ctx.check(&fired.implies(&eligible), "masked interrupt must not fire");
-    soc.fence(ctx);
 
     let outcome = soc.run(ctx, FUEL);
     if ctx.decide(&eligible) {
@@ -261,7 +259,6 @@ fn f3_isr_priority_order(ctx: &SymCtx, config: PlicConfig) {
         *soc.cpu.interrupt_line().borrow(),
         "simultaneous triggers wake the driver",
     );
-    soc.fence(ctx);
 
     let outcome = soc.run(ctx, FUEL);
     ctx.check_concrete(
@@ -339,7 +336,6 @@ fn f4_nested_arbitration(ctx: &SymCtx, config: PlicConfig) {
             .trigger_interrupt(ctx, &mut soc.kernel, &ctx.word32(B));
         let now = soc.kernel.time();
         soc.kernel.run_until(now + config.clock_cycle);
-        soc.fence(ctx);
 
         let outcome = soc.run(ctx, FUEL);
         ctx.check_concrete(outcome == StepOutcome::Halted, "both sources serviced");
@@ -362,7 +358,6 @@ fn f4_nested_arbitration(ctx: &SymCtx, config: PlicConfig) {
         ctx.cover("f4/nested");
         let now = soc.kernel.time();
         soc.kernel.run_until(now + config.clock_cycle);
-        soc.fence(ctx);
 
         // Wake and stop right after the claim of A: one budget unit
         // retires the wfi, the next retires the claim load.
@@ -451,7 +446,6 @@ fn f5_racy_disabled_source(ctx: &SymCtx, config: PlicConfig) {
         &fired.implies(&deliverable),
         "the disabled source must stay masked",
     );
-    soc.fence(ctx);
 
     let outcome = soc.run(ctx, FUEL);
     if ctx.decide(&deliverable) {

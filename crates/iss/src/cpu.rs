@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use symsc_pk::Kernel;
-use symsc_symex::{CowVec, StateDigest, SymCtx, SymWord};
+use symsc_symex::{CowVec, SymCtx, SymWord};
 use symsc_tlm::{BlockingTransport, GenericPayload};
 
 /// Why [`Cpu::step`] (or [`Cpu::run`]) stopped.
@@ -54,35 +54,6 @@ pub struct CpuSnapshot {
     pc: u32,
     retired: u64,
     interrupt_pending: bool,
-}
-
-impl CpuSnapshot {
-    /// A structural hash of the captured state: register fingerprints
-    /// plus pc, retirement count and the interrupt line. Two snapshots
-    /// hash equal iff the hart would behave identically from here on —
-    /// the `Cpu` contribution to a merge-fence state mark.
-    pub fn structural_hash(&self) -> u64 {
-        let mut digest = StateDigest::new();
-        self.regs.fold_digest(&mut digest, |w| w.fingerprint());
-        digest.push_u64(u64::from(self.pc));
-        digest.push_u64(self.retired);
-        digest.push_u64(u64::from(self.interrupt_pending));
-        digest.finish()
-    }
-
-    /// Structural equality: same pc, fuel spent, interrupt line and
-    /// register-file fingerprints (storage layout is irrelevant).
-    pub fn deep_equals(&self, other: &CpuSnapshot) -> bool {
-        self.pc == other.pc
-            && self.retired == other.retired
-            && self.interrupt_pending == other.interrupt_pending
-            && self.regs.len() == other.regs.len()
-            && self
-                .regs
-                .iter()
-                .zip(other.regs.iter())
-                .all(|(a, b)| a.fingerprint() == b.fingerprint())
-    }
 }
 
 impl std::fmt::Debug for Cpu {
@@ -137,12 +108,6 @@ impl Cpu {
         self.pc = snapshot.pc;
         self.retired = snapshot.retired;
         *self.interrupt_flag.borrow_mut() = snapshot.interrupt_pending;
-    }
-
-    /// The hart's contribution to a merge-fence state mark — see
-    /// [`CpuSnapshot::structural_hash`].
-    pub fn state_mark(&self) -> u64 {
-        self.snapshot().structural_hash()
     }
 
     /// Current program counter.
@@ -700,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_and_marks_track_state() {
+    fn snapshot_restore_round_trips() {
         let program = vec![
             asm::addi(1, 0, 5),
             asm::addi(2, 0, 9),
@@ -716,15 +681,12 @@ mod tests {
                 StepOutcome::OutOfFuel
             );
             let snap = cpu.snapshot();
-            let mark = cpu.state_mark();
 
             assert_eq!(cpu.run(ctx, &mut kernel, &mut ram, 10), StepOutcome::Halted);
-            assert_ne!(cpu.state_mark(), mark, "execution moved the mark");
-            assert!(!cpu.snapshot().deep_equals(&snap));
+            assert_eq!(cpu.reg(ctx, 3).as_const(), Some(14));
+            assert_eq!(cpu.retired(), 3);
 
             cpu.restore(&snap);
-            assert_eq!(cpu.state_mark(), mark, "restore reproduces the mark");
-            assert!(cpu.snapshot().deep_equals(&snap));
             assert_eq!(cpu.pc(), 8);
             assert_eq!(cpu.retired(), 2);
             assert_eq!(cpu.reg(ctx, 3).as_const(), Some(0), "add undone");

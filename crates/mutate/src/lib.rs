@@ -466,8 +466,8 @@ impl<S: KillSuite> KillMatrix<S> {
 
     /// A deterministic rendering of the whole matrix. Contains no timing
     /// and no worker-dependent data, so two runs of the same matrix — at
-    /// any worker counts, fork strategies or exploration orders — produce
-    /// byte-identical strings.
+    /// any worker counts or fork strategies — produce byte-identical
+    /// strings.
     pub fn stable_view(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -558,7 +558,7 @@ pub fn run_kill_matrix<S: KillSuite>(
 }
 
 /// Like [`run_kill_matrix`], but with full control over the verifier each
-/// exploration uses (exploration order, fork strategy, budgets).
+/// exploration uses (fork strategy, cache layers, budgets).
 ///
 /// The cells run side by side on a pool of threads as wide as the worker
 /// count ([`Verifier::workers`]) of the verifier returned for the first

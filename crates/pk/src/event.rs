@@ -45,7 +45,7 @@ pub(crate) enum Pending {
 }
 
 /// Kernel-side state of an event.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct EventState {
     pub(crate) name: String,
     pub(crate) waiters: Vec<crate::process::ProcessId>,

@@ -268,18 +268,6 @@ impl Kernel {
         crate::trace::write_vcd(out, log, &event_names, &process_names)
     }
 
-    /// A structural digest of the live scheduler state, for publication
-    /// at exploration join points (the engine's `note_state` fences): two
-    /// kernels share a mark exactly when their structural scheduler state
-    /// — time, event states, process statuses, queues and wakelist — is
-    /// identical. Activity counters and the VCD trace are excluded (they
-    /// never influence future scheduling).
-    pub fn state_mark(&self) -> u64 {
-        let mut digest = crate::sched::CoreDigest::new();
-        self.core.fold_digest(&mut digest);
-        digest.finish()
-    }
-
     /// Scheduler activity counters.
     pub fn stats(&self) -> KernelStats {
         KernelStats {
@@ -307,27 +295,6 @@ pub struct KernelSnapshot {
 struct KernelSnapshotData {
     core: SchedCore,
     steps: u64,
-}
-
-impl KernelSnapshot {
-    /// A structural hash of the captured scheduler state: a pure function
-    /// of the state itself (wakelist entries are folded in sorted order,
-    /// so heap shape never leaks in), equal exactly when
-    /// [`deep_equals`](KernelSnapshot::deep_equals) holds. Activity
-    /// counters and the VCD trace are excluded.
-    pub fn structural_hash(&self) -> u64 {
-        let mut digest = crate::sched::CoreDigest::new();
-        self.inner.core.fold_digest(&mut digest);
-        digest.finish()
-    }
-
-    /// Field-by-field structural equality over the captured scheduler
-    /// state: the naive comparator
-    /// [`structural_hash`](KernelSnapshot::structural_hash) summarizes,
-    /// used by the property tests to pin the hash against ground truth.
-    pub fn deep_equals(&self, other: &KernelSnapshot) -> bool {
-        self.inner.core.deep_equals(&other.inner.core)
-    }
 }
 
 #[cfg(test)]

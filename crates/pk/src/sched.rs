@@ -24,7 +24,7 @@ pub(crate) enum ProcStatus {
     Terminated,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub(crate) struct ProcMeta {
     pub(crate) status: ProcStatus,
     /// Events the process is currently registered with (one for a dynamic
@@ -330,133 +330,5 @@ impl SchedCore {
             WakeKind::Proc(pid, generation) => self.wake_proc_by_timeout(pid, generation),
             WakeKind::EventFire(e, generation) => self.fire_event(e, generation),
         }
-    }
-
-    /// The wakelist in a canonical (heap-independent) order: two cores
-    /// holding the same entry set compare and hash identically regardless
-    /// of heap shape.
-    fn sorted_wakes(&self) -> Vec<(SimTime, u64, WakeKind)> {
-        self.wakelist
-            .clone()
-            .into_sorted_vec()
-            .into_iter()
-            .map(|Reverse(entry)| entry)
-            .collect()
-    }
-
-    /// Folds the *structural* scheduler state — time, event states,
-    /// process statuses, the runnable queue, pending deltas, the (sorted)
-    /// wakelist and the tie-break counter — into `digest`. Activity
-    /// counters and the VCD trace are reporting-only and excluded: two
-    /// cores folding identically schedule identically from here on.
-    pub(crate) fn fold_digest(&self, digest: &mut CoreDigest) {
-        digest.word(self.time.as_ps());
-        digest.word(self.events.len() as u64);
-        for st in &self.events {
-            digest.bytes(st.name.as_bytes());
-            digest.word(st.waiters.len() as u64);
-            for pid in &st.waiters {
-                digest.word(u64::from(pid.0));
-            }
-            match st.pending {
-                Pending::None => digest.word(0),
-                Pending::Delta => digest.word(1),
-                Pending::At(t) => {
-                    digest.word(2);
-                    digest.word(t.as_ps());
-                }
-            }
-            digest.word(st.generation);
-        }
-        digest.word(self.procs.len() as u64);
-        for meta in &self.procs {
-            digest.word(match meta.status {
-                ProcStatus::Runnable => 0,
-                ProcStatus::Waiting => 1,
-                ProcStatus::Terminated => 2,
-            });
-            digest.word(meta.waiting_on.len() as u64);
-            for e in &meta.waiting_on {
-                digest.word(u64::from(e.0));
-            }
-            digest.word(meta.wait_generation);
-            digest.word(meta.sensitivity.len() as u64);
-            for e in &meta.sensitivity {
-                digest.word(u64::from(e.0));
-            }
-        }
-        digest.word(self.runnable.len() as u64);
-        for pid in &self.runnable {
-            digest.word(u64::from(pid.0));
-        }
-        digest.word(self.next_delta.len() as u64);
-        for (e, generation) in &self.next_delta {
-            digest.word(u64::from(e.0));
-            digest.word(*generation);
-        }
-        let wakes = self.sorted_wakes();
-        digest.word(wakes.len() as u64);
-        for (t, seq, kind) in wakes {
-            digest.word(t.as_ps());
-            digest.word(seq);
-            match kind {
-                WakeKind::Proc(pid, generation) => {
-                    digest.word(0);
-                    digest.word(u64::from(pid.0));
-                    digest.word(generation);
-                }
-                WakeKind::EventFire(e, generation) => {
-                    digest.word(1);
-                    digest.word(u64::from(e.0));
-                    digest.word(generation);
-                }
-            }
-        }
-        digest.word(self.seq);
-    }
-
-    /// Field-by-field equality over exactly the state
-    /// [`fold_digest`](SchedCore::fold_digest) folds — the naive
-    /// comparator the digest summarizes, used to pin the hash against
-    /// ground truth in the property tests.
-    pub(crate) fn deep_equals(&self, other: &SchedCore) -> bool {
-        self.time == other.time
-            && self.events == other.events
-            && self.procs == other.procs
-            && self.runnable == other.runnable
-            && self.next_delta == other.next_delta
-            && self.sorted_wakes() == other.sorted_wakes()
-            && self.seq == other.seq
-    }
-}
-
-/// An order-sensitive FNV-1a accumulator for the concrete scheduler
-/// state (the kernel-side sibling of the symbolic `StateDigest` in the
-/// engine crate; kept local so the kernel stays dependency-free).
-pub(crate) struct CoreDigest {
-    h: u64,
-}
-
-impl CoreDigest {
-    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    pub(crate) fn new() -> CoreDigest {
-        CoreDigest { h: Self::OFFSET }
-    }
-
-    pub(crate) fn word(&mut self, w: u64) {
-        self.h = (self.h ^ w).wrapping_mul(Self::PRIME);
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.word(bytes.len() as u64);
-        for &b in bytes {
-            self.h = (self.h ^ u64::from(b)).wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.h
     }
 }

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use symsc_pk::Kernel;
-use symsc_symex::{StateDigest, SymArray, SymCtx, SymWord, Width};
+use symsc_symex::{SymArray, SymCtx, SymWord, Width};
 use symsc_tlm::{
     Access, BlockingTransport, CheckMode, GenericPayload, RegisterBank, RegisterModel,
 };
@@ -280,15 +280,6 @@ impl Plic {
         st.threshold = snapshot.threshold.clone();
         st.hart_eip = snapshot.hart_eip.clone();
     }
-
-    /// A structural digest of the live register state, for publication at
-    /// exploration join points via
-    /// [`SymCtx::note_state`](symsc_symex::SymCtx::note_state): two PLIC
-    /// states share a mark exactly when every register term is
-    /// structurally identical (see [`PlicSnapshot::structural_hash`]).
-    pub fn state_mark(&self) -> u64 {
-        self.snapshot().structural_hash()
-    }
 }
 
 /// An immutable capture of a [`Plic`]'s register state.
@@ -304,61 +295,6 @@ pub struct PlicSnapshot {
     enabled: Vec<SymArray>,
     threshold: Vec<SymWord>,
     hart_eip: Vec<bool>,
-}
-
-impl PlicSnapshot {
-    /// A structural hash of the captured register state: a pure function
-    /// of the register terms' structure (not of term ids or path
-    /// history), so two snapshots hash equal exactly when
-    /// [`deep_equals`](PlicSnapshot::deep_equals) holds. O(registers)
-    /// fingerprint folds — no solver call, no deep term walk beyond the
-    /// memoized per-term fingerprints.
-    pub fn structural_hash(&self) -> u64 {
-        let mut digest = StateDigest::new();
-        self.priorities.fold_digest(&mut digest);
-        self.pending.fold_digest(&mut digest);
-        digest.push_u64(self.enabled.len() as u64);
-        for map in &self.enabled {
-            map.fold_digest(&mut digest);
-        }
-        digest.push_u64(self.threshold.len() as u64);
-        for threshold in &self.threshold {
-            digest.push(threshold.fingerprint());
-        }
-        digest.push_u64(self.hart_eip.len() as u64);
-        for &eip in &self.hart_eip {
-            digest.push_u64(u64::from(eip));
-        }
-        digest.finish()
-    }
-
-    /// Register-by-register structural equality: the naive comparator the
-    /// hash summarizes. Used by the property tests to pin
-    /// [`structural_hash`](PlicSnapshot::structural_hash) against ground
-    /// truth.
-    pub fn deep_equals(&self, other: &PlicSnapshot) -> bool {
-        fn arrays_equal(a: &SymArray, b: &SymArray) -> bool {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b.iter())
-                    .all(|(x, y)| x.fingerprint() == y.fingerprint())
-        }
-        arrays_equal(&self.priorities, &other.priorities)
-            && arrays_equal(&self.pending, &other.pending)
-            && self.enabled.len() == other.enabled.len()
-            && self
-                .enabled
-                .iter()
-                .zip(&other.enabled)
-                .all(|(a, b)| arrays_equal(a, b))
-            && self.threshold.len() == other.threshold.len()
-            && self
-                .threshold
-                .iter()
-                .zip(&other.threshold)
-                .all(|(a, b)| a.fingerprint() == b.fingerprint())
-            && self.hart_eip == other.hart_eip
-    }
 }
 
 /// The word-level register backend: routes decoded accesses to the PLIC

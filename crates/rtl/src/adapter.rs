@@ -209,14 +209,6 @@ impl CycleAdapter {
         self.model.restore(&snapshot.0);
         self.clocked_to = snapshot.1;
     }
-
-    /// Structural digest of model plus clock position, for fences.
-    pub fn state_mark(&self) -> u64 {
-        self.model
-            .state_mark()
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(self.clocked_to.as_ps())
-    }
 }
 
 #[cfg(test)]

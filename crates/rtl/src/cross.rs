@@ -20,7 +20,7 @@ use symsc_plic::config::{
     THRESHOLD_BASE,
 };
 use symsc_plic::{InterruptTarget, Plic, PlicConfig};
-use symsc_symex::{StateDigest, SymCtx, SymWord};
+use symsc_symex::{SymCtx, SymWord};
 use symsc_tlm::{BlockingTransport, GenericPayload};
 
 use crate::adapter::CycleAdapter;
@@ -255,19 +255,6 @@ impl CrossChecker {
         }
     }
 
-    /// Publishes a combined structural mark of both levels (plus the
-    /// kernel) as a merge fence for `ExploreOrder::MergeEager`.
-    pub fn fence(&self) {
-        let mut mark = StateDigest::new();
-        mark.push_u64(self.kernel.state_mark());
-        mark.push_u64(self.plic.state_mark());
-        mark.push_u64(self.adapter.state_mark());
-        for count in &self.rises {
-            mark.push_u64(u64::from(count.get()));
-        }
-        self.ctx.note_state("cross", mark.finish());
-    }
-
     // ----- TLM transport helpers -----
 
     fn tlm_read(&mut self, addr: u32) -> SymWord {
@@ -310,7 +297,6 @@ mod tests {
         x.set_priority(&irq, &prio);
         x.trigger(&irq);
         x.step();
-        x.fence();
         let id = x.claim(0);
         x.complete(0, &id);
         x.step();

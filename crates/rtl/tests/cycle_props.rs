@@ -229,14 +229,18 @@ fn spurious_claim_returns_zero_and_changes_nothing() {
     let report = Explorer::new().explore(|ctx| {
         let mut model = CyclePlic::new(ctx, fixed());
         model.enable_all();
-        let mark = model.state_mark();
+        let (eip, rises) = (model.eip(), model.rises());
         let id = model.claim(0);
         ctx.check(&id.eq(&ctx.word32(0)), "claim on idle controller is 0");
         assert_eq!(
-            model.state_mark(),
-            mark,
+            (model.eip(), model.rises()),
+            (eip, rises),
             "spurious claim is side-effect-free"
         );
+        let pending = model.read_pending_word(&ctx.word32(0));
+        ctx.check(&pending.eq(&ctx.word32(0)), "nothing became pending");
+        let again = model.claim(0);
+        ctx.check(&again.eq(&ctx.word32(0)), "a second claim is 0 too");
     });
     assert!(report.passed(), "{report}");
 }

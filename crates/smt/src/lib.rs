@@ -63,11 +63,9 @@ pub mod model;
 pub mod sat;
 pub mod solver;
 pub mod term;
-pub mod transcript;
 
 pub use cex::CexCache;
 pub use incremental::{IncrementalStats, SolverCtx};
 pub use model::Model;
 pub use solver::{SatResult, Solver, SolverStats};
 pub use term::{Support, Term, TermId, TermPool, Width};
-pub use transcript::TranscriptStore;

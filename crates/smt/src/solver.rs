@@ -123,11 +123,6 @@ pub struct SolverStats {
     pub sat_conflicts: u64,
     /// Entries evicted from the bounded cache by this solver's inserts.
     pub evictions: u64,
-    /// Implication queries issued through [`Solver::check_implied`]
-    /// (subsumption probes from the state-merging engine).
-    pub implication_queries: u64,
-    /// Implication queries that proved `premises ⊨ hypothesis`.
-    pub implications_proved: u64,
     /// Counters for the incremental per-path context layer.
     pub incremental: IncrementalStats,
 }
@@ -155,8 +150,6 @@ impl SolverStats {
         self.sat_core_time += other.sat_core_time;
         self.sat_conflicts += other.sat_conflicts;
         self.evictions += other.evictions;
-        self.implication_queries += other.implication_queries;
-        self.implications_proved += other.implications_proved;
         self.incremental.merge(&other.incremental);
     }
 
@@ -437,38 +430,6 @@ impl Solver {
         }
         self.stats.solve_time += start.elapsed();
         sat
-    }
-
-    /// Decides whether `premises ⊨ hypothesis`, i.e. whether
-    /// `premises ∧ ¬hypothesis` is unsatisfiable. The caller guarantees
-    /// that `premises` alone is satisfiable (it is a feasible path's
-    /// constraint set), which makes this a [`check_feasible`] query on the
-    /// negated hypothesis — verdict-only, so it rides the whole layered
-    /// stack including cached witness models.
-    ///
-    /// This is the subsumption entry point used by the state-merging
-    /// engine: a pending prefix whose constraint set is mutually implied
-    /// by an already-explored state (over identical published peripheral
-    /// state) can be dropped.
-    ///
-    /// [`check_feasible`]: Solver::check_feasible
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hypothesis` or any premise is not of width 1.
-    pub fn check_implied(
-        &mut self,
-        pool: &mut TermPool,
-        premises: &[TermId],
-        hypothesis: TermId,
-    ) -> bool {
-        self.stats.implication_queries += 1;
-        let negated = pool.not(hypothesis);
-        let implied = !self.check_feasible(pool, premises, negated);
-        if implied {
-            self.stats.implications_proved += 1;
-        }
-        implied
     }
 
     /// Constant-filters and canonicalizes a constraint set: sorted by

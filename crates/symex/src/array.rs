@@ -137,28 +137,6 @@ impl SymArray {
         self.words.iter()
     }
 
-    /// Folds the element fingerprints into `digest`, in index order.
-    ///
-    /// Two arrays fold identically exactly when they are structurally
-    /// equal word for word, so peripherals can publish array-backed
-    /// register state through [`crate::StateDigest`] /
-    /// [`SymCtx::note_state`](crate::SymCtx::note_state) without deep
-    /// comparisons.
-    pub fn fold_digest(&self, digest: &mut crate::StateDigest) {
-        digest.push_u64(self.words.len() as u64);
-        for w in self.words.iter() {
-            digest.push(w.fingerprint());
-        }
-    }
-
-    /// A structural hash of the array: a pure function of the element
-    /// terms' structure (see [`SymWord::fingerprint`]).
-    pub fn structural_hash(&self) -> u64 {
-        let mut digest = crate::StateDigest::new();
-        self.fold_digest(&mut digest);
-        digest.finish()
-    }
-
     /// Like [`select`](SymArray::select), but with KLEE-style memory
     /// checking: if the index can exceed the array bounds on the current
     /// path, an [`OutOfBounds`](crate::ErrorKind::OutOfBounds) error is

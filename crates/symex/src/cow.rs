@@ -129,19 +129,6 @@ impl<T: Clone> CowVec<T> {
         }
         v
     }
-
-    /// Folds the vector into a [`StateDigest`](crate::StateDigest): the
-    /// length followed by each entry's extracted fingerprint, in order.
-    /// The extraction closure lets pool-owned values (e.g. `SymWord`)
-    /// contribute their structural fingerprint, so two vectors digest
-    /// equal exactly when their entries are structurally equal —
-    /// independent of which worker's term pool they live in.
-    pub fn fold_digest(&self, digest: &mut crate::StateDigest, mut f: impl FnMut(&T) -> u128) {
-        digest.push_u64(self.len as u64);
-        for item in self.iter() {
-            digest.push(f(item));
-        }
-    }
 }
 
 impl<T: Clone> FromIterator<T> for CowVec<T> {
@@ -271,26 +258,6 @@ mod tests {
         assert_eq!(b.len(), 34);
         assert_eq!(a.get(33), Some(&100));
         assert_eq!(b.get(33), Some(&200));
-    }
-
-    #[test]
-    fn fold_digest_tracks_content_not_storage_layout() {
-        let a: CowVec<u64> = (0..70).collect();
-        let mut b = a.clone();
-        b.set(0, 0); // same value; chunk storage diverges, content does not
-
-        let digest_of = |v: &CowVec<u64>| {
-            let mut d = crate::StateDigest::new();
-            v.fold_digest(&mut d, |x| u128::from(*x));
-            d.finish()
-        };
-        assert_eq!(digest_of(&a), digest_of(&b), "layout must not matter");
-
-        b.set(1, 999);
-        assert_ne!(digest_of(&a), digest_of(&b), "content must matter");
-
-        let short: CowVec<u64> = (0..69).collect();
-        assert_ne!(digest_of(&a), digest_of(&short), "length must matter");
     }
 
     #[test]

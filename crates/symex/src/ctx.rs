@@ -1,7 +1,6 @@
 //! The symbolic execution context: path constraints, branch decisions,
 //! assumptions, assertions and error recording.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -10,10 +9,6 @@ use symsc_smt::{Model, SatResult, Solver, TermId, TermPool, Width};
 
 use crate::cow::CowVec;
 use crate::error::{Counterexample, ErrorKind, SymError};
-use crate::merge::{
-    hash_marks, join_key, split_suffix, suffix_closure, touches_closure, MergeShared, OwnerEntry,
-    PathRecord, PathTrace, Suffix, TraceEvent,
-};
 use crate::snapshot::PathSnapshot;
 use crate::value::{SymBool, SymWord};
 
@@ -94,31 +89,6 @@ pub(crate) struct EngineState {
     /// answered by evaluating the condition under this model instead of
     /// calling the solver.
     cur_env: Option<std::collections::HashMap<String, u64>>,
-    /// Join-point merge state shared across workers; `Some` only under
-    /// `ExploreOrder::MergeEager`, which also enables trace recording.
-    pub(crate) merge: Option<Arc<MergeShared>>,
-    /// State digests published by the testbench via `note_state` on the
-    /// current path (tag -> digest), part of the join key.
-    state_marks: std::collections::BTreeMap<String, u64>,
-    /// Armed by `note_state`, consumed by the next *symbolic* decision
-    /// (concrete decisions pass through), which becomes a join point.
-    fence_armed: bool,
-    /// The current path's structural trace (MergeEager only).
-    trace_events: Vec<TraceEvent>,
-    /// Live terms behind every fingerprint in `trace_events` (constraints,
-    /// pins, error negations — the latter are *not* in `constraints`), so
-    /// the whole trace can be encoded into the shared transcript store.
-    trace_terms: Vec<TermId>,
-    /// Prefix `Error` events restored from the resumed snapshot, keyed by
-    /// event-stream position; re-inserted while fast-forward rebuilds the
-    /// rest of the prefix trace (errors are restored, never re-solved).
-    carried_events: VecDeque<(usize, TraceEvent)>,
-    /// Set when the current path was terminated by a join-point adoption:
-    /// the driver drops the partial path and keeps `adopted_records`.
-    pub(crate) adopted: bool,
-    /// Represented paths synthesized by the adoption (one per owner
-    /// suffix), ready for canonical report assembly.
-    pub(crate) adopted_records: Vec<PathRecord>,
 }
 
 impl EngineState {
@@ -159,14 +129,6 @@ impl EngineState {
             branches: std::collections::BTreeMap::new(),
             path_branches: std::collections::BTreeSet::new(),
             cur_env: None,
-            merge: None,
-            state_marks: std::collections::BTreeMap::new(),
-            fence_armed: false,
-            trace_events: Vec::new(),
-            trace_terms: Vec::new(),
-            carried_events: VecDeque::new(),
-            adopted: false,
-            adopted_records: Vec::new(),
         }
     }
 
@@ -202,13 +164,6 @@ impl EngineState {
             error.path = self.path_index;
             self.errors.push(error);
         }
-        self.state_marks.clear();
-        self.fence_armed = false;
-        self.trace_events.clear();
-        self.trace_terms.clear();
-        self.carried_events = snapshot.trace_errors.into_iter().collect();
-        self.adopted = false;
-        self.adopted_records.clear();
         if self.cow && !self.forced.is_empty() {
             // Fast-forward holds no cached model: the prefix needs no
             // feasibility answers (the parent already solved them), and
@@ -226,105 +181,8 @@ impl EngineState {
         self.cow && self.cursor < self.forced.len()
     }
 
-    /// Publishes a digest of live testbench state under `tag` and arms
-    /// the join fence: the next *symbolic* decision becomes a join point
-    /// keyed by (fork-site fingerprint, published marks). A no-op unless
-    /// merging is enabled.
-    pub(crate) fn note_state(&mut self, tag: &str, digest: u64) {
-        if self.merge.is_none() {
-            return;
-        }
-        self.state_marks.insert(tag.to_string(), digest);
-        self.fence_armed = true;
-    }
-
-    /// Appends a trace event, re-inserting any carried prefix `Error`
-    /// events whose recorded position has been reached. A no-op unless
-    /// merging is enabled.
-    fn record_event(&mut self, event: TraceEvent) {
-        if self.merge.is_none() {
-            return;
-        }
-        while self
-            .carried_events
-            .front()
-            .is_some_and(|(pos, _)| *pos <= self.trace_events.len())
-        {
-            let (_, carried) = self.carried_events.pop_front().expect("front checked");
-            self.trace_events.push(carried);
-        }
-        self.trace_events.push(event);
-    }
-
-    /// Drains every remaining carried error event into the trace. All
-    /// carried positions lie inside the rebuilt prefix, so once the path
-    /// is live (fork, adoption, harvest) they all belong before the tail.
-    fn flush_carried_all(&mut self) {
-        while let Some((_, event)) = self.carried_events.pop_front() {
-            self.trace_events.push(event);
-        }
-    }
-
-    /// Records a pushed path constraint in the trace.
-    fn record_constraint(&mut self, c: TermId) {
-        if self.merge.is_some() {
-            let fp = self.pool.fingerprint(c);
-            self.trace_terms.push(c);
-            self.record_event(TraceEvent::Constraint(fp));
-        }
-    }
-
-    /// Records a pushed concretization pin in the trace.
-    fn record_pin(&mut self, pin: TermId) {
-        if self.merge.is_some() {
-            let fp = self.pool.fingerprint(pin);
-            self.trace_terms.push(pin);
-            self.record_event(TraceEvent::Pin(fp));
-        }
-    }
-
-    /// Records an error event. `neg` is the violated condition's negation
-    /// when the error model was solved against `constraints ∪ {neg}`
-    /// (check-style guards); `None` when it was solved against the bare
-    /// path constraints (`fail_path`, model panics).
-    fn record_error_event(&mut self, kind: ErrorKind, message: &str, neg: Option<TermId>) {
-        if self.merge.is_none() {
-            return;
-        }
-        let neg_fp = neg.map(|t| {
-            self.trace_terms.push(t);
-            self.pool.fingerprint(t)
-        });
-        let cons_hwm = self.constraints.len();
-        self.record_event(TraceEvent::Error {
-            kind,
-            message: message.to_string(),
-            cons_hwm,
-            neg: neg_fp,
-        });
-    }
-
-    /// Publishes the just-finished path's trace (and the terms behind its
-    /// fingerprints) into the shared merge state. Drivers call this for
-    /// every *non-adopted* path, before removing the path's work unit.
-    pub(crate) fn publish_trace(&mut self) {
-        let Some(shared) = self.merge.clone() else {
-            return;
-        };
-        self.flush_carried_all();
-        let mut ms = shared.lock();
-        for &t in &self.trace_terms {
-            ms.store.encode(&self.pool, t);
-        }
-        ms.traces.push(PathTrace {
-            taken: self.taken.clone(),
-            events: std::mem::take(&mut self.trace_events),
-        });
-    }
-
     /// Marks a coverage bin as hit on the current path.
     pub(crate) fn cover(&mut self, label: &str) {
-        self.record_event(TraceEvent::Cover(label.to_string()));
         self.path_coverage.insert(label.to_string());
     }
 
@@ -449,11 +307,7 @@ impl EngineState {
             return;
         }
         match self.check(None) {
-            SatResult::Sat(model) => {
-                let model = model.clone();
-                self.record_error_event(kind, &message, None);
-                self.record_error(kind, message, &model);
-            }
+            SatResult::Sat(model) => self.record_error(kind, message, &model),
             // The path constraints are kept feasible by construction, so
             // UNSAT is an engine or solver bug — and dropping the error
             // would turn a Fail into a Pass.
@@ -486,39 +340,18 @@ impl EngineState {
     /// live path state (journal, prefix errors) so the fork resumes
     /// without re-solving the prefix; under the re-execution oracle it
     /// records only the decision prefix, exactly as the original engine.
-    fn push_fork(&mut self, site: u128) {
+    fn push_fork(&mut self) {
         let mut prefix = self.taken.clone();
         prefix.push(false);
-        let trace_errors = if self.merge.is_some() && self.cow {
-            // The fork inherits the prefix errors' trace events at their
-            // recorded positions; everything else is rebuilt during
-            // fast-forward. (Re-execution re-records errors live, so it
-            // carries nothing.) All carried events precede the fork point.
-            self.flush_carried_all();
-            self.trace_events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| matches!(e, TraceEvent::Error { .. }))
-                .map(|(i, e)| (i, e.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let snapshot = if self.cow {
             self.fork_snapshots += 1;
             PathSnapshot {
                 prefix,
                 journal: self.journal.clone(),
                 errors: self.errors[self.path_error_base..].to_vec(),
-                flip_site: Some(site),
-                trace_errors,
             }
         } else {
-            PathSnapshot {
-                flip_site: Some(site),
-                trace_errors,
-                ..PathSnapshot::from_prefix(prefix)
-            }
+            PathSnapshot::from_prefix(prefix)
         };
         self.pending.push(snapshot);
     }
@@ -544,10 +377,6 @@ impl EngineState {
         }
 
         if self.cursor < self.forced.len() {
-            // A forced (replayed) decision consumes an armed fence without
-            // registering a join: the owner of this site is the path that
-            // decided it live, and it has already registered.
-            self.fence_armed = false;
             let dir = self.forced[self.cursor];
             self.cursor += 1;
             let c = if dir { cond } else { self.pool.not(cond) };
@@ -558,25 +387,13 @@ impl EngineState {
             return self.take_branch(site, c, dir);
         }
 
-        if self.fence_armed {
-            // A live symbolic decision right after the testbench published
-            // its state: this is a join point. The first arrival registers
-            // as the subtree owner; a later arrival from a different
-            // subtree tries to adopt the owner's recorded suffixes instead
-            // of re-executing them.
-            self.fence_armed = false;
-            if self.merge.is_some() && self.try_adopt(site) {
-                self.kill_path();
-            }
-        }
-
         let not_cond = self.pool.not(cond);
         match self.env_value(cond) {
             Some(true) => {
                 // True branch witnessed by the cached model: only the
                 // forking check needs the solver, and only as a verdict.
                 if self.check_feasible(not_cond) {
-                    self.push_fork(site);
+                    self.push_fork();
                 }
                 self.take_branch(site, cond, true)
             }
@@ -595,7 +412,7 @@ impl EngineState {
                 };
                 match verdict {
                     SatResult::Sat(model) => {
-                        self.push_fork(site);
+                        self.push_fork();
                         self.adopt_model(&model);
                         self.take_branch(site, cond, true)
                     }
@@ -605,7 +422,7 @@ impl EngineState {
             None => match self.check(Some(cond)) {
                 SatResult::Sat(model) => {
                     if self.check_feasible(not_cond) {
-                        self.push_fork(site);
+                        self.push_fork();
                     }
                     self.adopt_model(&model);
                     self.take_branch(site, cond, true)
@@ -618,13 +435,11 @@ impl EngineState {
 
     /// Takes direction `dir` at fork site `site`: pushes the branch's
     /// constraint `c` onto the path and records the decision in the
-    /// path's branches and trace. Returns `dir`.
+    /// path's branches. Returns `dir`.
     fn take_branch(&mut self, site: u128, c: TermId, dir: bool) -> bool {
         self.constraints.push(c);
         self.taken.push(dir);
         self.path_branches.insert((site, dir));
-        self.record_event(TraceEvent::Decide { site, dir });
-        self.record_constraint(c);
         dir
     }
 
@@ -647,7 +462,6 @@ impl EngineState {
             // The forking path already survived this assumption, so the
             // prefix stays feasible with `cond`: push it without solving.
             self.constraints.push(cond);
-            self.record_constraint(cond);
             return;
         }
         if self.env_value(cond) != Some(true) {
@@ -657,7 +471,6 @@ impl EngineState {
             }
         }
         self.constraints.push(cond);
-        self.record_constraint(cond);
     }
 
     /// Checks an assertion. If the negation is feasible, records an error
@@ -696,12 +509,10 @@ impl EngineState {
         }
         if self.in_fast_forward() {
             // The forking path already ran this guard: a violation it
-            // found travels in the snapshot's restored errors (and its
-            // trace event in the carried positions), and the path
+            // found travels in the snapshot's restored errors, and the path
             // continued under `cond` either way. Re-recording (or
             // re-solving) here would duplicate work the parent did.
             self.constraints.push(cond);
-            self.record_constraint(cond);
             return;
         }
         let not_cond = self.pool.not(cond);
@@ -723,7 +534,6 @@ impl EngineState {
             // report is byte-identical with the probe on or off.
             false
         } else if let SatResult::Sat(model) = self.check(Some(not_cond)) {
-            self.record_error_event(kind, message, Some(not_cond));
             self.record_error(kind, message.to_string(), &model);
             true
         } else {
@@ -749,7 +559,6 @@ impl EngineState {
             }
         }
         self.constraints.push(cond);
-        self.record_constraint(cond);
     }
 
     /// KLEE-style concretization: pick a satisfying value for `id`, pin the
@@ -780,7 +589,6 @@ impl EngineState {
             let k = self.pool.constant(value, width);
             let pin = self.pool.eq(id, k);
             self.constraints.push(pin);
-            self.record_pin(pin);
             return value;
         }
         match self.check(None) {
@@ -791,7 +599,6 @@ impl EngineState {
                 let k = self.pool.constant(value, width);
                 let pin = self.pool.eq(id, k);
                 self.constraints.push(pin);
-                self.record_pin(pin);
                 if self.cow {
                     debug_assert_eq!(
                         self.journal_cursor,
@@ -809,314 +616,6 @@ impl EngineState {
                 "engine invariant violated: concretize on a path whose constraints are infeasible"
             ),
         }
-    }
-
-    /// The join-point protocol (see the [`crate::merge`] module docs),
-    /// run at a live symbolic decision that consumed an armed fence.
-    ///
-    /// Returns `true` when this path adopted the join owner's suffixes:
-    /// `adopted_records` then holds one synthesized represented path per
-    /// suffix and the caller terminates the path. Returns `false` when
-    /// the path registered as the owner, is inside the owner's subtree,
-    /// or a soundness check failed — execution then continues normally.
-    fn try_adopt(&mut self, site: u128) -> bool {
-        let Some(shared) = self.merge.clone() else {
-            return false;
-        };
-        self.flush_carried_all();
-        let key = join_key(site, hash_marks(&self.state_marks));
-
-        /// Per-suffix adoption plan: the suffix plus the decoded terms
-        /// its error re-solves need (empty for error-free suffixes).
-        struct Plan {
-            suffix: Suffix,
-            cons_terms: Vec<TermId>,
-            neg_terms: HashMap<u128, TermId>,
-        }
-
-        let mut plans: Vec<Plan> = Vec::new();
-        // Subsumption obligations (filled only when implication is
-        // needed): prove `self.constraints ⊢ t` for each of the owner's
-        // extra constraints, and `owner_terms ⊢ t` for each of ours.
-        let mut theirs_only: Vec<TermId> = Vec::new();
-        let mut mine_only: Vec<TermId> = Vec::new();
-        let mut owner_terms: Vec<TermId> = Vec::new();
-        let mut need_implication = false;
-
-        {
-            let mut ms = shared.lock();
-            // Make every term this path's trace references decodable by
-            // later adopters, and fingerprint this prefix's constraints.
-            for &t in &self.trace_terms {
-                ms.store.encode(&self.pool, t);
-            }
-            let mut fp_of: HashMap<u128, TermId> = HashMap::new();
-            let mut my_fps: Vec<u128> = Vec::with_capacity(self.constraints.len());
-            for &c in &self.constraints {
-                let fp = ms.store.encode(&self.pool, c);
-                fp_of.insert(fp, c);
-                my_fps.push(fp);
-            }
-            let owner = if let Some(owner) = ms.owners.get(&key) {
-                owner.clone()
-            } else {
-                // First arrival: own the subtree and explore it normally.
-                ms.owners.insert(
-                    key,
-                    OwnerEntry {
-                        prefix: self.taken.clone(),
-                        fps: my_fps,
-                    },
-                );
-                ms.counters.join_sites += 1;
-                return false;
-            };
-            let depth = owner.prefix.len();
-            if depth <= self.taken.len() && self.taken[..depth] == owner.prefix[..] {
-                // Inside the owner's own subtree: this is the owner (or
-                // one of its forks) exploring it — nothing to adopt.
-                return false;
-            }
-            if depth > self.taken.len() {
-                // An owner below this path's depth cannot arise from the
-                // fork discipline; refuse rather than reason about it.
-                ms.counters.merge_rejects += 1;
-                return false;
-            }
-            if ms.subtree_active(&owner.prefix) {
-                // The owner's subtree is still being explored (parallel
-                // workers): adopting now would miss its pending paths.
-                ms.counters.merge_rejects += 1;
-                return false;
-            }
-            for trace in &ms.traces {
-                if trace.taken.len() > depth && trace.taken[..depth] == owner.prefix[..] {
-                    if let Some(suffix) = split_suffix(trace, depth) {
-                        plans.push(Plan {
-                            suffix,
-                            cons_terms: Vec::new(),
-                            neg_terms: HashMap::new(),
-                        });
-                    }
-                }
-            }
-            if plans.is_empty() {
-                ms.counters.merge_rejects += 1;
-                return false;
-            }
-            // Soundness: equal prefix constraint sets, support-disjoint
-            // diffs, or (for model-free suffixes) mutual SMT implication.
-            let owner_set: BTreeSet<u128> = owner.fps.iter().copied().collect();
-            let my_set: BTreeSet<u128> = my_fps.iter().copied().collect();
-            let diff_theirs: BTreeSet<u128> = owner_set.difference(&my_set).copied().collect();
-            let diff_mine: BTreeSet<u128> = my_set.difference(&owner_set).copied().collect();
-            if !(diff_theirs.is_empty() && diff_mine.is_empty()) {
-                let mut suffix_fps: BTreeSet<u128> = BTreeSet::new();
-                for plan in &plans {
-                    for event in &plan.suffix.events {
-                        match event {
-                            TraceEvent::Constraint(fp) | TraceEvent::Pin(fp) => {
-                                suffix_fps.insert(*fp);
-                            }
-                            TraceEvent::Error { neg: Some(fp), .. } => {
-                                suffix_fps.insert(*fp);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                let prefix_fps: BTreeSet<u128> = owner_set.union(&my_set).copied().collect();
-                let closure = suffix_closure(&mut ms.store, &suffix_fps, &prefix_fps);
-                let harmful_theirs: Vec<u128> = diff_theirs
-                    .iter()
-                    .copied()
-                    .filter(|&fp| touches_closure(&mut ms.store, &closure, fp))
-                    .collect();
-                let harmful_mine: Vec<u128> = diff_mine
-                    .iter()
-                    .copied()
-                    .filter(|&fp| touches_closure(&mut ms.store, &closure, fp))
-                    .collect();
-                if !harmful_theirs.is_empty() || !harmful_mine.is_empty() {
-                    // The suffix can observe these diffs; closure-disjoint
-                    // ones stay harmless either way (independence slices).
-                    // Observable diffs need the mutual implication proof —
-                    // which preserves verdicts, not models, so pins and
-                    // error counterexamples in the suffix force execution.
-                    if plans.iter().any(|p| p.suffix.has_models()) {
-                        ms.counters.merge_rejects += 1;
-                        return false;
-                    }
-                    need_implication = true;
-                    let mut memo: HashMap<u128, TermId> = HashMap::new();
-                    theirs_only = harmful_theirs
-                        .iter()
-                        .map(|&fp| ms.store.decode(&mut self.pool, fp, &mut memo))
-                        .collect();
-                    mine_only = harmful_mine.iter().map(|&fp| fp_of[&fp]).collect();
-                    owner_terms = owner
-                        .fps
-                        .iter()
-                        .map(|&fp| ms.store.decode(&mut self.pool, fp, &mut memo))
-                        .collect();
-                }
-            }
-            // Decode the terms the error re-solves will need, while the
-            // store is at hand (only suffixes that recorded errors).
-            let mut memo: HashMap<u128, TermId> = HashMap::new();
-            for plan in &mut plans {
-                let has_errors = plan
-                    .suffix
-                    .events
-                    .iter()
-                    .any(|e| matches!(e, TraceEvent::Error { .. }));
-                if !has_errors {
-                    continue;
-                }
-                for event in &plan.suffix.events {
-                    match event {
-                        TraceEvent::Constraint(fp) | TraceEvent::Pin(fp) => {
-                            plan.cons_terms
-                                .push(ms.store.decode(&mut self.pool, *fp, &mut memo));
-                        }
-                        TraceEvent::Error { neg: Some(fp), .. } => {
-                            let t = ms.store.decode(&mut self.pool, *fp, &mut memo);
-                            plan.neg_terms.insert(*fp, t);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-
-        if need_implication {
-            // Subsumption: mutually implying prefixes have equal feasible
-            // sets, so every suffix *verdict* is identical under either.
-            // Solver work happens outside the merge lock.
-            let start = Instant::now();
-            let equivalent = theirs_only.iter().all(|&t| {
-                self.solver
-                    .check_implied(&mut self.pool, &self.constraints, t)
-            }) && mine_only
-                .iter()
-                .all(|&t| self.solver.check_implied(&mut self.pool, &owner_terms, t));
-            self.solver_time += start.elapsed();
-            if !equivalent {
-                shared.lock().counters.merge_rejects += 1;
-                return false;
-            }
-        }
-
-        // Synthesize one represented path per suffix: this path's prefix
-        // (decisions, coverage, branches, errors, inputs) composed with
-        // the owner's recorded continuation. Errors are re-solved
-        // canonically under *this* prefix — the same structural solve the
-        // exhaustive oracle would run on the represented path.
-        let base_cons = self.constraints.len();
-        let own_errors: Vec<SymError> = self.errors[self.path_error_base..].to_vec();
-        let mut records: Vec<PathRecord> = Vec::with_capacity(plans.len());
-        let mut syn_traces: Vec<PathTrace> = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            let suffix = &plan.suffix;
-            let mut taken = self.taken.clone();
-            taken.extend_from_slice(&suffix.taken_tail);
-            let mut coverage = self.path_coverage.clone();
-            let mut branches = self.path_branches.clone();
-            let mut errors = own_errors.clone();
-            let mut inputs = self.inputs.clone();
-            let mut events = self.trace_events.clone();
-            let mut cons_seen = 0usize;
-            for event in &suffix.events {
-                match event {
-                    TraceEvent::Decide { site, dir } => {
-                        branches.insert((*site, *dir));
-                        events.push(event.clone());
-                    }
-                    TraceEvent::Constraint(_) | TraceEvent::Pin(_) => {
-                        cons_seen += 1;
-                        events.push(event.clone());
-                    }
-                    TraceEvent::Cover(label) => {
-                        coverage.insert(label.clone());
-                        events.push(event.clone());
-                    }
-                    TraceEvent::Input(name) => {
-                        if !inputs.iter().any(|n| n == name) {
-                            inputs.push(name.clone());
-                        }
-                        events.push(event.clone());
-                    }
-                    TraceEvent::Error {
-                        kind,
-                        message,
-                        cons_hwm,
-                        neg,
-                    } => {
-                        debug_assert_eq!(cons_seen, *cons_hwm - suffix.pre_cons);
-                        let focus =
-                            neg.map(|fp| *plan.neg_terms.get(&fp).expect("neg term decoded"));
-                        let mut terms: Vec<TermId> = Vec::with_capacity(base_cons + cons_seen + 1);
-                        terms.extend_from_slice(&self.constraints);
-                        terms.extend_from_slice(&plan.cons_terms[..cons_seen]);
-                        if let Some(f) = focus {
-                            terms.push(f);
-                        }
-                        let start = Instant::now();
-                        let result = self.solver.check_with_focus(&self.pool, &terms, focus);
-                        self.solver_time += start.elapsed();
-                        // The owner's error was feasible under a prefix
-                        // the adoption checks proved equivalent for the
-                        // suffix; dropping it would turn a Fail into a Pass.
-                        let SatResult::Sat(model) = result else {
-                            panic!(
-                                "engine invariant violated: an adopted error is infeasible \
-                                 under the adopter's prefix"
-                            );
-                        };
-                        errors.push(SymError {
-                            kind: *kind,
-                            message: message.clone(),
-                            counterexample: Counterexample::from_model(&model, &inputs),
-                            path: 0,
-                            found_at: self.started.elapsed(),
-                        });
-                        events.push(TraceEvent::Error {
-                            kind: *kind,
-                            message: message.clone(),
-                            cons_hwm: base_cons + (*cons_hwm - suffix.pre_cons),
-                            neg: *neg,
-                        });
-                    }
-                }
-            }
-            syn_traces.push(PathTrace {
-                taken: taken.clone(),
-                events,
-            });
-            records.push(PathRecord {
-                taken,
-                errors,
-                coverage,
-                branches,
-            });
-        }
-
-        {
-            // Publish the synthetic traces *before* the driver removes
-            // this path's work unit, so an enclosing join never sees its
-            // subtree complete without them.
-            let mut ms = shared.lock();
-            ms.traces.extend(syn_traces);
-            let n = records.len() as u64;
-            if need_implication {
-                ms.counters.subsumed_paths += n;
-            } else {
-                ms.counters.merged_paths += n;
-            }
-        }
-        self.adopted = true;
-        self.adopted_records = records;
-        true
     }
 
     /// Records a non-assertion error (out-of-bounds, division by zero, …)
@@ -1172,7 +671,6 @@ impl SymCtx {
             let mut st = self.engine();
             if !st.inputs.iter().any(|n| n == name) {
                 st.inputs.push(name.to_string());
-                st.record_event(TraceEvent::Input(name.to_string()));
             }
             match &st.replay {
                 // Concrete replay: the "symbolic" input is the recorded
@@ -1256,20 +754,6 @@ impl SymCtx {
     /// the symbolic exploration actually drove).
     pub fn cover(&self, label: &str) {
         self.engine().cover(label);
-    }
-
-    /// Publishes a digest of the testbench's live state under `tag` and
-    /// marks the next symbolic decision as a potential *join point* for
-    /// [`ExploreOrder::MergeEager`](crate::ExploreOrder): two paths
-    /// arriving at the same decision site with identical published
-    /// digests share their continuation, and the explorer may merge or
-    /// subsume one into the other's already-explored subtree. Publish
-    /// every piece of state the continuation depends on (peripheral
-    /// snapshot hashes, kernel state) — unpublished state that differs
-    /// between the paths would make the merge unsound. A no-op under the
-    /// other exploration orders.
-    pub fn note_state(&self, tag: &str, digest: u64) {
-        self.engine().note_state(tag, digest);
     }
 
     /// Number of errors recorded so far in this exploration.

@@ -9,14 +9,11 @@
 //!
 //! One path runner executes every testbench run, for three callers:
 //!
-//! - the *reference engine*: [`ExploreOrder::Exhaustive`] at one worker,
-//!   depth-first on the calling thread, every finished path folded
-//!   straight into the report. Every other order and worker count is
-//!   tested against its reports.
-//! - the *worker loop*: [`Explorer::workers`] workers drain one shared
-//!   work queue — at one worker on the calling thread, spawning nothing.
-//!   It runs `MergeEager` and `CoverageGuided` at every worker count and
-//!   `Exhaustive` at two or more. Workers keep private term pools and
+//! - the *reference engine*: one worker, depth-first on the calling
+//!   thread, every finished path folded straight into the report. Every
+//!   other worker count is tested against its reports.
+//! - the *worker loop*: at two or more [`Explorer::workers`], the workers
+//!   drain one shared work queue. Workers keep private term pools and
 //!   solvers but share the whole [`CacheStack`], so a query or slice
 //!   solved on any worker is a cache hit on every other. Per-path records
 //!   are assembled into canonical (sequential depth-first) order, so the
@@ -30,7 +27,7 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
@@ -40,8 +37,7 @@ use std::time::{Duration, Instant};
 use symsc_smt::{CexCache, Solver};
 
 use crate::ctx::{EngineState, PathTerm, SymCtx};
-use crate::error::{Counterexample, ErrorKind, Report};
-use crate::merge::{ExploreOrder, MergeShared, PathRecord};
+use crate::error::{Counterexample, ErrorKind, Report, SymError};
 use crate::snapshot::PathSnapshot;
 use crate::stats::ExplorationStats;
 
@@ -120,7 +116,6 @@ pub struct Explorer {
     solver_stack: bool,
     incremental: bool,
     fork: ForkStrategy,
-    order: ExploreOrder,
     workers: usize,
     caches: Option<CacheStack>,
 }
@@ -172,7 +167,6 @@ impl Explorer {
             solver_stack: true,
             incremental: true,
             fork: ForkStrategy::CowSnapshot,
-            order: ExploreOrder::Exhaustive,
             workers: 0,
             caches: None,
         }
@@ -241,18 +235,6 @@ impl Explorer {
         self
     }
 
-    /// Selects the exploration order (default: exhaustive). See
-    /// [`ExploreOrder`]: `CoverageGuided` has each worker prefer pending
-    /// snapshots that flip a fork site it has not yet seen decided
-    /// `false`, `MergeEager` merges and subsumes paths at
-    /// testbench-published join points (`SymCtx::note_state`). Both
-    /// report byte-identically to the exhaustive oracle at any worker
-    /// count.
-    pub fn explore_order(mut self, order: ExploreOrder) -> Explorer {
-        self.order = order;
-        self
-    }
-
     /// Whether the copy-on-write snapshot strategy is active.
     fn cow_enabled(&self) -> bool {
         self.fork == ForkStrategy::CowSnapshot
@@ -261,8 +243,7 @@ impl Explorer {
     /// Sets the number of worker threads. `0` (the default) uses
     /// [`std::thread::available_parallelism`]; `1` runs the exploration
     /// on the calling thread with one term pool and one solver, spawning
-    /// no thread: the exhaustive order on the reference engine, the
-    /// others on a single-worker loop.
+    /// no thread: the reference engine.
     pub fn workers(mut self, workers: usize) -> Explorer {
         self.workers = workers;
         self
@@ -329,20 +310,11 @@ impl Explorer {
     /// state (e.g. collects observations into a `Vec`). Mutable captures
     /// cannot be shared across worker threads, so this always runs on the
     /// calling thread, exactly as [`workers`](Self::workers)`(1)` does.
+    ///
+    /// This is the reference engine: depth-first visitation with one pool
+    /// and one solver, every finished path folded straight into the
+    /// report. Every other worker count is tested against its reports.
     pub fn explore_mut<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
-        if self.order == ExploreOrder::Exhaustive {
-            return self.explore_sequential(testbench);
-        }
-        let shared = Workers::new(self);
-        let output = shared.run(&mut testbench);
-        shared.finish(vec![output])
-    }
-
-    /// The reference engine: exhaustive depth-first visitation on the
-    /// calling thread, one pool and one solver, every finished path
-    /// folded straight into the report. Every other order and worker
-    /// count is tested against its reports.
-    fn explore_sequential<F: FnMut(&SymCtx)>(&self, mut testbench: F) -> Report {
         let state = self.engine(&self.caches.clone().unwrap_or_default());
         let start = Instant::now();
         let limits = Limits::new(self, start);
@@ -485,25 +457,32 @@ fn engine_stats(st: &EngineState) -> ExplorationStats {
 }
 
 /// What the workers of one worker-loop exploration share: the queue of
-/// pending snapshots, the budgets, the cache stack and, under
-/// `MergeEager`, the merge state.
+/// pending snapshots, the budgets and the cache stack.
 struct Workers<'e> {
     explorer: &'e Explorer,
     caches: CacheStack,
     queue: WorkQueue,
     limits: Limits,
-    /// The workers' one merge state under `MergeEager`. An arrival only
-    /// adopts while the owner subtree is fully drained, so with several
-    /// workers a subtree still being executed elsewhere is simply
-    /// executed again — verdicts stay byte-identical, only
-    /// `executed_paths` becomes scheduling-dependent.
-    merge: Option<Arc<MergeShared>>,
     start: Instant,
 }
 
+/// One finished path, as a worker harvested it: everything needed to
+/// reconstruct the canonical report.
+struct PathRecord {
+    /// The branch directions taken, which identify the path uniquely and
+    /// define its canonical (depth-first) position.
+    taken: Vec<bool>,
+    /// Errors recorded on this path (path indices renumbered at assembly).
+    errors: Vec<SymError>,
+    /// Coverage bins hit on this path.
+    coverage: BTreeSet<String>,
+    /// `(fork-site fingerprint, direction)` pairs decided on this path.
+    branches: BTreeSet<(u128, bool)>,
+}
+
 /// One worker's contribution: its path records, its engine's counters
-/// (with its executed paths, busy time and promotions) and whether a
-/// path exhausted its decision budget.
+/// (with its executed paths and busy time) and whether a path exhausted
+/// its decision budget.
 struct WorkerOutput {
     records: Vec<PathRecord>,
     stats: ExplorationStats,
@@ -513,17 +492,11 @@ struct WorkerOutput {
 impl<'e> Workers<'e> {
     fn new(explorer: &'e Explorer) -> Workers<'e> {
         let start = Instant::now();
-        let merge = (explorer.order == ExploreOrder::MergeEager).then(|| {
-            let shared = Arc::new(MergeShared::new());
-            shared.add_unit(&[]);
-            shared
-        });
         Workers {
             explorer,
             caches: explorer.caches.clone().unwrap_or_default(),
             queue: WorkQueue::new(vec![PathSnapshot::root()]),
             limits: Limits::new(explorer, start),
-            merge,
             start,
         }
     }
@@ -536,55 +509,27 @@ impl<'e> Workers<'e> {
         // its forks forever; halting makes them stop instead.
         let _halt = HaltOnUnwind(&self.queue);
         let state = self.explorer.engine(&self.caches);
-        lock_state(&state).merge = self.merge.clone();
-        let guided = self.explorer.order == ExploreOrder::CoverageGuided;
-        // CoverageGuided's signal: the fork sites this worker's paths
-        // have decided `false`.
-        let mut decided_false: HashSet<u128> = HashSet::new();
         let mut records = Vec::new();
         let mut executed = 0u64;
-        let mut promotions = 0u64;
         let mut busy_time = Duration::ZERO;
 
-        loop {
-            let unvisited = |snapshot: &PathSnapshot| {
-                snapshot
-                    .flip_site
-                    .is_some_and(|site| !decided_false.contains(&site))
-            };
-            let prefer = guided.then_some(&unvisited as &dyn Fn(&PathSnapshot) -> bool);
-            let Some((snapshot, promoted)) = self.queue.pop(prefer) else {
-                break;
-            };
-            promotions += u64::from(promoted);
+        while let Some(snapshot) = self.queue.pop() {
             let busy_since = Instant::now();
             if !self.limits.claim() {
                 self.queue.halt();
                 self.queue.complete(Vec::new());
                 break;
             }
-            let unit: Vec<bool> = snapshot.unit_prefix().to_vec();
-
             let mut st = run_path(&state, snapshot, &mut testbench);
             executed += 1;
-            let first = records.len();
-            harvest_records(&mut st, &mut records);
+            records.push(PathRecord {
+                taken: st.taken_so_far(),
+                errors: std::mem::take(&mut st.errors),
+                coverage: st.take_path_coverage(),
+                branches: st.take_path_branches(),
+            });
             let pending = std::mem::take(&mut st.pending);
             drop(st);
-            if guided {
-                for record in &records[first..] {
-                    let sites = record.branches.iter().filter(|&&(_, dir)| !dir);
-                    decided_false.extend(sites.map(|&(site, _)| site));
-                }
-            }
-            if let Some(shared) = &self.merge {
-                // Publish the forks' units before retiring this one, so
-                // the subtree never looks drained while work remains.
-                for snapshot in &pending {
-                    shared.add_unit(snapshot.unit_prefix());
-                }
-                shared.remove_unit(&unit);
-            }
             self.queue.complete(pending);
             busy_time += busy_since.elapsed();
         }
@@ -595,7 +540,6 @@ impl<'e> Workers<'e> {
             stats: ExplorationStats {
                 busy_time,
                 executed_paths: executed,
-                sched_promotions: promotions,
                 ..engine_stats(&st)
             },
             budget_exhausted: st.budget_exhausted,
@@ -616,13 +560,6 @@ impl<'e> Workers<'e> {
             stats.add_worker(&output.stats);
             completed &= !output.budget_exhausted;
         }
-        if let Some(shared) = &self.merge {
-            let counters = shared.counters();
-            stats.merged_paths = counters.merged_paths;
-            stats.subsumed_paths = counters.subsumed_paths;
-            stats.join_sites = counters.join_sites;
-            stats.merge_rejects = counters.merge_rejects;
-        }
         assemble_records(records, stats, completed)
     }
 }
@@ -632,8 +569,7 @@ impl<'e> Workers<'e> {
 /// exactly the order the sequential depth-first engine visits paths in.
 /// Error path indices are renumbered to that order and coverage bins and
 /// branch maps are re-counted, so the report is a pure function of the
-/// represented path set — independent of workers, scheduling, and merge
-/// decisions.
+/// explored path set — independent of workers and scheduling.
 fn assemble_records(
     mut records: Vec<PathRecord>,
     mut stats: ExplorationStats,
@@ -668,28 +604,6 @@ fn assemble_records(
         coverage,
         stats,
         completed,
-    }
-}
-
-/// Harvests one finished run into `records`: either the path's own record,
-/// or — if the run was absorbed at a join point — the records synthesized
-/// from the adopted subtree (the partial run's own accumulators are
-/// dropped; the adoption already folded them in).
-fn harvest_records(st: &mut EngineState, records: &mut Vec<PathRecord>) {
-    if st.adopted {
-        records.append(&mut std::mem::take(&mut st.adopted_records));
-        st.errors.clear();
-        let _ = st.take_path_coverage();
-        let _ = st.take_path_branches();
-    } else {
-        let record = PathRecord {
-            taken: st.taken_so_far(),
-            errors: std::mem::take(&mut st.errors),
-            coverage: st.take_path_coverage(),
-            branches: st.take_path_branches(),
-        };
-        st.publish_trace();
-        records.push(record);
     }
 }
 
@@ -767,29 +681,18 @@ impl WorkQueue {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claims the next snapshot, blocking while other workers might still
-    /// fork new ones: the newest one (depth-first), unless `prefer` — the
-    /// coverage-guided pick — accepts an older one, in which case the
-    /// newest snapshot it accepts is promoted over the top. A reordering
-    /// only: the visited path *set* (and hence the report) is unchanged.
-    /// Returns the snapshot and whether it was promoted, or `None` once
-    /// the queue has fully drained (or was halted).
-    fn pop(&self, prefer: Option<&dyn Fn(&PathSnapshot) -> bool>) -> Option<(PathSnapshot, bool)> {
+    /// Claims the newest snapshot (depth-first), blocking while other
+    /// workers might still fork new ones. Returns `None` once the queue
+    /// has fully drained (or was halted).
+    fn pop(&self) -> Option<PathSnapshot> {
         let mut st = self.lock();
         loop {
             if st.halted {
                 return None;
             }
-            let promoted = prefer
-                .and_then(|accept| st.queue.iter().rposition(accept))
-                .filter(|&index| index + 1 < st.queue.len());
-            let next = match promoted {
-                Some(index) => Some(st.queue.remove(index)),
-                None => st.queue.pop(),
-            };
-            if let Some(snapshot) = next {
+            if let Some(snapshot) = st.queue.pop() {
                 st.in_flight += 1;
-                return Some((snapshot, promoted.is_some()));
+                return Some(snapshot);
             }
             if st.in_flight == 0 {
                 return None;
@@ -1224,41 +1127,55 @@ mod parallel_tests {
         std::thread::scope(|scope| {
             let crashed = scope.spawn(|| {
                 let _halt = HaltOnUnwind(&queue);
-                let _claimed = queue.pop(None);
+                let _claimed = queue.pop();
                 panic!("a worker unwinds with its path in flight");
             });
             assert!(crashed.join().is_err());
         });
         // The crashed claim never completes: without the halt, this pop
         // would wait for it forever.
-        assert!(queue.pop(None).is_none());
+        assert!(queue.pop().is_none());
     }
 
     #[test]
     fn one_worker_runs_every_path_on_the_calling_thread() {
         // Kill-matrix cells already run on pool threads: a one-worker
-        // exploration must never start threads of its own, in any order.
+        // exploration must never start threads of its own.
         let caller = std::thread::current().id();
-        for order in [
-            ExploreOrder::Exhaustive,
-            ExploreOrder::MergeEager,
-            ExploreOrder::CoverageGuided,
-        ] {
-            let threads = Mutex::new(Vec::new());
-            let report = Explorer::new()
-                .workers(1)
-                .explore_order(order)
-                .explore(|ctx| {
-                    threads.lock().unwrap().push(std::thread::current().id());
-                    ladder(ctx);
-                });
-            let threads = threads.into_inner().unwrap();
-            assert_eq!(report.stats.paths, 16, "{order:?}");
-            assert_eq!(threads.len() as u64, report.stats.executed_paths);
-            assert!(
-                threads.iter().all(|&id| id == caller),
-                "{order:?}: a path ran off the calling thread"
-            );
+        let threads = Mutex::new(Vec::new());
+        let report = Explorer::new().workers(1).explore(|ctx| {
+            threads.lock().unwrap().push(std::thread::current().id());
+            ladder(ctx);
+        });
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(report.stats.paths, 16);
+        assert_eq!(threads.len() as u64, report.stats.executed_paths);
+        assert!(
+            threads.iter().all(|&id| id == caller),
+            "a path ran off the calling thread"
+        );
+    }
+
+    #[test]
+    fn every_explored_path_is_executed_and_none_is_merged() {
+        // `executed_paths` and `merged_paths` are kept because the
+        // benchmark reports them as `symex.executed_paths` and
+        // `symex.merged_paths`: every path the report represents is one
+        // the engine ran, at any worker count and fork strategy.
+        for fork in [ForkStrategy::CowSnapshot, ForkStrategy::Reexec] {
+            for workers in [1, 2, 8] {
+                let report = Explorer::new()
+                    .workers(workers)
+                    .fork_strategy(fork)
+                    .explore(ladder);
+                let stats = &report.stats;
+                assert_eq!(stats.paths, 16, "{fork:?} at {workers} workers");
+                assert_eq!(
+                    (stats.executed_paths, stats.merged_paths),
+                    (stats.paths, 0),
+                    "{fork:?} at {workers} workers"
+                );
+            }
         }
     }
 

@@ -60,9 +60,9 @@
 pub mod array;
 pub mod cow;
 pub mod ctx;
+mod digest;
 pub mod error;
 pub mod explore;
-pub mod merge;
 mod snapshot;
 pub mod stats;
 pub mod value;
@@ -70,9 +70,9 @@ pub mod value;
 pub use array::SymArray;
 pub use cow::{CowEnv, CowVec};
 pub use ctx::SymCtx;
+pub use digest::StateDigest;
 pub use error::{Counterexample, ErrorKind, Report, SymError};
 pub use explore::{CacheStack, Explorer, ForkStrategy};
-pub use merge::{ExploreOrder, StateDigest};
 pub use stats::{BranchCoverage, ExplorationStats};
 pub use symsc_smt::Width;
 pub use value::{SymBool, SymWord};

@@ -11,7 +11,6 @@
 
 use crate::cow::CowVec;
 use crate::error::SymError;
-use crate::merge::TraceEvent;
 
 /// A suspended engine state, ready to be resumed by any worker.
 ///
@@ -33,16 +32,6 @@ pub(crate) struct PathSnapshot {
     /// and continue, so a fork can extend past them). Restored verbatim
     /// with the path index rewritten to the resuming path's.
     pub(crate) errors: Vec<SymError>,
-    /// The fork site's structural fingerprint — what the resumed path
-    /// decides `false` at. `None` only for the root. Drives the
-    /// coverage-guided scheduler.
-    pub(crate) flip_site: Option<u128>,
-    /// Prefix trace `Error` events with their event-stream positions
-    /// (`MergeEager` only). Fast-forward rebuilds every other event from
-    /// the re-executed prefix, but errors are restored — not re-solved —
-    /// so their events are carried and re-inserted at the recorded
-    /// positions.
-    pub(crate) trace_errors: Vec<(usize, TraceEvent)>,
 }
 
 impl PathSnapshot {
@@ -62,11 +51,5 @@ impl PathSnapshot {
     /// Whether this is the root of an exploration (nothing forced).
     pub(crate) fn is_root(&self) -> bool {
         self.prefix.is_empty() && self.journal.is_empty() && self.errors.is_empty()
-    }
-
-    /// The forced prefix this snapshot identifies — the unit-of-work key
-    /// for join-point subtree accounting.
-    pub(crate) fn unit_prefix(&self) -> &[bool] {
-        &self.prefix
     }
 }

@@ -54,9 +54,8 @@ pub struct ExplorationStats {
     /// engine's threads.
     pub solver_time: Duration,
     /// Time the engine spent executing paths, summed over its workers and
-    /// excluding waits on the work queue. The reference engine
-    /// (exhaustive order at one worker) and replay and trace report
-    /// `time` itself.
+    /// excluding waits on the work queue. The reference engine (one
+    /// worker) and replay and trace report `time` itself.
     pub busy_time: Duration,
     /// Raw statistics from the SMT layer.
     pub solver: SolverStats,
@@ -72,33 +71,20 @@ pub struct ExplorationStats {
     /// path counts. Deterministic across worker counts — the map is a pure
     /// function of the explored path set.
     pub branches: BTreeMap<u128, BranchCoverage>,
-    /// Paths physically executed by the engine, including partial runs
-    /// aborted by a join-point adoption. Equals `paths` under
-    /// `ExploreOrder::Exhaustive`; the merge benchmark's reduction
-    /// factor is `paths / executed_paths`.
+    /// Paths the engine executed. Every explored path is executed, so
+    /// this equals `paths`; it is kept because the benchmark reports it
+    /// as `symex.executed_paths`.
     pub executed_paths: u64,
-    /// Represented paths synthesized by structural state merging (equal
-    /// or support-disjoint prefix constraint sets at a join point).
+    /// Paths represented without being executed. The engine merges no
+    /// paths, so this is zero; it is kept because the benchmark reports
+    /// it as `symex.merged_paths`.
     pub merged_paths: u64,
-    /// Represented paths synthesized by subsumption — an incremental-SAT
-    /// implication query proved the prefixes mutually equivalent.
-    pub subsumed_paths: u64,
-    /// Join points registered (first arrivals that became subtree owners).
-    pub join_sites: u64,
-    /// Join-point arrivals that failed the soundness checks and fell
-    /// back to normal execution.
-    pub merge_rejects: u64,
-    /// Pending snapshots promoted out of depth-first order by the
-    /// coverage-guided scheduler, summed over the workers. Deterministic
-    /// at one worker; with several it depends on scheduling, as
-    /// `executed_paths` does under a parallel `MergeEager` run.
-    pub sched_promotions: u64,
 }
 
 impl ExplorationStats {
     /// Adds one worker's counters into an exploration's totals. Path
-    /// counts, the branch map, merge counters and wall time are the
-    /// exploration's own and are left alone.
+    /// counts, the branch map and wall time are the exploration's own and
+    /// are left alone.
     pub(crate) fn add_worker(&mut self, worker: &ExplorationStats) {
         self.instructions += worker.instructions;
         self.decisions += worker.decisions;
@@ -108,7 +94,6 @@ impl ExplorationStats {
         self.fork_snapshots += worker.fork_snapshots;
         self.fast_forward_decisions += worker.fast_forward_decisions;
         self.executed_paths += worker.executed_paths;
-        self.sched_promotions += worker.sched_promotions;
     }
 
     /// Fraction of the engine's busy time spent in the solver, in percent
@@ -163,8 +148,6 @@ impl fmt::Display for ExplorationStats {
              {} clauses retained, {} restarts, {} narrowed bits, \
              {} cube escalations, {} cubes | \
              cow: {} snapshots, {} fast-forward decisions | \
-             merge: {} executed, {} merged, {} subsumed, {} joins, \
-             {} rejects, {} promotions | \
              branch sites: {} ({}/{} directions)",
             self.paths,
             self.instructions,
@@ -189,12 +172,6 @@ impl fmt::Display for ExplorationStats {
             self.solver.incremental.cubes,
             self.fork_snapshots,
             self.fast_forward_decisions,
-            self.executed_paths,
-            self.merged_paths,
-            self.subsumed_paths,
-            self.join_sites,
-            self.merge_rejects,
-            self.sched_promotions,
             self.branch_sites(),
             self.branches_covered(),
             2 * self.branch_sites(),

@@ -80,8 +80,7 @@ impl SymWord {
 
     /// The term's structural fingerprint: a Merkle-style hash that is
     /// identical for structurally identical terms across pools and
-    /// workers. The building block for peripheral state digests
-    /// ([`SymCtx::note_state`] join points).
+    /// workers.
     pub fn fingerprint(&self) -> u128 {
         self.ctx.with_pool(|p| p.fingerprint(self.id))
     }

@@ -95,7 +95,6 @@ fn x1_basic_interaction(ctx: &SymCtx, tlm: PlicConfig, cycle: PlicConfig) {
         ctx.cover("x1/invalid-id");
     }
     x.step();
-    x.fence();
 
     let id = x.claim(0);
     ctx.check(
@@ -105,7 +104,6 @@ fn x1_basic_interaction(ctx: &SymCtx, tlm: PlicConfig, cycle: PlicConfig) {
     x.complete(0, &id);
     x.step();
     x.step();
-    x.fence();
     x.check_registers();
 }
 
@@ -140,7 +138,6 @@ fn x2_claim_order(ctx: &SymCtx, tlm: PlicConfig, cycle: PlicConfig) {
     x.trigger(&i);
     x.trigger(&j);
     x.step();
-    x.fence();
 
     let first = x.claim(0);
     x.complete(0, &first);
@@ -149,7 +146,6 @@ fn x2_claim_order(ctx: &SymCtx, tlm: PlicConfig, cycle: PlicConfig) {
     ctx.check(&second.ne(&first), "the two claims take distinct ids");
     x.complete(0, &second);
     x.step();
-    x.fence();
     x.check_registers();
 }
 
@@ -179,12 +175,10 @@ fn x3_masking(ctx: &SymCtx, tlm: PlicConfig, cycle: PlicConfig) {
 
     x.trigger(&i);
     x.step();
-    x.fence();
 
     let id = x.claim(0);
     x.complete(0, &id);
     x.step();
-    x.fence();
     x.check_registers();
 }
 

@@ -14,7 +14,7 @@
 use symsc_pk::Kernel;
 use symsc_plic::config::THRESHOLD_BASE;
 use symsc_plic::{Plic, PlicConfig};
-use symsc_symex::{StateDigest, SymCtx, SymWord, Width};
+use symsc_symex::{SymCtx, SymWord, Width};
 use symsc_tlm::{BlockingTransport, Command, GenericPayload};
 use symsysc_core::{TestOutcome, Verifier};
 
@@ -103,19 +103,6 @@ fn setup(ctx: &SymCtx, config: PlicConfig) -> (Kernel, Plic, MockHart) {
     (kernel, plic, hart)
 }
 
-/// Publishes the DUV's structural state as a join-point mark: suspended
-/// paths whose kernel, PLIC and HART states have reconverged structurally
-/// become candidates for subtree adoption under
-/// `ExploreOrder::MergeEager`. Under the default exhaustive order the
-/// fence costs one digest fold and changes nothing.
-fn fence(ctx: &SymCtx, kernel: &Kernel, plic: &Plic, hart: &MockHart) {
-    let mut mark = StateDigest::new();
-    mark.push_u64(kernel.state_mark());
-    mark.push_u64(plic.state_mark());
-    mark.push_u64(u64::from(hart.triggered()));
-    ctx.note_state("duv", mark.finish());
-}
-
 fn write_reg(ctx: &SymCtx, kernel: &mut Kernel, plic: &mut Plic, addr: u32, value: &SymWord) {
     let mut txn = GenericPayload::write(ctx, ctx.word32(addr), 4);
     txn.set_word(0, value.clone());
@@ -152,7 +139,6 @@ fn t1_basic_interaction(ctx: &SymCtx, config: PlicConfig) {
     if hart.triggered() == 1 {
         ctx.cover("t1/delivered");
     }
-    fence(ctx, &kernel, &plic, &hart);
     let fired = ctx.lit(hart.triggered() == 1);
     ctx.check(
         &valid.implies(&fired),
@@ -238,7 +224,6 @@ fn t2_interrupt_priority(ctx: &SymCtx, config: PlicConfig) {
 
     hart.complete(ctx, &mut kernel, &mut plic, &first);
     kernel.step(); // advance time to next event
-    fence(ctx, &kernel, &plic, &hart);
 
     // The second, lower-prioritized interrupt must follow.
     ctx.check_concrete(
@@ -283,7 +268,6 @@ fn t3_interrupt_masking(ctx: &SymCtx, config: PlicConfig) {
 
     plic.trigger_interrupt(ctx, &mut kernel, &i);
     kernel.step();
-    fence(ctx, &kernel, &plic, &hart);
 
     let zero = ctx.word32(0);
     let eligible = priority.ugt(&zero).and(&priority.ugt(&threshold));

@@ -38,7 +38,7 @@ cargo build --offline --release -p symsc-campaign --bin campaign_bench
 out=target/bench_gate
 mkdir -p "$out"
 
-echo "==> ablations: parallel, solver stack, incremental, COW, merge (workers=1/2/8)"
+echo "==> ablations: parallel, solver stack, incremental, COW (workers=1/2/8)"
 ./target/release/ablation --emit "$out/ablation.json"
 
 echo "==> fuzz-vs-symbolic coverage diff + seed exchange"

@@ -14,7 +14,7 @@ use symsc_firmware::{firmware_bench, run_firmware_test, FirmwareId};
 use symsc_mutate::{run_kill_matrix, run_kill_matrix_with, KillMatrix, KillSuite, Mutant};
 use symsc_plic::{InjectedFault, MutationOp, PlicConfig, PlicVariant, ThresholdCmp};
 use symsc_testbench::{run_cross_test, run_test, CrossId, SuiteParams, TestId};
-use symsysc_core::prelude::{ExploreOrder, ForkStrategy};
+use symsysc_core::prelude::ForkStrategy;
 use symsysc_core::{TestOutcome, Verifier};
 
 /// Everything in a report that must not depend on scheduling.
@@ -337,193 +337,15 @@ fn replay_reproduces_a_cow_forked_counterexample() {
     assert_eq!(replayed.report.errors[0].message, error.message);
 }
 
-/// The merge projection: like [`stable_view`] but without the decide
-/// counter. `ExploreOrder::MergeEager` adopts finished join-point
-/// subtrees instead of re-executing them, so decide/solver work
-/// legitimately shrinks; verdicts, represented paths, errors,
-/// counterexamples, coverage and branch counts must not move.
-fn merge_view(outcome: &TestOutcome) -> String {
-    use std::fmt::Write;
-    let report = &outcome.report;
-    let mut view = String::new();
-    writeln!(
-        view,
-        "paths={} completed={} passed={}",
-        report.stats.paths,
-        report.completed,
-        report.passed()
-    )
-    .unwrap();
-    for error in &report.errors {
-        writeln!(
-            view,
-            "error path={} kind={:?} msg={} cex={}",
-            error.path, error.kind, error.message, error.counterexample
-        )
-        .unwrap();
-    }
-    for (point, count) in &report.coverage {
-        writeln!(view, "cover {point}={count}").unwrap();
-    }
-    for (site, bc) in &report.stats.branches {
-        writeln!(view, "branch {site:032x}={}/{}", bc.taken, bc.not_taken).unwrap();
-    }
-    view
-}
-
-/// A tiny 4-source configuration: small enough that the full merged /
-/// exhaustive cross-product at three worker counts stays fast in debug
-/// mode, as the issue's property-suite scope asks (≤ 4 sources).
-fn tiny_config() -> PlicConfig {
-    let mut config = PlicConfig::fe310_scaled();
-    config.sources = 4;
-    config.max_priority = 4;
-    config
-}
-
-#[test]
-fn merge_eager_matches_the_exhaustive_oracle() {
-    // State merging is a pure optimization: for every suite test on the
-    // tiny config, the MergeEager report at 1, 2 and 8 workers must equal
-    // the exhaustive-drain oracle on the merge projection (everything but
-    // the work counters), byte for byte.
-    for test in TestId::ALL {
-        let oracle = merge_view(&run_test(
-            test,
-            tiny_config(),
-            &SuiteParams::default(),
-            &Verifier::new(test.name()).workers(1),
-        ));
-        for workers in [1, 2, 8] {
-            let merged = merge_view(&run_test(
-                test,
-                tiny_config(),
-                &SuiteParams::default(),
-                &Verifier::new(test.name())
-                    .workers(workers)
-                    .explore_order(ExploreOrder::MergeEager),
-            ));
-            assert_eq!(
-                oracle,
-                merged,
-                "{} report changed between the exhaustive oracle and the \
-                 {workers}-worker MergeEager run",
-                test.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn coverage_guided_order_matches_the_exhaustive_oracle() {
-    // The coverage-guided scheduler changes visitation order only; the
-    // canonical report must equal the exhaustive oracle byte for byte
-    // (including the decide counter — every path still executes).
-    for test in TestId::ALL {
-        let oracle = stable_view(&run_with_workers(test, 1));
-        let guided = stable_view(&run_test(
-            test,
-            PlicConfig::fe310_scaled(),
-            &SuiteParams::default(),
-            &Verifier::new(test.name())
-                .workers(1)
-                .explore_order(ExploreOrder::CoverageGuided),
-        ));
-        assert_eq!(
-            oracle,
-            guided,
-            "{} report changed under the coverage-guided scheduler",
-            test.name()
-        );
-    }
-}
-
-#[test]
-fn merge_eager_fences_arm_join_sites_on_the_suite() {
-    // The T1/T2 testbench fences must actually arm join points under
-    // MergeEager, so the byte-identity assertions above exercise the
-    // merge machinery rather than a silent no-op. (The scaled suite
-    // itself explores only 1–2 paths per test, so there is no second
-    // arrival to adopt here; adoption liveness — merged_paths > 0 and
-    // executed < represented — is pinned by the engine's own
-    // merge_order tests and enforced at scale by the ablation harness's
-    // path_merge row.)
-    let mut join_sites = 0;
-    for test in [TestId::T1, TestId::T2, TestId::T3] {
-        let outcome = run_test(
-            test,
-            PlicConfig::fe310_scaled(),
-            &SuiteParams::default(),
-            &Verifier::new(test.name())
-                .workers(1)
-                .explore_order(ExploreOrder::MergeEager),
-        );
-        let stats = &outcome.report.stats;
-        join_sites += stats.join_sites;
-        assert_eq!(
-            stats.paths,
-            stats.executed_paths,
-            "{}: with no adoptions every represented path executes",
-            test.name()
-        );
-    }
-    assert!(join_sites > 0, "fences must register join sites");
-}
-
-#[test]
-fn kill_matrix_verdicts_are_unchanged_under_merge_eager() {
-    // Merging must not mask a detection: the reduced kill matrix under
-    // MergeEager must render byte-identically to the default exhaustive
-    // matrix (same verdicts, same distinct-error counts, same coverage).
-    // The full 33-mutant matrix runs in the nightly ablation
-    // (mutation_kill --order eager against BENCH_mutation_kill.json).
-    let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
-    let mutants = vec![
-        Mutant::from_preset(InjectedFault::If5EarlyClearReturn),
-        Mutant::from_preset(InjectedFault::If6ThresholdOffByOne),
-        Mutant::new(
-            "cmp_never",
-            "delivery dead",
-            MutationOp::ThresholdCompare(ThresholdCmp::NeverPass),
-        ),
-        Mutant::new("dup_notify", "double notify", MutationOp::DuplicateNotify),
-    ];
-    let tests = [TestId::T1, TestId::T3];
-    let exhaustive = run_kill_matrix(config, &mutants, &tests, 1);
-    let merged = run_kill_matrix_with(config, &mutants, &tests, |name| {
-        Verifier::new(name)
-            .workers(1)
-            .explore_order(ExploreOrder::MergeEager)
-    });
-    assert_eq!(
-        exhaustive.stable_view(),
-        merged.stable_view(),
-        "kill matrix changed under MergeEager"
-    );
-    assert!(merged.mutants[0].killed(), "IF5 still killed by T1");
-    assert!(merged.mutants[1].killed(), "IF6 still killed by T3");
-    assert!(merged.mutants[2].killed(), "dead delivery still killed");
-    assert!(
-        !merged.mutants[3].killed(),
-        "duplicate notify still survives"
-    );
-}
-
-/// One firmware-suite run under an explicit worker count, fork strategy
-/// and exploration order, on the fixed scaled PLIC.
-fn run_firmware(
-    test: FirmwareId,
-    workers: usize,
-    strategy: ForkStrategy,
-    order: ExploreOrder,
-) -> TestOutcome {
+/// One firmware-suite run under an explicit worker count and fork
+/// strategy, on the fixed scaled PLIC.
+fn run_firmware(test: FirmwareId, workers: usize, strategy: ForkStrategy) -> TestOutcome {
     run_firmware_test(
         test,
         PlicConfig::fe310_scaled().variant(PlicVariant::Fixed),
         &Verifier::new(test.name())
             .workers(workers)
-            .fork_strategy(strategy)
-            .explore_order(order),
+            .fork_strategy(strategy),
     )
 }
 
@@ -537,20 +359,10 @@ fn every_firmware_test_is_worker_and_strategy_independent() {
     // and under both fork engines (COW snapshots vs. the re-execution
     // oracle).
     for test in FirmwareId::ALL {
-        let sequential = stable_view(&run_firmware(
-            test,
-            1,
-            ForkStrategy::CowSnapshot,
-            ExploreOrder::Exhaustive,
-        ));
+        let sequential = stable_view(&run_firmware(test, 1, ForkStrategy::CowSnapshot));
         for workers in [1, 2, 8] {
             for strategy in [ForkStrategy::CowSnapshot, ForkStrategy::Reexec] {
-                let run = stable_view(&run_firmware(
-                    test,
-                    workers,
-                    strategy,
-                    ExploreOrder::Exhaustive,
-                ));
+                let run = stable_view(&run_firmware(test, workers, strategy));
                 assert_eq!(
                     sequential, run,
                     "{test} report changed at {workers} workers under {strategy:?}"
@@ -561,41 +373,11 @@ fn every_firmware_test_is_worker_and_strategy_independent() {
 }
 
 #[test]
-fn firmware_merge_eager_matches_the_exhaustive_oracle() {
-    // The firmware benches fence at wfi park boundaries (kernel + PLIC +
-    // CPU + RAM digests), so MergeEager may adopt finished subtrees and
-    // shrink the decide counter; everything on the merge projection —
-    // verdicts, represented paths, errors, counterexamples, coverage,
-    // branch counts — must not move, at any worker count.
-    for test in FirmwareId::ALL {
-        let oracle = merge_view(&run_firmware(
-            test,
-            1,
-            ForkStrategy::CowSnapshot,
-            ExploreOrder::Exhaustive,
-        ));
-        for workers in [1, 2, 8] {
-            let merged = merge_view(&run_firmware(
-                test,
-                workers,
-                ForkStrategy::CowSnapshot,
-                ExploreOrder::MergeEager,
-            ));
-            assert_eq!(
-                oracle, merged,
-                "{test} report changed between the exhaustive oracle and \
-                 the {workers}-worker MergeEager run"
-            );
-        }
-    }
-}
-
-#[test]
 fn firmware_kill_matrix_is_byte_identical_across_engines() {
     // The reduced firmware kill matrix — two driver tests, one preset,
     // the firmware-unique stuck-enable kill and a known-equivalent
-    // survivor — must render byte-identically across worker counts, fork
-    // strategies and exploration orders, and keep its verdicts.
+    // survivor — must render byte-identically across worker counts and
+    // fork strategies, and keep its verdicts.
     let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
     let mutants = vec![
         Mutant::from_preset(InjectedFault::If6ThresholdOffByOne),
@@ -610,22 +392,18 @@ fn firmware_kill_matrix_is_byte_identical_across_engines() {
     let baseline = run_kill_matrix_with(config, &mutants, &tests, |name| {
         Verifier::new(name).workers(1)
     });
-    for (workers, strategy, order) in [
-        (8, ForkStrategy::CowSnapshot, ExploreOrder::Exhaustive),
-        (1, ForkStrategy::Reexec, ExploreOrder::Exhaustive),
-        (2, ForkStrategy::CowSnapshot, ExploreOrder::MergeEager),
+    for (workers, strategy) in [
+        (8, ForkStrategy::CowSnapshot),
+        (1, ForkStrategy::Reexec),
+        (2, ForkStrategy::CowSnapshot),
     ] {
         let other = run_kill_matrix_with(config, &mutants, &tests, |name| {
-            Verifier::new(name)
-                .workers(workers)
-                .fork_strategy(strategy)
-                .explore_order(order)
+            Verifier::new(name).workers(workers).fork_strategy(strategy)
         });
         assert_eq!(
             baseline.stable_view(),
             other.stable_view(),
-            "firmware kill matrix changed at {workers} workers under \
-             {strategy:?}/{order:?}"
+            "firmware kill matrix changed at {workers} workers under {strategy:?}"
         );
     }
     assert_eq!(
@@ -677,16 +455,11 @@ fn replay_reproduces_a_firmware_counterexample() {
     assert_eq!(replayed.report.errors[0].message, error.message);
 }
 
-/// One cross-level equivalence run under an explicit worker count, fork
-/// strategy and exploration order. Both levels are built from the fixed
-/// scaled PLIC, so the run passes — determinism must hold for passing
-/// equivalence proofs exactly as for failing ones.
-fn run_cross(
-    test: CrossId,
-    workers: usize,
-    strategy: ForkStrategy,
-    order: ExploreOrder,
-) -> TestOutcome {
+/// One cross-level equivalence run under an explicit worker count and
+/// fork strategy. Both levels are built from the fixed scaled PLIC, so
+/// the run passes — determinism must hold for passing equivalence proofs
+/// exactly as for failing ones.
+fn run_cross(test: CrossId, workers: usize, strategy: ForkStrategy) -> TestOutcome {
     let fixed = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
     run_cross_test(
         test,
@@ -694,8 +467,7 @@ fn run_cross(
         fixed,
         &Verifier::new(test.name())
             .workers(workers)
-            .fork_strategy(strategy)
-            .explore_order(order),
+            .fork_strategy(strategy),
     )
 }
 
@@ -707,20 +479,10 @@ fn every_cross_test_is_worker_and_strategy_independent() {
     // still be a pure function of the state space: byte-identical at
     // every worker count and under both fork engines.
     for test in CrossId::ALL {
-        let sequential = stable_view(&run_cross(
-            test,
-            1,
-            ForkStrategy::CowSnapshot,
-            ExploreOrder::Exhaustive,
-        ));
+        let sequential = stable_view(&run_cross(test, 1, ForkStrategy::CowSnapshot));
         for workers in [1, 2, 8] {
             for strategy in [ForkStrategy::CowSnapshot, ForkStrategy::Reexec] {
-                let run = stable_view(&run_cross(
-                    test,
-                    workers,
-                    strategy,
-                    ExploreOrder::Exhaustive,
-                ));
+                let run = stable_view(&run_cross(test, workers, strategy));
                 assert_eq!(
                     sequential, run,
                     "{test} report changed at {workers} workers under {strategy:?}"
@@ -731,41 +493,12 @@ fn every_cross_test_is_worker_and_strategy_independent() {
 }
 
 #[test]
-fn cross_merge_eager_matches_the_exhaustive_oracle() {
-    // The X testbenches fence after every delivery window (both levels'
-    // digests feed the join key), so MergeEager may adopt finished
-    // subtrees; on the merge projection the report must equal the
-    // exhaustive oracle at every worker count.
-    for test in CrossId::ALL {
-        let oracle = merge_view(&run_cross(
-            test,
-            1,
-            ForkStrategy::CowSnapshot,
-            ExploreOrder::Exhaustive,
-        ));
-        for workers in [1, 2, 8] {
-            let merged = merge_view(&run_cross(
-                test,
-                workers,
-                ForkStrategy::CowSnapshot,
-                ExploreOrder::MergeEager,
-            ));
-            assert_eq!(
-                oracle, merged,
-                "{test} report changed between the exhaustive oracle and \
-                 the {workers}-worker MergeEager run"
-            );
-        }
-    }
-}
-
-#[test]
 fn cross_kill_matrix_is_byte_identical_across_engines() {
     // The reduced cross-level kill matrix — the equivalence-unique
     // stuck-enable kill, a dead-delivery kill and a known-equivalent
     // survivor, each injected into both levels in turn — must render
-    // byte-identically across worker counts, fork strategies and
-    // exploration orders, and keep its verdicts.
+    // byte-identically across worker counts and fork strategies, and keep
+    // its verdicts.
     let config = PlicConfig::fe310_scaled().variant(PlicVariant::Fixed);
     let mutants = vec![
         Mutant::new(
@@ -784,22 +517,18 @@ fn cross_kill_matrix_is_byte_identical_across_engines() {
     let baseline = run_kill_matrix_with(config, &mutants, &tests, |name| {
         Verifier::new(name).workers(1)
     });
-    for (workers, strategy, order) in [
-        (8, ForkStrategy::CowSnapshot, ExploreOrder::Exhaustive),
-        (2, ForkStrategy::Reexec, ExploreOrder::Exhaustive),
-        (2, ForkStrategy::CowSnapshot, ExploreOrder::MergeEager),
+    for (workers, strategy) in [
+        (8, ForkStrategy::CowSnapshot),
+        (2, ForkStrategy::Reexec),
+        (2, ForkStrategy::CowSnapshot),
     ] {
         let other = run_kill_matrix_with(config, &mutants, &tests, |name| {
-            Verifier::new(name)
-                .workers(workers)
-                .fork_strategy(strategy)
-                .explore_order(order)
+            Verifier::new(name).workers(workers).fork_strategy(strategy)
         });
         assert_eq!(
             baseline.stable_view(),
             other.stable_view(),
-            "cross kill matrix changed at {workers} workers under \
-             {strategy:?}/{order:?}"
+            "cross kill matrix changed at {workers} workers under {strategy:?}"
         );
     }
     assert_eq!(
